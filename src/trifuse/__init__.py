@@ -43,7 +43,6 @@ from .fusion import (
     FusionConfig,
     GatePack,
     bite,
-    bite_only,
     cssa,
     gaff,
     mage,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fusion import FusionConfig, apply_fusion, fusion_param_specs
+from .fusion import apply_fusion, fusion_param_specs
 from .tensors import (
     ParamSpec,
     attention,
@@ -34,7 +34,7 @@ HEADS = (1, 2, 5, 8)
 SR_RATIOS = (8, 4, 2, 1)
 FFN_EXPANSION = 4
 
-_VARIANTS = {
+VARIANTS = {
     "B0": ((32, 64, 160, 256), (2, 2, 2, 2)),
     "B1": ((64, 128, 320, 512), (2, 2, 2, 2)),
     "B2": ((64, 128, 320, 512), (3, 4, 6, 3)),
@@ -65,9 +65,9 @@ class BackboneConfig:
 
     @classmethod
     def variant_config(cls, variant):
-        if variant not in _VARIANTS:
+        if variant not in VARIANTS:
             raise ConfigError(f"unknown backbone variant {variant!r} (use B0..B4)")
-        widths, depths = _VARIANTS[variant]
+        widths, depths = VARIANTS[variant]
         return cls(variant=variant, widths=widths, depths=depths)
 
 

@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from .backbone import MODALITY_SETS, VARIANTS
 from .data import write_npy
 from .errors import TrifuseError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
+from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
 from .harness import RunConfig, run_grid, run_ablation_grid, run_single, write_grid_outputs
 from .metrics import evaluate, read_detections_jsonl, read_ground_truth_jsonl
 from .synth import generate_corpus
@@ -53,15 +53,14 @@ def _load_run_config(args):
 
 
 def _add_run_flags(p):
-    p.add_argument("--variant", choices=["B0", "B1", "B2", "B3", "B4"])
-    p.add_argument("--mechanism",
-                   choices=["mage_bite", "mage_only", "bite_only", "cssa", "gaff", "none"])
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--mechanism", choices=MECHANISMS)
     p.add_argument("--stages", type=int, nargs="*", metavar="S")
     p.add_argument("--tau", type=float)
-    p.add_argument("--se-ratio", dest="se_ratio", type=int, choices=[4, 8])
-    p.add_argument("--guidance", choices=["shared", "separate"])
-    p.add_argument("--merge", choices=["direct", "bottleneck"])
-    p.add_argument("--modalities", choices=["RTE", "RT", "RE", "TE"])
+    p.add_argument("--se-ratio", dest="se_ratio", type=int, choices=GAFF_SE_RATIOS)
+    p.add_argument("--guidance", choices=GAFF_GUIDANCE)
+    p.add_argument("--merge", choices=GAFF_MERGES)
+    p.add_argument("--modalities", choices=MODALITY_SETS)
     p.add_argument("--source", help="'synthetic' or a manifest path")
 
 

@@ -17,7 +17,7 @@ the neck or head:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .tensors import (
     to_tokens,
 )
 
-MECHANISMS = ("mage_bite", "mage_only", "bite_only", "cssa", "gaff", "none")
 GAFF_SE_RATIOS = (4, 8)
+GAFF_GUIDANCE = ("shared", "separate")
+GAFF_MERGES = ("direct", "bottleneck")
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class FusionConfig:
             raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         if self.se_ratio not in GAFF_SE_RATIOS:
             raise ConfigError(f"se_ratio must be one of {GAFF_SE_RATIOS}, got {self.se_ratio}")
-        if self.guidance not in ("shared", "separate"):
+        if self.guidance not in GAFF_GUIDANCE:
             raise ConfigError(f"guidance must be shared/separate, got {self.guidance!r}")
-        if self.merge not in ("direct", "bottleneck"):
+        if self.merge not in GAFF_MERGES:
             raise ConfigError(f"merge must be direct/bottleneck, got {self.merge!r}")
 
 
@@ -212,10 +213,6 @@ def bite(xa, xb, params, p):
 # composed baseline variants
 
 
-def mage_bite_specs(c, p):
-    return mage_specs(c, p) + bite_specs(c, p)
-
-
 def mage_bite(xa, xb, params, p, diag=None):
     ra, rb, gates = mage(xa, xb, params, p)
     if diag is not None:
@@ -237,14 +234,6 @@ def mage_only(xa, xb, params, p, diag=None):
     _, _, h, w = xa.shape
     z = to_tokens(np.concatenate([ra, rb], axis=1))
     return to_map(linear(z, params[f"{p}.monly.merge.w"], params[f"{p}.monly.merge.b"]), h, w)
-
-
-def bite_only_specs(c, p):
-    return bite_specs(c, p)
-
-
-def bite_only(xa, xb, params, p, diag=None):
-    return bite(xa, xb, params, p)
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +392,34 @@ def _gate_diag(diag, gates):
     )
 
 
+# mechanism -> (specs(cfg, c, p), apply(cfg, xa, xb, params, p, diag));
+# apply is None for a mechanism without a fusion block.  Every name is
+# looked up when called, so wrapping a module function takes effect here.
+FUSIONS = {
+    "mage_bite": (lambda cfg, c, p: mage_specs(c, p) + bite_specs(c, p),
+                  lambda cfg, xa, xb, params, p, diag: mage_bite(xa, xb, params, p, diag)),
+    "mage_only": (lambda cfg, c, p: mage_only_specs(c, p),
+                  lambda cfg, xa, xb, params, p, diag: mage_only(xa, xb, params, p, diag)),
+    "bite_only": (lambda cfg, c, p: bite_specs(c, p),
+                  lambda cfg, xa, xb, params, p, diag: bite(xa, xb, params, p)),
+    "cssa": (lambda cfg, c, p: cssa_specs(c, p),
+             lambda cfg, xa, xb, params, p, diag: cssa(xa, xb, params, p, cfg.tau, diag)),
+    "gaff": (lambda cfg, c, p: gaff_specs(c, p, cfg.se_ratio, cfg.guidance, cfg.merge),
+             lambda cfg, xa, xb, params, p, diag: gaff(
+                 xa, xb, params, p, cfg.se_ratio, cfg.guidance, cfg.merge, diag)),
+    "none": (lambda cfg, c, p: [], None),
+}
+MECHANISMS = tuple(FUSIONS)
+
+
 def fusion_param_specs(cfg, c, p):
     """Parameter declarations for one fusion block of width ``c``."""
-    if cfg.mechanism == "mage_bite":
-        return mage_bite_specs(c, p)
-    if cfg.mechanism == "mage_only":
-        return mage_only_specs(c, p)
-    if cfg.mechanism == "bite_only":
-        return bite_only_specs(c, p)
-    if cfg.mechanism == "cssa":
-        return cssa_specs(c, p)
-    if cfg.mechanism == "gaff":
-        return gaff_specs(c, p, cfg.se_ratio, cfg.guidance, cfg.merge)
-    return []
+    return FUSIONS[cfg.mechanism][0](cfg, c, p)
 
 
 def apply_fusion(cfg, xa, xb, params, p, diag=None):
     """Run the configured mechanism on one stage's stream pair."""
-    if cfg.mechanism == "mage_bite":
-        return mage_bite(xa, xb, params, p, diag=diag)
-    if cfg.mechanism == "mage_only":
-        return mage_only(xa, xb, params, p, diag=diag)
-    if cfg.mechanism == "bite_only":
-        return bite_only(xa, xb, params, p, diag=diag)
-    if cfg.mechanism == "cssa":
-        return cssa(xa, xb, params, p, tau=cfg.tau, diag=diag)
-    if cfg.mechanism == "gaff":
-        return gaff(
-            xa, xb, params, p,
-            se_ratio=cfg.se_ratio, guidance=cfg.guidance, merge=cfg.merge, diag=diag,
-        )
-    raise ConfigError(f"mechanism {cfg.mechanism!r} has no fusion block")
+    apply = FUSIONS[cfg.mechanism][1]
+    if apply is None:
+        raise ConfigError(f"mechanism {cfg.mechanism!r} has no fusion block")
+    return apply(cfg, xa, xb, params, p, diag)

@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import (
-    BackboneConfig,
-    backbone_param_specs,
-    count_params,
-    forward_dual,
-    normalize_modalities,
-    split_streams,
-)
+from .backbone import BackboneConfig, backbone_param_specs, forward_dual, normalize_modalities
 from .data import default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError
 from .fusion import FusionConfig
@@ -36,17 +29,8 @@ from .tensors import init_params
 
 DEFAULT_INPUT_SIZE = (301, 391)
 
-# the set of values each sweep axis may take
-SWEEP_AXES = {
-    "variant": ("B0", "B1", "B2", "B3", "B4"),
-    "mechanism": ("mage_bite", "mage_only", "bite_only", "cssa", "gaff", "none"),
-    "stages": None,  # any subset of {1,2,3,4}
-    "tau": None,
-    "se_ratio": (4, 8),
-    "guidance": ("shared", "separate"),
-    "merge": ("direct", "bottleneck"),
-    "modalities": ("RTE", "RT", "RE", "TE"),
-}
+# the RunConfig fields a sweep may vary
+SWEEP_AXES = ("variant", "mechanism", "stages", "tau", "se_ratio", "guidance", "merge", "modalities")
 
 
 @dataclass(frozen=True)
@@ -248,24 +232,25 @@ def expand_sweep(base, sweep):
     return configs
 
 
+def _run_cell(cfg):
+    """``run_single``, with a TrifuseError recorded in the report, not raised."""
+    try:
+        return run_single(cfg)
+    except TrifuseError as e:
+        return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
+
+
 def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
     Returns reports sorted by config key.
     """
     configs = expand_sweep(base, sweep)
-
-    def one(cfg):
-        try:
-            return run_single(cfg)
-        except TrifuseError as e:
-            return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
-
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, configs))
+            reports = list(pool.map(_run_cell, configs))
     else:
-        reports = [one(c) for c in configs]
+        reports = [_run_cell(c) for c in configs]
     keyed = sorted(zip(configs, reports), key=lambda cr: cr[0].key())
     return [r for _, r in keyed]
 
@@ -300,55 +285,47 @@ def write_grid_outputs(reports, out_dir):
 # the inventory of runs matching the published ablation grid
 
 
+def _group(name, **axes):
+    """One ablation group: the product of ``axes``, first axis slowest."""
+    return [(name, dict(zip(axes, combo))) for combo in itertools.product(*axes.values())]
+
+
+# (group, RunConfig overrides) for every run of the published ablation
+# study, in report order; each group lists its values in config-key order
+_INVENTORY = (
+    _group("gaff_placement", mechanism=["gaff"],
+           stages=[(1,), (1, 2, 3, 4), (2,), (2, 3), (2, 3, 4), (3,), (3, 4), (4,)])
+    + [("gaff_mechanism", dict(mechanism="gaff", stages=st, se_ratio=r, guidance=g, merge=m))
+       for st, r, g, m in [
+           ((4,), 4, "separate", "bottleneck"),
+           ((4,), 4, "shared", "direct"),
+           ((4,), 4, "shared", "bottleneck"),
+           ((4,), 8, "separate", "direct"),
+           ((4,), 8, "separate", "bottleneck"),
+           ((4,), 8, "shared", "direct"),
+           ((4,), 8, "shared", "bottleneck"),
+           ((3,), 4, "separate", "bottleneck"),
+           ((3,), 4, "shared", "direct"),
+           ((3,), 4, "shared", "bottleneck"),
+           ((3,), 8, "separate", "direct"),
+       ]]
+    + _group("cssa", mechanism=["cssa"],
+             stages=[(1,), (1, 2, 3, 4), (2,), (2, 3), (3,), (3, 4), (4,)], tau=[0.3, 0.5, 0.7])
+    + _group("modality", modalities=["RE", "RT", "RTE", "TE"])
+    + _group("capacity", variant=["B0", "B1", "B2", "B3", "B4"])
+    + _group("components", mechanism=["bite_only", "mage_bite", "mage_only"])
+)
+
+
 def ablation_grid_sweeps():
-    """The configuration inventory of the full ablation study, as a list of
-    (name, base-overrides, sweep) entries."""
-    placements = [(1,), (2,), (3,), (4,), (2, 3), (3, 4), (2, 3, 4), (1, 2, 3, 4)]
-    gaff_phase2 = [
-        # (stages, se_ratio, guidance, merge)
-        ((4,), 4, "separate", "bottleneck"),
-        ((4,), 4, "shared", "direct"),
-        ((4,), 4, "shared", "bottleneck"),
-        ((4,), 8, "separate", "direct"),
-        ((4,), 8, "separate", "bottleneck"),
-        ((4,), 8, "shared", "direct"),
-        ((4,), 8, "shared", "bottleneck"),
-        ((3,), 4, "separate", "bottleneck"),
-        ((3,), 4, "shared", "direct"),
-        ((3,), 4, "shared", "bottleneck"),
-        ((3,), 8, "separate", "direct"),
-    ]
-    entries = [
-        ("gaff_placement", {"mechanism": "gaff"}, {"stages": placements}),
-        ("gaff_mechanism", {"mechanism": "gaff"}, None),  # explicit list below
-        ("cssa", {"mechanism": "cssa"},
-         {"stages": [(1,), (2,), (3,), (4,), (2, 3), (3, 4), (1, 2, 3, 4)],
-          "tau": [0.3, 0.5, 0.7]}),
-        ("modality", {}, {"modalities": ["RTE", "RT", "TE", "RE"]}),
-        ("capacity", {}, {"variant": ["B0", "B1", "B2", "B3", "B4"]}),
-        ("components", {}, {"mechanism": ["mage_bite", "mage_only", "bite_only"]}),
-    ]
-    return entries, gaff_phase2
+    """The ablation inventory on the default config: a flat list of
+    (group, RunConfig) pairs in report order."""
+    return [(group, replace(RunConfig(), **o)) for group, o in _INVENTORY]
 
 
 def run_ablation_grid(base):
-    """Run the whole ablation inventory; returns {name: [RunReport]}."""
-    entries, gaff_phase2 = ablation_grid_sweeps()
+    """Run the whole ablation inventory over ``base``; returns {group: [RunReport]}."""
     results = {}
-    for name, overrides, sweep in entries:
-        b = replace(base, **overrides)
-        if name == "gaff_mechanism":
-            configs = [
-                replace(b, stages=st, se_ratio=r, guidance=g, merge=m)
-                for st, r, g, m in gaff_phase2
-            ]
-            reports = []
-            for c in configs:
-                try:
-                    reports.append(run_single(c))
-                except TrifuseError as e:
-                    reports.append(RunReport(config=c.to_dict(), error=str(e)))
-            results[name] = reports
-        else:
-            results[name] = run_grid(b, sweep)
+    for group, overrides in _INVENTORY:
+        results.setdefault(group, []).append(_run_cell(replace(base, **overrides)))
     return results

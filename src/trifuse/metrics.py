@@ -1,15 +1,19 @@
-"""Detection metrics: IoU, greedy matching, COCO-style AP / mAP.
+"""Detection metrics: IoU and per-class COCO-style AP / mAP from one
+greedy matcher.
 
-Average precision uses the COCO convention: 101-point interpolated
-precision, greedy score-ordered matching with at most one match per
-ground-truth box, and mAP averaged over IoU thresholds 0.50:0.05:0.95.
-Sorting is stable, so results are reproducible bit-for-bit.
+Average precision uses the COCO convention.  One greedy score-ordered
+matcher pairs each detection with at most one ground-truth box of the same
+image and class.  Precision is 101-point interpolated, AP is averaged over
+the classes that have ground truth, and mAP over IoU thresholds
+0.50:0.05:0.95.  Sorting is stable, so results are reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,78 +66,66 @@ class EvalReport:
         }
 
 
+def _iou_matrix(a, b):
+    """IoU of every (x1, y1, x2, y2) box in ``a`` with every box in ``b``."""
+    a = np.asarray(a, np.float64).reshape(-1, 4)
+    b = np.asarray(b, np.float64).reshape(-1, 4)
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.where((iw <= 0) | (ih <= 0), 0.0, inter / union)
+
+
 def iou(a, b):
     """Intersection-over-union of two (x1, y1, x2, y2) boxes."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return float(_iou_matrix(a, b)[0, 0])
 
 
-def match_greedy(dets, gts, iou_thresh):
-    """Greedy matching for one image.
+def _match(dets, gts, thresholds):
+    """The greedy matcher behind every metric in this module.
 
-    Detections are visited in descending score (stable on ties); each takes
-    the highest-IoU unmatched ground truth with IoU >= threshold.  Returns
-    one bool TP flag per detection in score order, plus that order.
+    Detections are visited in descending score (stable on ties) and only
+    meet ground truth of their own (image, class).  At each threshold a
+    detection takes the highest-IoU untaken ground truth with IoU >=
+    threshold, the lowest index on IoU ties.  One IoU matrix per (image,
+    class) serves every threshold.  Returns the visiting order and a
+    (threshold, detection) bool array of true positives.
     """
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = [False] * len(gts)
-    tp = []
+    groups = {}
+    for j, g in enumerate(gts):
+        groups.setdefault((g.image_id, g.class_id), ([], []))[1].append(j)
     for i in order:
-        best, best_iou = -1, -1.0
-        for j, gt in enumerate(gts):
-            if taken[j]:
-                continue
-            v = iou(dets[i].box, gt.box)
-            if v >= iou_thresh and v > best_iou:
-                best, best_iou = j, v
-        if best >= 0:
-            taken[best] = True
-            tp.append(True)
-        else:
-            tp.append(False)
-    return tp, order
+        group = groups.get((dets[i].image_id, dets[i].class_id))
+        if group is not None:
+            group[0].append(i)
+    thr = np.asarray(thresholds, np.float64)[:, None]
+    rows = np.arange(len(thr))
+    tp = np.zeros((len(thr), len(dets)), bool)
+    for det_idx, gt_idx in groups.values():
+        if not det_idx:
+            continue
+        ious = _iou_matrix([dets[i].box for i in det_idx], [gts[j].box for j in gt_idx])
+        free = np.ones((len(thr), len(gt_idx)), bool)
+        for i, row in zip(det_idx, ious):
+            ok = free & (row >= thr)
+            best = np.where(ok, row, -1.0).argmax(axis=1)
+            hit = ok[rows, best]
+            free[rows[hit], best[hit]] = False
+            tp[:, i] = hit
+    return order, tp
 
 
-def average_precision(dets, gts, iou_thresh):
-    """101-point interpolated AP for a single class over many images."""
-    n_gt = len(gts)
-    if n_gt == 0:
+def _ap(tp_flags, n_gt):
+    """101-point interpolated AP of one class from its TP flags in score order."""
+    if not len(tp_flags):
         return 0.0
-    by_image = {}
-    for gt in gts:
-        by_image.setdefault(gt.image_id, []).append(gt)
-
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = {img: [False] * len(g) for img, g in by_image.items()}
-    tp_flags = []
-    for i in order:
-        det = dets[i]
-        img_gts = by_image.get(det.image_id, [])
-        img_taken = taken.get(det.image_id, [])
-        best, best_iou = -1, -1.0
-        for j, gt in enumerate(img_gts):
-            if img_taken[j]:
-                continue
-            v = iou(det.box, gt.box)
-            if v >= iou_thresh and v > best_iou:
-                best, best_iou = j, v
-        if best >= 0:
-            img_taken[best] = True
-            tp_flags.append(1.0)
-        else:
-            tp_flags.append(0.0)
-
-    if not tp_flags:
-        return 0.0
-    tp = np.cumsum(tp_flags)
-    fp = np.cumsum(1.0 - np.asarray(tp_flags))
+    flags = tp_flags.astype(np.float64)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(1.0 - flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
     # precision envelope: max precision at recall >= r
@@ -145,28 +137,31 @@ def average_precision(dets, gts, iou_thresh):
     return float(ap / len(RECALL_POINTS))
 
 
-def _counts_at(dets, gts, iou_thresh):
-    by_image = {}
-    for gt in gts:
-        by_image.setdefault(gt.image_id, []).append(gt)
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = {img: [False] * len(g) for img, g in by_image.items()}
-    tp = 0
-    for i in order:
-        det = dets[i]
-        img_gts = by_image.get(det.image_id, [])
-        img_taken = taken.get(det.image_id, [])
-        best, best_iou = -1, -1.0
-        for j, gt in enumerate(img_gts):
-            if img_taken[j]:
-                continue
-            v = iou(det.box, gt.box)
-            if v >= iou_thresh and v > best_iou:
-                best, best_iou = j, v
-        if best >= 0:
-            img_taken[best] = True
-            tp += 1
-    return {"tp": tp, "fp": len(dets) - tp, "fn": len(gts) - tp}
+def _class_mean_ap(dets, gts, order, tp):
+    """AP per threshold row of ``tp``, averaged over the classes that have
+    ground truth; detections of other classes do not enter any AP."""
+    n_gt = Counter(g.class_id for g in gts)
+    if not n_gt:
+        return [0.0] * len(tp)
+    det_class = np.array([dets[i].class_id for i in order])
+    ranked = tp[:, order]
+    return [
+        float(np.mean([_ap(flags[det_class == c], n_gt[c]) for c in sorted(n_gt)]))
+        for flags in ranked
+    ]
+
+
+def match_greedy(dets, gts, iou_thresh):
+    """One TP flag per detection in descending score order (stable on
+    ties), plus that order."""
+    order, tp = _match(dets, gts, (iou_thresh,))
+    return [bool(tp[0, i]) for i in order], order
+
+
+def average_precision(dets, gts, iou_thresh):
+    """101-point interpolated AP at one IoU threshold, averaged over the
+    classes that have ground truth (0.0 when there is none)."""
+    return _class_mean_ap(dets, gts, *_match(dets, gts, (iou_thresh,)))[0]
 
 
 def evaluate(dets, gts, image_ids=None):
@@ -175,6 +170,8 @@ def evaluate(dets, gts, image_ids=None):
     ``image_ids``, when given, pins the evaluated image universe: records
     referencing an unknown image are a validation error.  Without it the
     universe is the union of both sets, and zero-gt images contribute FPs.
+    One matching pass serves all ten thresholds.  A detection of a class
+    with no ground truth counts as an FP at 0.5.
     """
     if image_ids is not None:
         universe = set(image_ids)
@@ -184,14 +181,15 @@ def evaluate(dets, gts, image_ids=None):
         for g in gts:
             if g.image_id not in universe:
                 raise ValidationError(f"ground truth references unknown image {g.image_id!r}")
-    per = {t: average_precision(dets, gts, t) for t in COCO_THRESHOLDS}
-    degenerate = not dets and not gts
+    order, tp = _match(dets, gts, COCO_THRESHOLDS)
+    per = dict(zip(COCO_THRESHOLDS, _class_mean_ap(dets, gts, order, tp)))
+    n_tp = int(tp[0].sum())
     return EvalReport(
-        mean_ap=float(np.mean(list(per.values()))) if per else 0.0,
+        mean_ap=float(np.mean(list(per.values()))),
         ap50=per[COCO_THRESHOLDS[0]],
         per_threshold=per,
-        counts_at_50=_counts_at(dets, gts, 0.5),
-        degenerate=degenerate,
+        counts_at_50={"tp": n_tp, "fp": len(dets) - n_tp, "fn": len(gts) - n_tp},
+        degenerate=not dets and not gts,
     )
 
 

@@ -8,8 +8,6 @@ failing seeds so any violation can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import fusion

@@ -1,23 +1,12 @@
 import numpy as np
 import pytest
 
-from trifuse.backbone import BackboneConfig
+from trifuse.verify import TINY  # small encoder config so unit tests stay fast
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-# small encoder config so unit tests stay fast
-TINY = BackboneConfig(
-    variant="B1",
-    widths=(8, 16, 32, 64),
-    depths=(1, 1, 1, 1),
-    heads=(1, 2, 4, 8),
-    sr_ratios=(4, 2, 2, 1),
-    expansion=2,
-)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from trifuse.backbone import BackboneConfig, count_params
 from trifuse.cli import EXIT_OK, main

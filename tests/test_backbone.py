@@ -18,7 +18,7 @@ from trifuse.backbone import (
 )
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.fusion import FusionConfig
-from trifuse.tensors import ParamStore, init_params, to_tokens
+from trifuse.tensors import ParamStore, init_params
 
 
 NONE = FusionConfig(mechanism="none")

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, main

@@ -5,7 +5,6 @@ import pytest
 
 from trifuse.data import (
     DatasetManifest,
-    GroundTruthBox,
     ManifestEntry,
     NormStats,
     STD_EPS,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from trifuse.harness import (
     expand_sweep,
     make_input,
     ablation_grid_sweeps,
+    run_ablation_grid,
     run_grid,
     run_single,
     write_grid_outputs,
@@ -163,24 +166,33 @@ class TestRunGrid:
 
 class TestAblationGridInventory:
     def test_run_totals(self):
-        entries, gaff_phase2 = ablation_grid_sweeps()
-        names = [n for n, _, _ in entries]
-        assert names == ["gaff_placement", "gaff_mechanism", "cssa",
-                         "modality", "capacity", "components"]
-        sizes = {"gaff_placement": 8, "cssa": 21, "modality": 4,
-                 "capacity": 5, "components": 3}
-        for name, _, sweep in entries:
-            if sweep is None:
-                continue
-            n = 1
-            for vals in sweep.values():
-                n *= len(vals)
-            assert n == sizes[name]
-        assert len(gaff_phase2) == 11
-        assert sum(sizes.values()) + len(gaff_phase2) == 52
+        groups = [g for g, _ in ablation_grid_sweeps()]
+        sizes = {g: groups.count(g) for g in groups}  # first-seen order
+        assert list(sizes.items()) == [
+            ("gaff_placement", 8), ("gaff_mechanism", 11), ("cssa", 21),
+            ("modality", 4), ("capacity", 5), ("components", 3),
+        ]
+        assert groups == sorted(groups, key=list(sizes).index)  # each group contiguous
+        assert len(groups) == 52
+
+    def test_report_order_is_pinned(self):
+        # the grid.json row order: "<group> <key>" per run, hashed
+        lines = "\n".join(f"{g} {cfg.key()}" for g, cfg in ablation_grid_sweeps())
+        assert hashlib.sha1(lines.encode()).hexdigest() == "d21708830b8156a971abcf8666dbd49cc430baf9"
+
+    def test_default_run_appears_in_three_groups(self):
+        cells = ablation_grid_sweeps()
+        assert [g for g, cfg in cells if cfg == RunConfig()] == ["modality", "capacity", "components"]
+        assert len({cfg for _, cfg in cells}) == 50
 
     def test_placement_subsets(self):
-        entries, _ = ablation_grid_sweeps()
-        placements = dict((n, s) for n, _, s in entries if s)["gaff_placement"]["stages"]
+        placements = [cfg.stages for g, cfg in ablation_grid_sweeps() if g == "gaff_placement"]
         assert (1, 2, 3, 4) in placements
         assert all(set(p) <= {1, 2, 3, 4} for p in placements)
+
+    def test_cell_errors_share_one_format(self):
+        # validation rejects the input size before any forward pass
+        groups = run_ablation_grid(replace(FAST, input_size=(16, 16)))
+        reports = [r for rs in groups.values() for r in rs]
+        assert len(reports) == 52
+        assert all(r.error.startswith("ConfigError: input_size") for r in reports)

@@ -108,6 +108,15 @@ class TestGreedyMatching:
         assert tp == [True, False]
 
 
+    def test_iou_tie_takes_lowest_index_gt(self):
+        # the first detection overlaps both boxes with IoU 1/3; the second
+        # overlaps only the right box, so it matches only if the first
+        # detection took the left one
+        left, right = GroundTruth("a", (0, 0, 10, 10)), GroundTruth("a", (10, 0, 20, 10))
+        dets = [Detection("a", (5, 0, 15, 10), 0.9), Detection("a", (10, 0, 20, 10), 0.8)]
+        assert match_greedy(dets, [left, right], 0.3)[0] == [True, True]
+        assert match_greedy(dets, [right, left], 0.3)[0] == [True, False]
+
 class TestAveragePrecision:
     def test_hand_computed_fixture(self):
         # 3 gts; detections in score order are TP, FP, TP, TP:
@@ -211,6 +220,32 @@ class TestEvaluate:
         d = evaluate(dets, gts).to_dict()
         assert set(d) == {"mAP", "mAP50", "per_threshold", "counts_at_50", "degenerate"}
         assert "0.50" in d["per_threshold"]
+
+
+class TestClassAware:
+    def test_cross_class_detection_is_a_false_positive(self):
+        gts = [GroundTruth("a", (0, 0, 10, 10), class_id=0)]
+        dets = [Detection("a", (0, 0, 10, 10), 0.9, class_id=1)]
+        rep = evaluate(dets, gts)
+        assert rep.ap50 == 0.0
+        assert rep.counts_at_50 == {"tp": 0, "fp": 1, "fn": 1}
+
+    def test_map_is_mean_of_single_class_aps(self, rng):
+        # class 1 repeats class 0's boxes with other scores, so a matcher
+        # that ignored class ids would pair the classes with each other
+        dets0, gts0 = _random_scene(rng)
+        dets1 = [Detection(d.image_id, d.box, float(rng.random())) for d in dets0]
+        single0, single1 = evaluate(dets0, gts0), evaluate(dets1, gts0)
+        both = evaluate(
+            dets0 + [Detection(d.image_id, d.box, d.score, class_id=1) for d in dets1],
+            gts0 + [GroundTruth(g.image_id, g.box, class_id=1) for g in gts0],
+        )
+        for t in COCO_THRESHOLDS:
+            want = (single0.per_threshold[t] + single1.per_threshold[t]) / 2
+            assert both.per_threshold[t] == pytest.approx(want, abs=1e-15)
+        assert both.counts_at_50 == {
+            k: single0.counts_at_50[k] + single1.counts_at_50[k] for k in ("tp", "fp", "fn")
+        }
 
 
 class TestJsonl:

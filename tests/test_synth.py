@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from trifuse.data import load_frame, load_manifest, read_npy
 from trifuse.synth import generate_corpus, make_frame

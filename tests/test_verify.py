@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 import trifuse.fusion
 from trifuse.verify import PROPERTIES, run_verification
