@@ -52,6 +52,14 @@ def _load_run_config(args):
     return RunConfig.from_dict(d).validate()
 
 
+def _add_shared_flags(p, default=None):
+    p.add_argument("--config", default=default, help="JSON file of run-config fields")
+    p.add_argument("--seed", type=int, default=default, help="global RNG seed")
+    p.add_argument("--out", default=default, help="output file or directory")
+    p.add_argument("--workers", type=int, default=1 if default is None else default,
+                   help="parallel grid cells")
+
+
 def _add_run_flags(p):
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--mechanism", choices=MECHANISMS)
@@ -154,39 +162,41 @@ def build_parser():
         description="Tri-modal fusion backbone: inspection, ablation grids, "
                     "verification, synthetic data and detection metrics.",
     )
-    parser.add_argument("--config", help="JSON file of run-config fields")
-    parser.add_argument("--seed", type=int, help="global RNG seed")
-    parser.add_argument("--out", help="output file or directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel grid cells")
+    _add_shared_flags(parser)
+    # the shared flags are also accepted after any verb; SUPPRESS keeps a
+    # value given before the verb when the verb does not repeat it
+    shared = argparse.ArgumentParser(add_help=False)
+    _add_shared_flags(shared, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("inspect", help="build one model, report shapes and parameter count")
+    p = sub.add_parser("inspect", parents=[shared],
+                       help="build one model, report shapes and parameter count")
     _add_run_flags(p)
     p.set_defaults(fn=cmd_inspect)
 
-    p = sub.add_parser("grid", help="run an ablation sweep")
+    p = sub.add_parser("grid", parents=[shared], help="run an ablation sweep")
     _add_run_flags(p)
     p.add_argument("--sweep", help="JSON sweep spec: {axis: [values]}")
     p.add_argument("--ablation-grid", action="store_true",
                    help="run the full published ablation inventory")
     p.set_defaults(fn=cmd_grid)
 
-    p = sub.add_parser("verify", help="run randomized property suites")
+    p = sub.add_parser("verify", parents=[shared], help="run randomized property suites")
     p.add_argument("--seeds", type=int, default=20, help="seeds per property")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[shared], help="generate a synthetic corpus")
     p.add_argument("--n", type=int, default=4, help="number of frames")
     p.add_argument("--height", type=int, default=301)
     p.add_argument("--width", type=int, default=391)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("eval", help="score detections against ground truth")
+    p = sub.add_parser("eval", parents=[shared], help="score detections against ground truth")
     p.add_argument("--dets", required=True, help="detections JSONL")
     p.add_argument("--gts", required=True, help="ground-truth JSONL")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bin-events", help="bin an event stream into frames")
+    p = sub.add_parser("bin-events", parents=[shared], help="bin an event stream into frames")
     p.add_argument("--events", required=True, help="text file of 't_us x y polarity' lines")
     p.add_argument("--timestamps", required=True, help="one center timestamp (s) per line")
     p.add_argument("--dt", type=float, default=DEFAULT_WINDOW_S,

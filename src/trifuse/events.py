@@ -8,6 +8,7 @@ result to [-1, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +59,23 @@ class EventStream:
 def bin_events(stream, center_t, delta_t=DEFAULT_WINDOW_S):
     """Accumulate one event frame around ``center_t`` (seconds).
 
-    Events with t in [center_t - delta_t/2, center_t + delta_t/2) contribute
-    their polarity to the pixel count (#ON - #OFF).  The count map is then
-    scaled by its max absolute value into [-1, 1]; an empty window yields a
-    zero frame.
+    The window edges center_t - delta_t/2 and center_t + delta_t/2 are
+    rounded to the nearest whole microsecond, lo_us and hi_us, and events
+    with t in [lo_us, hi_us) contribute their polarity to the pixel count
+    (#ON - #OFF); a binary search on the sorted timestamps finds them.  The
+    count map is then scaled by its max absolute value into [-1, 1]; an
+    empty window yields a zero frame.
     """
-    if delta_t <= 0:
-        raise ConfigError(f"delta_t must be positive, got {delta_t}")
+    if not 0 < delta_t < math.inf:
+        raise ConfigError(f"delta_t must be positive and finite, got {delta_t}")
+    if not math.isfinite(center_t):
+        raise ConfigError(f"center_t must be finite, got {center_t}")
     h, w = stream.sensor_size
     frame = np.zeros((h, w), np.float64)
-    if len(stream):
-        t_s = stream.t.astype(np.float64) * 1e-6
-        lo = center_t - delta_t / 2.0
-        hi = center_t + delta_t / 2.0
-        sel = (t_s >= lo) & (t_s < hi)
-        np.add.at(frame, (stream.y[sel], stream.x[sel]), stream.p[sel])
+    lo_us = round((center_t - delta_t / 2.0) * 1e6)
+    hi_us = round((center_t + delta_t / 2.0) * 1e6)
+    lo, hi = np.searchsorted(stream.t, [lo_us, hi_us])
+    np.add.at(frame, (stream.y[lo:hi], stream.x[lo:hi]), stream.p[lo:hi])
     peak = np.abs(frame).max()
     if peak > 0:
         frame /= peak

@@ -4,15 +4,19 @@ Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for a
 single configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.
+so it can be replayed.  Grid cells share parameter arrays per (variant,
+modalities, seed): each array is built once per group, bitwise equal to a
+fresh ``init_params``, so reports match per-cell ``run_single`` runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import statistics
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -25,7 +29,7 @@ from .data import default_stats, load_frame, load_manifest, normalize, pad_to_st
 from .errors import ConfigError, TrifuseError
 from .fusion import FusionConfig
 from .neck import fpn, fpn_param_specs
-from .tensors import init_params
+from .tensors import ParamStore, init_params
 
 DEFAULT_INPUT_SIZE = (301, 391)
 
@@ -232,12 +236,48 @@ def expand_sweep(base, sweep):
     return configs
 
 
-def _run_cell(cfg):
-    """``run_single``, with a TrifuseError recorded in the report, not raised."""
+def _run_cell(cfg, memo, lock):
+    """``run_single`` on a store drawn from ``memo`` ({ParamSpec: array}),
+    which gains the arrays this cell was the first to need.  A TrifuseError
+    is recorded in the report, not raised."""
     try:
-        return run_single(cfg)
+        cfg.validate()
+        specs = build_param_specs(cfg)
+        with lock:
+            missing = [s for s in specs if s not in memo]
+            if missing:
+                store = init_params(missing, cfg.seed)
+                memo.update((s, store[s.name]) for s in missing)
+            params = ParamStore({s.name: memo[s] for s in specs})
+        return run_single(cfg, params=params)
     except TrifuseError as e:
         return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
+
+
+def _run_cells(configs, workers=1):
+    """The grid engine: run ``configs`` and return their reports in order.
+
+    Cells run grouped by (variant, modalities, seed), ``workers`` threads
+    at a time within a group.  A group keeps one array per ``ParamSpec``
+    (the whole spec, since one name can take two shapes across mechanism
+    settings) and drops them when it ends.  Per-name seeding makes a shared
+    array bitwise equal to the one a fresh ``init_params`` would build.
+    """
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.variant, cfg.modalities, cfg.seed), []).append(i)
+    reports = [None] * len(configs)
+    for idx in groups.values():
+        cell = functools.partial(_run_cell, memo={}, lock=threading.Lock())
+        cells = [configs[i] for i in idx]
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(cell, cells))
+        else:
+            done = [cell(c) for c in cells]
+        for i, report in zip(idx, done):
+            reports[i] = report
+    return reports
 
 
 def run_grid(base, sweep, workers=1):
@@ -246,12 +286,7 @@ def run_grid(base, sweep, workers=1):
     Returns reports sorted by config key.
     """
     configs = expand_sweep(base, sweep)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_cell, configs))
-    else:
-        reports = [_run_cell(c) for c in configs]
-    keyed = sorted(zip(configs, reports), key=lambda cr: cr[0].key())
+    keyed = sorted(zip(configs, _run_cells(configs, workers)), key=lambda cr: cr[0].key())
     return [r for _, r in keyed]
 
 
@@ -325,7 +360,8 @@ def ablation_grid_sweeps():
 
 def run_ablation_grid(base):
     """Run the whole ablation inventory over ``base``; returns {group: [RunReport]}."""
+    reports = _run_cells([replace(base, **o) for _, o in _INVENTORY])
     results = {}
-    for group, overrides in _INVENTORY:
-        results.setdefault(group, []).append(_run_cell(replace(base, **overrides)))
+    for (group, _), report in zip(_INVENTORY, reports):
+        results.setdefault(group, []).append(report)
     return results

@@ -12,6 +12,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,6 +24,14 @@ COCO_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
+def _check_box(box, image_id):
+    if not all(math.isfinite(v) for v in box):
+        raise ValidationError(f"non-finite box {box} on image {image_id}")
+    x1, y1, x2, y2 = box
+    if not (x2 > x1 and y2 > y1):
+        raise ValidationError(f"degenerate box {box} on image {image_id}")
+
+
 @dataclass
 class Detection:
     image_id: str
@@ -31,9 +40,9 @@ class Detection:
     class_id: int = 0
 
     def __post_init__(self):
-        x1, y1, x2, y2 = self.box
-        if not (x2 > x1 and y2 > y1):
-            raise ValidationError(f"degenerate box {self.box} on image {self.image_id}")
+        _check_box(self.box, self.image_id)
+        if not math.isfinite(self.score):
+            raise ValidationError(f"non-finite score {self.score} on image {self.image_id}")
 
 
 @dataclass
@@ -43,9 +52,7 @@ class GroundTruth:
     class_id: int = 0
 
     def __post_init__(self):
-        x1, y1, x2, y2 = self.box
-        if not (x2 > x1 and y2 > y1):
-            raise ValidationError(f"degenerate box {self.box} on image {self.image_id}")
+        _check_box(self.box, self.image_id)
 
 
 @dataclass
@@ -197,47 +204,37 @@ def evaluate(dets, gts, image_ids=None):
 # JSONL interchange
 
 
-def read_detections_jsonl(path):
-    dets = []
+def _read_jsonl(path, kind, make):
+    """One ``make(record)`` per non-blank line; any bad record is a
+    FormatError naming ``path:line``."""
+    out = []
     with open(path) as f:
         for i, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                dets.append(
-                    Detection(
-                        image_id=str(rec["image_id"]),
-                        box=tuple(float(v) for v in rec["bbox"]),
-                        score=float(rec["score"]),
-                        class_id=int(rec.get("class", 0)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise FormatError(f"{path}:{i}: malformed detection record: {e}") from e
-    return dets
+                out.append(make(json.loads(line)))
+            except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as e:
+                raise FormatError(f"{path}:{i}: malformed {kind} record: {e}") from e
+    return out
+
+
+def read_detections_jsonl(path):
+    return _read_jsonl(path, "detection", lambda rec: Detection(
+        image_id=str(rec["image_id"]),
+        box=tuple(float(v) for v in rec["bbox"]),
+        score=float(rec["score"]),
+        class_id=int(rec.get("class", 0)),
+    ))
 
 
 def read_ground_truth_jsonl(path):
-    gts = []
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                gts.append(
-                    GroundTruth(
-                        image_id=str(rec["image_id"]),
-                        box=tuple(float(v) for v in rec["bbox"]),
-                        class_id=int(rec.get("class", 0)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise FormatError(f"{path}:{i}: malformed ground-truth record: {e}") from e
-    return gts
+    return _read_jsonl(path, "ground-truth", lambda rec: GroundTruth(
+        image_id=str(rec["image_id"]),
+        box=tuple(float(v) for v in rec["bbox"]),
+        class_id=int(rec.get("class", 0)),
+    ))
 
 
 def write_detections_jsonl(path, dets):

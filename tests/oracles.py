@@ -84,14 +84,14 @@ def layer_norm_two_pass(t, gamma, beta, eps):
 
 
 def bin_events_loops(t_us, x, y, p, sensor_size, center_t, delta_t):
-    """Per-pixel counting oracle for event binning."""
+    """Per-pixel counting oracle for event binning: each window edge is
+    rounded to a whole microsecond and every event compared in integers."""
     h, w = sensor_size
     counts = np.zeros((h, w))
-    lo = center_t - delta_t / 2.0
-    hi = center_t + delta_t / 2.0
+    lo_us = round((center_t - delta_t / 2.0) * 1e6)
+    hi_us = round((center_t + delta_t / 2.0) * 1e6)
     for i in range(len(t_us)):
-        ts = t_us[i] * 1e-6
-        if lo <= ts < hi:
+        if lo_us <= int(t_us[i]) < hi_us:
             counts[y[i], x[i]] += p[i]
     peak = np.abs(counts).max()
     return counts / peak if peak > 0 else counts

@@ -25,7 +25,7 @@ from trifuse.fusion import (
     mage,
     mage_specs,
 )
-from trifuse.harness import RunConfig, run_single, build_param_specs
+from trifuse.harness import RunConfig, run_grid
 from trifuse.metrics import Detection, GroundTruth, average_precision
 from trifuse.synth import generate_corpus
 from trifuse.tensors import init_params, param_count
@@ -56,23 +56,15 @@ def test_01_shape_contract_80_configs():
         (1, 256, 80, 104), (1, 256, 40, 52), (1, 256, 20, 26), (1, 256, 10, 13), (1, 256, 5, 7),
     ]
     t0 = time.perf_counter()
-    n = 0
-    for mech in MECHANISMS:
-        # one store per mechanism: per-name seeding makes the all-stage store
-        # a superset usable by every placement subset
-        full = RunConfig(mechanism=mech, stages=(1, 2, 3, 4),
-                         input_size=(320, 416), timing_reps=1)
-        params = init_params(build_param_specs(full), full.seed)
-        for subset in ALL_SUBSETS:
-            cfg = RunConfig(mechanism=mech, stages=subset,
-                            input_size=(320, 416), timing_reps=1)
-            rep = run_single(cfg, params=params)
-            assert rep.ok, f"{mech} {subset}: {rep.error}"
-            assert rep.stage_shapes == want_stages, f"{mech} {subset}"
-            assert rep.pyramid_shapes == want_pyramid, f"{mech} {subset}"
-            n += 1
+    base = RunConfig(input_size=(320, 416), timing_reps=1)
+    reports = run_grid(base, {"mechanism": MECHANISMS, "stages": ALL_SUBSETS})
+    for rep in reports:
+        label = f"{rep.config['mechanism']} {rep.config['stages']}"
+        assert rep.ok, f"{label}: {rep.error}"
+        assert rep.stage_shapes == want_stages, label
+        assert rep.pyramid_shapes == want_pyramid, label
     elapsed = time.perf_counter() - t0
-    assert n == 80
+    assert len(reports) == 80
     assert elapsed < 300.0, f"80 configurations took {elapsed:.0f}s"
     print(f"PASS shape contract: 80/80 configurations, {elapsed:.0f}s")
 

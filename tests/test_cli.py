@@ -1,8 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, main
+from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
 from trifuse.data import read_npy
 from trifuse.metrics import Detection, GroundTruth, write_detections_jsonl
 
@@ -144,3 +147,20 @@ class TestBinEvents:
         code = main(["bin-events", "--events", str(events), "--timestamps", str(stamps)])
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [ln.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                 for ln in block.splitlines() if ln.startswith("trifuse ")]
+        assert len(lines) == 7
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])  # exits 2 on a parse error
+
+    def test_shared_flags_after_the_verb(self):
+        parse = build_parser().parse_args
+        args = parse(["--seed", "3", "--out", "a", "grid", "--workers", "2"])
+        assert (args.seed, args.out, args.workers, args.config) == (3, "a", 2, None)
+        args = parse(["--seed", "3", "synth", "--seed", "4", "--out", "b"])
+        assert (args.seed, args.out, args.workers) == (4, "b", 1)

@@ -64,6 +64,24 @@ class TestBinEvents:
         assert bin_events(left, 1.0, dt)[0, 0] == 1.0
         assert np.all(bin_events(right, 1.0, dt) == 0.0)
 
+    def test_window_edges_are_exact_microseconds(self):
+        # float seconds put 0.05 - 0.02 above 0.03 and dropped the event there
+        s = EventStream([30_000, 70_000], [0, 1], [0, 0], [1, 1], (1, 2))
+        assert bin_events(s, 0.05, 0.04).tolist() == [[1.0, 0.0]]
+        s = EventStream([50_000], [0], [0], [1], (1, 1))
+        assert bin_events(s, 2 / 30)[0, 0] == 1.0
+
+    def test_edges_at_30fps_centres_vs_integer_oracle(self):
+        # events on and beside every window edge of the 30 fps centres
+        centres = [k / 30 for k in range(1, 61)]
+        edges = sorted({round((c + d) * 1e6) for c in centres for d in (-1 / 60, 1 / 60)})
+        t = np.array([e + o for e in edges for o in (-1, 0, 1)])
+        x = np.arange(len(t)) % 5
+        s = EventStream(t, x, x % 3, np.where(x % 2, 1, -1), (3, 5))
+        for c in centres:
+            want = bin_events_loops(s.t, s.x, s.y, s.p, s.sensor_size, c, DEFAULT_WINDOW_S)
+            assert np.array_equal(bin_events(s, c), want.astype(np.float32)), c
+
     def test_normalization_range(self, rng):
         s = _random_stream(rng)
         frame = bin_events(s, 1.0, 2.0)
@@ -100,6 +118,10 @@ class TestBinEvents:
         s = _random_stream(rng, n=10)
         with pytest.raises(ConfigError, match="delta_t"):
             bin_events(s, 1.0, 0.0)
+        with pytest.raises(ConfigError, match="delta_t"):
+            bin_events(s, 1.0, float("nan"))
+        with pytest.raises(ConfigError, match="center_t"):
+            bin_events(s, float("inf"))
 
 
 class TestReadEventFile:

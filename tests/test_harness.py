@@ -1,13 +1,17 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trifuse import harness
 from trifuse.errors import ConfigError
 from trifuse.harness import (
     RunConfig,
+    RunReport,
     build_param_specs,
     expand_sweep,
     make_input,
@@ -162,6 +166,71 @@ class TestRunGrid:
         rows = cpath.read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 cells
         assert "ConfigError" in rows[1] + rows[2]
+
+
+class TestGridEngine:
+    """Grid cells share parameter arrays per (variant, modalities, seed)."""
+
+    # gaff at se_ratio 4 and 8 gives one parameter name two shapes
+    SWEEP = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
+             "variant": ["B0", "B9"]}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_equal_per_cell_runs(self, workers):
+        reports = run_grid(FAST, self.SWEEP, workers=workers)
+        assert len(reports) == 8
+        assert sum(r.ok for r in reports) == 4
+        for rep in reports:
+            cfg = RunConfig.from_dict(rep.config)
+            try:
+                want = run_single(cfg).to_dict()
+            except ConfigError as e:
+                want = RunReport(config=cfg.to_dict(), error=f"ConfigError: {e}").to_dict()
+            got = rep.to_dict()
+            got.pop("forward_ms"), want.pop("forward_ms")
+            assert got == want, cfg.key()
+
+    def test_each_spec_built_once_per_group(self, monkeypatch):
+        built = Counter()
+
+        def counting(specs, seed):
+            built.update(specs)
+            return init_params(specs, seed)
+
+        monkeypatch.setattr(harness, "init_params", counting)
+        sweep = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
+                 "modalities": ["RT", "RTE"]}
+        # more threads than cores and frequent switches: a cell that missed
+        # another's arrays would build them a second time
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_grid(FAST, sweep, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        want = Counter()
+        for mods in sweep["modalities"]:
+            cells = expand_sweep(replace(FAST, modalities=mods), {**sweep, "modalities": [mods]})
+            want.update({s for cfg in cells for s in build_param_specs(cfg)})
+        assert built == want
+        assert set(want.values()) == {1, 2}  # specs both groups need are built in each
+
+    def test_ablation_reports_keep_inventory_order(self, monkeypatch):
+        ran = []
+
+        def fake_run_single(cfg, params):
+            ran.append(cfg)
+            return RunReport(config=cfg.to_dict())
+
+        monkeypatch.setattr(harness, "build_param_specs", lambda cfg: [])
+        monkeypatch.setattr(harness, "run_single", fake_run_single)
+        groups = run_ablation_grid(RunConfig())
+        inventory = [cfg for _, cfg in ablation_grid_sweeps()]
+        assert list(groups) == list(dict.fromkeys(g for g, _ in ablation_grid_sweeps()))
+        assert [r.config for rs in groups.values() for r in rs] == [c.to_dict() for c in inventory]
+        keys = [(c.variant, c.modalities, c.seed) for c in ran]
+        assert keys == sorted(keys, key=keys.index)  # grouped, each group contiguous
+        assert ran != inventory
 
 
 class TestAblationGridInventory:

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -274,3 +277,41 @@ class TestJsonl:
             Detection("a", (5, 5, 5, 10), 0.5)
         with pytest.raises(ValidationError, match="degenerate"):
             GroundTruth("a", (0, 0, -1, 10))
+
+    def test_non_finite_score_or_box_rejected(self):
+        for score in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="non-finite score"):
+                Detection("a", (0, 0, 5, 5), score)
+        for box in ((0, 0, float("inf"), 5), (float("-inf"), 0, 5, 5), (0, float("nan"), 5, 5)):
+            with pytest.raises(ValidationError, match="non-finite box"):
+                Detection("a", box, 0.5)
+            with pytest.raises(ValidationError, match="non-finite box"):
+                GroundTruth("a", box)
+
+    def test_nan_score_fixture_raises_in_every_order(self, tmp_path):
+        # a NaN-scored and a 0.5-scored copy of one box plus two misses: with
+        # the NaN accepted, AP50 depended on the record order
+        recs = [{"image_id": "a", "bbox": [0, 0, 10, 10], "score": float("nan")},
+                {"image_id": "a", "bbox": [0, 0, 10, 10], "score": 0.5},
+                {"image_id": "a", "bbox": [50, 50, 60, 60], "score": 0.7},
+                {"image_id": "a", "bbox": [70, 70, 80, 80], "score": 0.3}]
+        p = tmp_path / "dets.jsonl"
+        for perm in itertools.permutations(range(4)):
+            p.write_text("".join(json.dumps(recs[k]) + "\n" for k in perm))
+            nan_line = perm.index(0) + 1
+            with pytest.raises(FormatError, match=f"dets.jsonl:{nan_line}: .*non-finite score"):
+                read_detections_jsonl(p)
+
+    def test_bad_records_carry_their_location(self, tmp_path):
+        p = tmp_path / "gt.jsonl"
+        p.write_text('{"image_id": "a", "bbox": [0, 0, 5, 5]}\n'
+                     '{"image_id": "a", "bbox": [5, 5, 5, 9]}\n')
+        with pytest.raises(FormatError, match="gt.jsonl:2: .*degenerate box"):
+            read_ground_truth_jsonl(p)
+        p.write_text('{"image_id": "a", "bbox": [0, 0, 5, Infinity]}\n')
+        with pytest.raises(FormatError, match="gt.jsonl:1: .*non-finite box"):
+            read_ground_truth_jsonl(p)
+        p = tmp_path / "dets.jsonl"
+        p.write_text('{"image_id": "a", "bbox": [0, 0, 5, 5], "score": 0.5, "class": Infinity}\n')
+        with pytest.raises(FormatError, match="dets.jsonl:1"):
+            read_detections_jsonl(p)
