@@ -249,12 +249,13 @@ def sra_attention(t, h, w, heads, sr, params, q):
     val = linear(kv_t, params[f"{q}.attn.v.w"], params[f"{q}.attn.v.b"])
 
     d = c // heads
-    scale = 1.0 / np.sqrt(d)
-    outs = []
-    for hd in range(heads):
-        sl = slice(hd * d, (hd + 1) * d)
-        outs.append(attention(query[:, :, sl], key[:, :, sl], val[:, :, sl], scale))
-    merged = np.concatenate(outs, axis=2)
+
+    def split_heads(x):
+        # (b, n, heads * d) -> (b * heads, n, d): heads ride the batch axis
+        return x.reshape(b, -1, heads, d).transpose(0, 2, 1, 3).reshape(b * heads, -1, d)
+
+    att = attention(split_heads(query), split_heads(key), split_heads(val), 1.0 / np.sqrt(d))
+    merged = att.reshape(b, heads, n, d).transpose(0, 2, 1, 3).reshape(b, n, c)
     out = linear(merged, params[f"{q}.attn.proj.w"], params[f"{q}.attn.proj.b"])
     return t + out
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .backbone import MODALITY_SETS, VARIANTS
 from .data import write_npy
-from .errors import TrifuseError
+from .errors import FormatError, TrifuseError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
 from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
 from .harness import RunConfig, run_grid, run_ablation_grid, run_single, write_grid_outputs
@@ -92,7 +92,7 @@ def cmd_grid(args):
     cfg = _load_run_config(args)
     out_dir = args.out or "grid_out"
     if args.ablation_grid:
-        groups = run_ablation_grid(cfg)
+        groups = run_ablation_grid(cfg, workers=args.workers)
         reports = [r for rs in groups.values() for r in rs]
         for name, rs in groups.items():
             bad = sum(1 for r in rs if not r.ok)
@@ -145,8 +145,14 @@ def cmd_bin_events(args):
     else:
         size = (max(y, default=0) + 1, max(x, default=0) + 1)
     stream = EventStream(t, x, y, p, size)
+    stamps = []
     with open(args.timestamps) as f:
-        stamps = [float(line) for line in f if line.strip()]
+        for i, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    stamps.append(float(line))
+                except ValueError as e:
+                    raise FormatError(f"{args.timestamps}:{i}: non-numeric timestamp") from e
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, ts in enumerate(stamps):

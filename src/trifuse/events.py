@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError
 
 # 30 FPS frame interval
 DEFAULT_WINDOW_S = 1.0 / 30.0
@@ -93,8 +93,10 @@ def read_event_file(path):
             parts = line.split()
             if len(parts) != 4:
                 raise ValidationError(f"{path}:{i}: expected 4 fields, got {len(parts)}")
-            t.append(int(parts[0]))
-            x.append(int(parts[1]))
-            y.append(int(parts[2]))
-            p.append(int(parts[3]))
+            try:
+                fields = [int(v) for v in parts]
+            except ValueError as e:
+                raise FormatError(f"{path}:{i}: non-numeric field") from e
+            for column, v in zip((t, x, y, p), fields):
+                column.append(v)
     return t, x, y, p

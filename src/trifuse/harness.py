@@ -6,7 +6,8 @@ mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
 so it can be replayed.  Grid cells share parameter arrays per (variant,
 modalities, seed): each array is built once per group, bitwise equal to a
-fresh ``init_params``, so reports match per-cell ``run_single`` runs.
+fresh ``init_params``, so reports match per-cell ``run_single`` runs.  A
+config listed more than once runs once and every listing gets its report.
 """
 
 from __future__ import annotations
@@ -257,27 +258,29 @@ def _run_cell(cfg, memo, lock):
 def _run_cells(configs, workers=1):
     """The grid engine: run ``configs`` and return their reports in order.
 
+    Each distinct config runs once and its repeats get the same report.
     Cells run grouped by (variant, modalities, seed), ``workers`` threads
     at a time within a group.  A group keeps one array per ``ParamSpec``
     (the whole spec, since one name can take two shapes across mechanism
     settings) and drops them when it ends.  Per-name seeding makes a shared
     array bitwise equal to the one a fresh ``init_params`` would build.
     """
+    # repr compares every field and, unlike hash, accepts list-valued ones
+    distinct = {repr(cfg): cfg for cfg in configs}
     groups = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault((cfg.variant, cfg.modalities, cfg.seed), []).append(i)
-    reports = [None] * len(configs)
-    for idx in groups.values():
+    for key, cfg in distinct.items():
+        groups.setdefault((cfg.variant, cfg.modalities, cfg.seed), []).append(key)
+    reports = {}
+    for keys in groups.values():
         cell = functools.partial(_run_cell, memo={}, lock=threading.Lock())
-        cells = [configs[i] for i in idx]
+        cells = [distinct[k] for k in keys]
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(cell, cells))
         else:
             done = [cell(c) for c in cells]
-        for i, report in zip(idx, done):
-            reports[i] = report
-    return reports
+        reports.update(zip(keys, done))
+    return [reports[repr(cfg)] for cfg in configs]
 
 
 def run_grid(base, sweep, workers=1):
@@ -358,9 +361,9 @@ def ablation_grid_sweeps():
     return [(group, replace(RunConfig(), **o)) for group, o in _INVENTORY]
 
 
-def run_ablation_grid(base):
+def run_ablation_grid(base, workers=1):
     """Run the whole ablation inventory over ``base``; returns {group: [RunReport]}."""
-    reports = _run_cells([replace(base, **o) for _, o in _INVENTORY])
+    reports = _run_cells([replace(base, **o) for _, o in _INVENTORY], workers)
     results = {}
     for (group, _), report in zip(_INVENTORY, reports):
         results.setdefault(group, []).append(report)

@@ -6,6 +6,11 @@ N = H * W.  Buffers stay 32-bit; reductions, matmuls and normalizations
 accumulate in float64 so results compare against brute-force oracles
 within 1e-6.  Everything here is a pure function of its inputs, so
 repeated calls are bitwise identical.
+
+Temporaries are bounded: :func:`attention` holds one float64 score block
+of ``chunk`` x Nk per batch entry (``chunk`` = 128 query rows by default),
+and the dense path of :func:`conv2d` builds its float64 im2col columns in
+bands of output rows of at most 16 MB each.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from scipy.special import erf, expit
 from .errors import ConfigError, ShapeError
 
 DTYPE = np.float32
+# size of one band of dense-conv im2col columns.  BLAS re-packs the weight
+# matrix for every band; with the FPN's 4.7 MB 3x3 weights, 4 MB bands ran
+# slower than one whole-map im2col and 16 MB bands faster
+_COL_BAND_BYTES = 16 << 20
 
 
 def _as_f32(x):
@@ -98,9 +107,9 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     wo = (wid + 2 * pad - kw) // stride + 1
     w64 = w.astype(np.float64)
 
-    def tap(dy, dx):
-        # input slice aligned with kernel tap (dy, dx) at every output pixel
-        return xp[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+    def tap(dy, dx, r0=0, r1=ho):
+        # input slice aligned with kernel tap (dy, dx) at output rows r0..r1-1
+        return xp[:, :, dy + r0 * stride : dy + r1 * stride : stride, dx : dx + wo * stride : stride]
 
     if groups == cin and cin_g == 1:
         # depthwise: one multiply per kernel tap, accumulated in float64
@@ -109,13 +118,20 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             for dx in range(kw):
                 out += tap(dy, dx) * w[:, 0, dy, dx][None, :, None, None]
     elif groups == 1:
-        # dense: stack the kernel taps and contract in one float64 matmul
-        cols = np.empty((bsz, kh, kw, cin, ho, wo), np.float64)
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, dy, dx] = tap(dy, dx)
-        wmat = w64.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-        out = np.matmul(wmat, cols.reshape(bsz, kh * kw * cin, ho * wo))
+        # dense: stack the kernel taps for a band of output rows and contract
+        # it in one float64 matmul; a band's columns take at most
+        # _COL_BAND_BYTES unless one output row alone needs more
+        kdim = kh * kw * cin
+        wmat = w64.transpose(0, 2, 3, 1).reshape(cout, kdim)
+        rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
+        out = np.empty((bsz, cout, ho * wo), np.float64)
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            cols = np.empty((bsz, kh, kw, cin, r1 - r0, wo), np.float64)
+            for dy in range(kh):
+                for dx in range(kw):
+                    cols[:, dy, dx] = tap(dy, dx, r0, r1)
+            np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo), out=out[:, :, r0 * wo : r1 * wo])
         out = out.reshape(bsz, cout, ho, wo)
     else:
         win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -202,24 +218,30 @@ def linear(t, w, b=None):
     return out.astype(DTYPE)
 
 
-def attention(q, k, v, scale, chunk=2048):
-    """Scaled dot-product attention, chunked over queries to bound memory.
+def attention(q, k, v, scale, chunk=128):
+    """Scaled dot-product attention, exact in float64, over query blocks.
 
-    q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv) -> (B, Nq, dv).
+    q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv) -> (B, Nq, dv).  Queries
+    are taken ``chunk`` rows at a time, so the only large temporary is one
+    float64 score block of B x chunk x Nk (8.5 MB for the 8,320-key stage-1
+    BiTE call).  Each block is shifted by its row max before ``exp``, and
+    the (chunk x dv) product with V is divided by the row sums afterwards,
+    which is the same softmax without a pass over the whole block.
     """
     q64 = np.asarray(q, np.float64)
-    k64 = np.asarray(k, np.float64)
+    kt = np.ascontiguousarray(np.asarray(k, np.float64).transpose(0, 2, 1))
     v64 = np.asarray(v, np.float64)
     bsz, nq, _ = q64.shape
     out = np.empty((bsz, nq, v64.shape[-1]), np.float64)
-    kt = k64.transpose(0, 2, 1)
     for lo in range(0, nq, chunk):
         hi = min(lo + chunk, nq)
-        scores = np.matmul(q64[:, lo:hi], kt) * scale
+        scores = np.matmul(q64[:, lo:hi], kt)
+        scores *= scale
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        out[:, lo:hi] = np.matmul(scores, v64)
+        block = out[:, lo:hi]
+        np.matmul(scores, v64, out=block)
+        block /= scores.sum(axis=-1, keepdims=True)
     return out.astype(DTYPE)
 
 

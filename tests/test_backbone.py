@@ -18,7 +18,7 @@ from trifuse.backbone import (
 )
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.fusion import FusionConfig
-from trifuse.tensors import ParamStore, init_params
+from trifuse.tensors import ParamStore, attention, conv2d, init_params, layer_norm, linear, to_map, to_tokens
 
 
 NONE = FusionConfig(mechanism="none")
@@ -130,6 +130,48 @@ class TestStagePieces:
         t = rng.standard_normal((1, 99, tiny_cfg.widths[1])).astype(np.float32)
         out = sra_attention(t, 9, 11, tiny_cfg.heads[1], 2, params, "a.s2.blk0")
         assert out.shape == t.shape
+
+
+def _sra_params(rng, c, sr, q):
+    shapes = {"norm1.g": (c,), "norm1.b": (c,)}
+    for n in ("q", "k", "v", "proj"):
+        shapes.update({f"attn.{n}.w": (c, c), f"attn.{n}.b": (c,)})
+    if sr > 1:
+        shapes.update({"attn.sr.w": (c, c, sr, sr), "attn.sr.b": (c,),
+                       "attn.sr_norm.g": (c,), "attn.sr_norm.b": (c,)})
+    return ParamStore({f"{q}.{n}": (rng.standard_normal(s) * (0.5 if len(s) == 1 else 0.3)).astype(np.float32)
+                       for n, s in shapes.items()})
+
+
+def _sra_per_head(t, h, w, heads, sr, params, q):
+    """sra_attention with one attention call per head, concatenated."""
+    b, n, c = t.shape
+    tn = layer_norm(t, params[f"{q}.norm1.g"], params[f"{q}.norm1.b"])
+    query = linear(tn, params[f"{q}.attn.q.w"], params[f"{q}.attn.q.b"])
+    kv_t = tn
+    if sr > 1:
+        m = np.pad(to_map(tn, h, w), ((0, 0), (0, 0), (0, -h % sr), (0, -w % sr)))
+        red = conv2d(m, params[f"{q}.attn.sr.w"], params[f"{q}.attn.sr.b"], stride=sr)
+        kv_t = layer_norm(to_tokens(red), params[f"{q}.attn.sr_norm.g"], params[f"{q}.attn.sr_norm.b"])
+    key = linear(kv_t, params[f"{q}.attn.k.w"], params[f"{q}.attn.k.b"])
+    val = linear(kv_t, params[f"{q}.attn.v.w"], params[f"{q}.attn.v.b"])
+    d = c // heads
+    outs = [attention(query[:, :, i * d:(i + 1) * d], key[:, :, i * d:(i + 1) * d],
+                      val[:, :, i * d:(i + 1) * d], 1.0 / np.sqrt(d)) for i in range(heads)]
+    merged = np.concatenate(outs, axis=2)
+    return t + linear(merged, params[f"{q}.attn.proj.w"], params[f"{q}.attn.proj.b"])
+
+
+class TestHeadFolding:
+    @pytest.mark.parametrize("sr", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 5, 8])
+    def test_matches_per_head_loop(self, rng, heads, sr):
+        c, h, w = 40, 5, 7
+        params = _sra_params(rng, c, sr, "blk")
+        t = rng.standard_normal((2, h * w, c)).astype(np.float32)
+        got = sra_attention(t, h, w, heads, sr, params, "blk")
+        want = _sra_per_head(t, h, w, heads, sr, params, "blk")
+        assert np.abs(got - want).max() < 1e-6
 
 
 class TestForward:

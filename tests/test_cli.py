@@ -148,6 +148,22 @@ class TestBinEvents:
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["events", "timestamps"])
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, capsys, bad):
+        files = {"events": "100000 2 1 1\n\nabc 1 2 1\n", "timestamps": "0.1\n\nx\n"}
+        if bad == "timestamps":
+            files["events"] = "100000 2 1 1\n"
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        code = main(["--out", str(tmp_path / "frames"), "bin-events",
+                     "--events", str(paths["events"]), "--timestamps", str(paths["timestamps"])])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"error: {paths[bad]}:3: non-numeric" in err
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_readme_command_lines_parse(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trifuse.errors import ConfigError, ValidationError
+from trifuse.errors import ConfigError, FormatError, ValidationError
 from trifuse.events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
 
 from oracles import bin_events_loops
@@ -138,4 +138,10 @@ class TestReadEventFile:
         p = tmp_path / "events.txt"
         p.write_text("100 3 2 1\n250 0 1\n")
         with pytest.raises(ValidationError, match="events.txt:2"):
+            read_event_file(p)
+
+    def test_non_numeric_field(self, tmp_path):
+        p = tmp_path / "events.txt"
+        p.write_text("100 3 2 1\nabc 1 2 1\n")
+        with pytest.raises(FormatError, match="events.txt:2: non-numeric field"):
             read_event_file(p)

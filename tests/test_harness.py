@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from trifuse.harness import (
     write_grid_outputs,
 )
 from trifuse.synth import generate_corpus
-from trifuse.tensors import init_params, param_count
+from trifuse.tensors import ParamStore, init_params, param_count
 
 # small-but-real probe config used throughout; keeps each forward cheap
 FAST = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
@@ -231,6 +232,59 @@ class TestGridEngine:
         keys = [(c.variant, c.modalities, c.seed) for c in ran]
         assert keys == sorted(keys, key=keys.index)  # grouped, each group contiguous
         assert ran != inventory
+
+
+class TestAblationGridEngine:
+    """The 52-cell inventory through the engine, at a 32x32 input."""
+
+    BASE = replace(FAST, input_size=(32, 32))
+
+    @pytest.fixture(autouse=True)
+    def cheap_init(self, monkeypatch):
+        # B0-B4 weights tiled from a small seeded pool: every report field is
+        # still computed by a real forward, without the B4-sized draws
+        def tiled(specs, seed):
+            pool = np.random.default_rng(seed).standard_normal(4099).astype(np.float32) * 0.02
+            return ParamStore({s.name: np.resize(pool, s.shape) for s in specs})
+
+        monkeypatch.setattr(harness, "init_params", tiled)
+
+    def _watch_run_single(self, monkeypatch):
+        calls = []
+        real = harness.run_single
+
+        def watched(cfg, params=None):
+            calls.append((cfg, threading.current_thread()))
+            return real(cfg, params)
+
+        monkeypatch.setattr(harness, "run_single", watched)
+        return calls
+
+    def test_each_distinct_config_runs_once(self, monkeypatch):
+        calls = self._watch_run_single(monkeypatch)
+        groups = run_ablation_grid(self.BASE)
+        reports = [r for rs in groups.values() for r in rs]
+        assert len(reports) == 52
+        assert len(calls) == 50
+        assert len({cfg for cfg, _ in calls}) == 50
+        default = self.BASE.to_dict()
+        repeats = [r for r in reports if r.config == default]
+        assert len(repeats) == 3 and all(r is repeats[0] for r in repeats)
+
+    def test_workers_agree_with_serial(self, monkeypatch):
+        calls = self._watch_run_single(monkeypatch)
+
+        def without_timing(groups):
+            return {g: [{**r.to_dict(), "forward_ms": None} for r in rs] for g, rs in groups.items()}
+
+        serial = without_timing(run_ablation_grid(self.BASE))
+        assert {t for _, t in calls} == {threading.main_thread()}
+        calls.clear()
+        parallel = without_timing(run_ablation_grid(self.BASE, workers=2))
+        assert threading.main_thread() not in {t for _, t in calls}
+        assert len({t for _, t in calls}) > 1
+        assert parallel == serial
+        assert all(r["error"] is None for rs in serial.values() for r in rs)
 
 
 class TestAblationGridInventory:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trifuse import tensors
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.tensors import (
     ParamSpec,
@@ -58,6 +59,37 @@ class TestConv2d:
         w = rng.standard_normal((8, 3, 7, 7)).astype(np.float32)
         out = conv2d(x, w, stride=4, pad=3)
         assert out.shape == (1, 8, (20 + 6 - 7) // 4 + 1, (26 + 6 - 7) // 4 + 1)
+
+    @pytest.mark.parametrize("stride", [1, 2, 4, 8])
+    def test_banded_dense_vs_loop_oracle(self, rng, monkeypatch, stride):
+        # bands of 3 output rows (2 x 45 x 10 float64 columns per row):
+        # 11 rows make three full bands and a partial one
+        monkeypatch.setattr(tensors, "_COL_BAND_BYTES", 3 * 2 * 45 * 10 * 8)
+        x = rng.standard_normal((2, 5, 10 * stride + 1, 9 * stride + 1)).astype(np.float32)
+        w = rng.standard_normal((4, 5, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        got = conv2d(x, w, b, stride=stride, pad=1)
+        want = conv2d_loops(x, w, b, stride=stride, pad=1)
+        assert got.shape == want.shape == (2, 4, 11, 10)
+        assert np.abs(got - want).max() < 1e-6
+
+    def test_banded_dense_equals_one_shot_im2col(self, rng):
+        # the FPN stride-8 3x3 conv: 40 output rows of 2304 x 52 columns
+        # take three bands
+        cin, cout, h, wid = 256, 256, 40, 52
+        assert 40 * 2304 * 52 * 8 > 2 * tensors._COL_BAND_BYTES
+        x = rng.standard_normal((1, cin, h, wid)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        cols = np.empty((1, 3, 3, cin, h, wid), np.float64)
+        for dy in range(3):
+            for dx in range(3):
+                cols[:, dy, dx] = xp[:, :, dy : dy + h, dx : dx + wid]
+        wmat = w.astype(np.float64).transpose(0, 2, 3, 1).reshape(cout, 9 * cin)
+        want = np.matmul(wmat, cols.reshape(1, 9 * cin, h * wid)).reshape(1, cout, h, wid)
+        want += b.astype(np.float64).reshape(1, cout, 1, 1)
+        assert np.array_equal(conv2d(x, w, b, stride=1, pad=1), want.astype(np.float32))
 
     def test_shape_mismatch_diagnostics(self, rng):
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
@@ -170,6 +202,36 @@ class TestAttentionHelper:
         v = rng.standard_normal((2, 5, 4)).astype(np.float32)
         got = attention(q, k, v, 1.0 / np.sqrt(8), chunk=4)
         want = attention_naive(q, k, v, 1.0 / np.sqrt(8))
+        assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("chunk", [1, 3, 128, 200])
+    def test_query_blocks_vs_naive(self, rng, chunk):
+        # 131 queries: a partial last block for chunk 3 and 128, one block for 200
+        q = rng.standard_normal((2, 131, 16)).astype(np.float32)
+        k = rng.standard_normal((2, 37, 16)).astype(np.float32)
+        v = rng.standard_normal((2, 37, 8)).astype(np.float32)
+        got = attention(q, k, v, 0.25, chunk=chunk)
+        want = attention_naive(q, k, v, 0.25)
+        assert got.shape == (2, 131, 8)
+        assert np.abs(got - want).max() < 1e-6
+
+    def test_single_key_returns_its_value(self, rng):
+        q = rng.standard_normal((3, 10, 4)).astype(np.float32)
+        k = rng.standard_normal((3, 1, 4)).astype(np.float32)
+        v = rng.standard_normal((3, 1, 5)).astype(np.float32)
+        got = attention(q, k, v, 0.5, chunk=4)
+        assert np.array_equal(got, np.broadcast_to(v, (3, 10, 5)))
+
+    def test_scores_near_700_stay_finite(self, rng):
+        # exp(+-750) overflows or underflows float64 without the row-max shift
+        q = rng.standard_normal((2, 20, 8)).astype(np.float32)
+        k = rng.standard_normal((2, 30, 8)).astype(np.float32)
+        v = rng.standard_normal((2, 30, 6)).astype(np.float32)
+        raw = np.matmul(q.astype(np.float64), k.astype(np.float64).transpose(0, 2, 1))
+        scale = 750.0 / np.abs(raw).max()
+        got = attention(q, k, v, scale, chunk=7)
+        want = attention_naive(q, k, v, scale)
+        assert np.isfinite(got).all()
         assert np.abs(got - want).max() < 1e-6
 
 
