@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .backbone import MODALITY_SETS, VARIANTS
-from .data import write_npy
+from .data import read_json, text_lines, write_npy
 from .errors import FormatError, TrifuseError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
 from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
@@ -30,10 +30,7 @@ EXIT_PARTIAL_GRID = 3
 
 
 def _load_run_config(args):
-    d = {}
-    if args.config:
-        with open(args.config) as f:
-            d = json.load(f)
+    d = read_json(args.config) if args.config else {}
     overrides = {
         "variant": args.variant,
         "mechanism": args.mechanism,
@@ -98,10 +95,7 @@ def cmd_grid(args):
             bad = sum(1 for r in rs if not r.ok)
             print(f"{name}: {len(rs)} runs, {bad} failed")
     else:
-        sweep = {}
-        if args.sweep:
-            with open(args.sweep) as f:
-                sweep = json.load(f)
+        sweep = read_json(args.sweep) if args.sweep else {}
         reports = run_grid(cfg, sweep, workers=args.workers)
     write_grid_outputs(reports, out_dir)
     failed = sum(1 for r in reports if not r.ok)
@@ -146,13 +140,11 @@ def cmd_bin_events(args):
         size = (max(y, default=0) + 1, max(x, default=0) + 1)
     stream = EventStream(t, x, y, p, size)
     stamps = []
-    with open(args.timestamps) as f:
-        for i, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    stamps.append(float(line))
-                except ValueError as e:
-                    raise FormatError(f"{args.timestamps}:{i}: non-numeric timestamp") from e
+    for where, line in text_lines(args.timestamps):
+        try:
+            stamps.append(float(line))
+        except ValueError as e:
+            raise FormatError(f"{where}: non-numeric timestamp") from e
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, ts in enumerate(stamps):
@@ -217,7 +209,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrifuseError as e:
+    except (TrifuseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

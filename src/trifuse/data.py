@@ -8,14 +8,16 @@ JSON manifest carrying day/night flags.
 
 from __future__ import annotations
 
-import ast
 import json
 import logging
-import struct
+import math
+import os
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import ConfigError, FormatError, ValidationError
 
@@ -29,76 +31,76 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 
 
 # ---------------------------------------------------------------------------
-# NPY v1.0 reader / writer
+# file readers: every read of an outside file goes through one of these
 
-_NPY_MAGIC = b"\x93NUMPY"
 _SUPPORTED_KINDS = {("f", 4), ("f", 8), ("i", 1), ("i", 2), ("i", 4), ("i", 8), ("u", 1)}
 
 
-def write_npy(path, arr, byte_order="<"):
-    """Write a C-order array as an NPY v1.0 file.
-
-    ``byte_order`` selects the on-disk endianness ('<' or '>'); single-byte
-    dtypes are written with the '|' marker.
-    """
+def write_npy(path, arr):
+    """Write an array as a C-order NPY v1.0 file in the array's own byte order."""
     arr = np.ascontiguousarray(arr)
     if (arr.dtype.kind, arr.dtype.itemsize) not in _SUPPORTED_KINDS:
         raise FormatError(f"unsupported dtype {arr.dtype} for NPY output")
-    if byte_order not in ("<", ">"):
-        raise FormatError(f"byte_order must be '<' or '>', got {byte_order!r}")
-    order = "|" if arr.dtype.itemsize == 1 else byte_order
-    descr = f"{order}{arr.dtype.kind}{arr.dtype.itemsize}"
-    shape = arr.shape if len(arr.shape) != 1 else (arr.shape[0],)
-    header = "{'descr': %r, 'fortran_order': False, 'shape': %s, }" % (
-        descr,
-        "(%s)" % (", ".join(str(d) for d in shape) + ("," if len(shape) == 1 else "")),
-    )
-    # pad so that data starts on a 64-byte boundary, header ends with \n
-    base = len(_NPY_MAGIC) + 2 + 2 + len(header) + 1
-    pad = (64 - base % 64) % 64
-    header = header + " " * pad + "\n"
-    out = arr.astype(arr.dtype.newbyteorder(order)) if order != "|" else arr
     with open(path, "wb") as f:
-        f.write(_NPY_MAGIC)
-        f.write(bytes([1, 0]))
-        f.write(struct.pack("<H", len(header)))
-        f.write(header.encode("latin1"))
-        f.write(out.tobytes(order="C"))
+        npy_format.write_array(f, arr, version=(1, 0), allow_pickle=False)
 
 
 def read_npy(path):
-    """Read an NPY v1.x file (C-order, either endianness) to a native array."""
+    """Read an NPY v1.x file (C-order, either endianness) to a native array,
+    checking the header's claimed data size against the file before allocating."""
     with open(path, "rb") as f:
-        magic = f.read(6)
-        if magic != _NPY_MAGIC:
-            raise FormatError(f"{path}: bad NPY magic {magic!r}")
-        major, _minor = f.read(2)
-        if major != 1:
-            raise FormatError(f"{path}: unsupported NPY version {major}.x")
-        (hlen,) = struct.unpack("<H", f.read(2))
         try:
-            header = ast.literal_eval(f.read(hlen).decode("latin1"))
-        except (SyntaxError, ValueError) as e:
-            raise FormatError(f"{path}: unparseable NPY header") from e
-        descr, fortran, shape = (
-            header.get("descr"),
-            header.get("fortran_order"),
-            header.get("shape"),
-        )
+            major, _minor = npy_format.read_magic(f)
+            if major != 1:
+                raise FormatError(f"{path}: unsupported NPY version {major}.x")
+            shape, fortran, dtype = npy_format.read_array_header_1_0(f)
+        # numpy's header parser also lets through TypeError (an unhashable key),
+        # IndexError (a short descr tuple) and, from its Python 2 fallback,
+        # SyntaxError and tokenize.TokenError
+        except (ValueError, TypeError, IndexError, SyntaxError, tokenize.TokenError) as e:
+            raise FormatError(f"{path}: {e}") from e
         if fortran:
             raise FormatError(f"{path}: fortran-order arrays are not supported")
-        if not isinstance(descr, str) or len(descr) < 3:
-            raise FormatError(f"{path}: bad descr {descr!r}")
-        order, kind, size = descr[0], descr[1], int(descr[2:])
-        if order not in "<>|=" or (kind, size) not in _SUPPORTED_KINDS:
-            raise FormatError(f"{path}: unsupported dtype descr {descr!r}")
-        dtype = np.dtype(descr)
-        count = int(np.prod(shape)) if shape else 1
-        buf = f.read(count * dtype.itemsize)
-        if len(buf) != count * dtype.itemsize:
+        if (dtype.kind, dtype.itemsize) not in _SUPPORTED_KINDS:
+            raise FormatError(f"{path}: unsupported dtype descr {dtype.str!r}")
+        if any(isinstance(d, bool) or d < 0 for d in shape):
+            raise FormatError(f"{path}: bad shape {shape}")
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > os.fstat(f.fileno()).st_size - f.tell():
             raise FormatError(f"{path}: truncated data section")
-        arr = np.frombuffer(buf, dtype=dtype).reshape(shape)
+        arr = np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
         return arr.astype(dtype.newbyteorder("="))
+
+
+def text_lines(path):
+    """Yield ("path:line", stripped text) for each non-blank line of a UTF-8
+    text file.  Each line is decoded on its own, so a byte that is not UTF-8
+    is a FormatError naming its line."""
+    with open(path, "rb") as f:
+        for i, raw in enumerate(f, start=1):
+            where = f"{path}:{i}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{where}: not UTF-8 text: {e.reason}") from e
+            if line:
+                yield where, line
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON file; a malformed one is a FormatError naming
+    ``path`` and, where known, the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text: {e.reason}") from e
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}:{e.lineno}: malformed JSON: {e.msg}") from e
+    except RecursionError as e:
+        raise FormatError(f"{path}: JSON nested too deeply") from e
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +147,18 @@ class TriModalFrame:
 def parse_labels(path):
     """Parse a YOLO label file; malformed lines are reported by number."""
     boxes = []
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise FormatError(f"{path}:{i}: expected 5 fields, got {len(parts)}")
-            try:
-                cls = int(parts[0])
-                cx, cy, w, h = (float(v) for v in parts[1:])
-            except ValueError as e:
-                raise FormatError(f"{path}:{i}: non-numeric field") from e
-            box = GroundTruthBox(cls, cx, cy, w, h)
-            _validate_box(box, f"{path}:{i}")
-            boxes.append(box)
+    for where, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 5:
+            raise FormatError(f"{where}: expected 5 fields, got {len(parts)}")
+        try:
+            cls = int(parts[0])
+            cx, cy, w, h = (float(v) for v in parts[1:])
+        except ValueError as e:
+            raise FormatError(f"{where}: non-numeric field") from e
+        box = GroundTruthBox(cls, cx, cy, w, h)
+        _validate_box(box, where)
+        boxes.append(box)
     return boxes
 
 
@@ -304,8 +302,7 @@ class DatasetManifest:
 
 def load_manifest(path, check_files=True):
     """Load a JSON manifest of {image, labels, day_night} records."""
-    with open(path) as f:
-        records = json.load(f)
+    records = read_json(path)
     if not isinstance(records, list):
         raise FormatError(f"{path}: manifest must be a JSON list")
     base = Path(path).parent

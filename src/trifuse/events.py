@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_lines
 from .errors import ConfigError, FormatError, ValidationError
 
 # 30 FPS frame interval
@@ -85,18 +86,16 @@ def bin_events(stream, center_t, delta_t=DEFAULT_WINDOW_S):
 def read_event_file(path):
     """Parse a whitespace text file of ``t_us x y polarity`` lines."""
     t, x, y, p = [], [], [], []
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValidationError(f"{path}:{i}: expected 4 fields, got {len(parts)}")
-            try:
-                fields = [int(v) for v in parts]
-            except ValueError as e:
-                raise FormatError(f"{path}:{i}: non-numeric field") from e
-            for column, v in zip((t, x, y, p), fields):
-                column.append(v)
+    for where, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValidationError(f"{where}: expected 4 fields, got {len(parts)}")
+        try:
+            fields = [int(v) for v in parts]
+        except ValueError as e:
+            raise FormatError(f"{where}: non-numeric field") from e
+        for column, v in zip((t, x, y, p), fields):
+            column.append(v)
     return t, x, y, p

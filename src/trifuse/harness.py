@@ -20,7 +20,7 @@ import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .data import default_stats, load_frame, load_manifest, normalize, pad_to_st
 from .errors import ConfigError, TrifuseError
 from .fusion import FusionConfig
 from .neck import fpn, fpn_param_specs
-from .tensors import ParamStore, init_params
+from .tensors import ParamStore, init_params, param_count
 
 DEFAULT_INPUT_SIZE = (301, 391)
 
@@ -77,6 +77,10 @@ class RunConfig:
 
     def validate(self):
         """Raise ConfigError naming the offending field."""
+        for f in fields(self):
+            value, want = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise ConfigError(f"{f.name}: expected {want.__name__}, got {value!r}")
         try:
             cfg = self.backbone_config()
         except ConfigError as e:
@@ -96,6 +100,8 @@ class RunConfig:
                         f"se_ratio: stage {s} width {cfg.widths[s - 1]} "
                         f"not divisible by {fus.se_ratio}"
                     )
+        if len(self.input_size) != 2:
+            raise ConfigError(f"input_size: expected [H, W], got {list(self.input_size)}")
         h, w = self.input_size
         if h < 32 or w < 32:
             raise ConfigError(f"input_size: {h}x{w} too small for the stride schedule")
@@ -120,15 +126,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         d = dict(d)
-        if "stages" in d:
-            d["stages"] = tuple(int(s) for s in d["stages"])
-        if "input_size" in d:
-            d["input_size"] = tuple(int(v) for v in d["input_size"])
+        for name in ("stages", "input_size"):
+            if name in d:
+                d[name] = _int_tuple(name, d[name])
         return cls(**d)
 
 
@@ -160,6 +167,13 @@ class RunReport:
             "eval_report": self.eval_report,
             "error": self.error,
         }
+
+
+def _int_tuple(name, values):
+    try:
+        return tuple(int(v) for v in values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{name}: expected a list of integers, got {values!r}") from e
 
 
 def build_param_specs(run_cfg, with_neck=True):
@@ -209,7 +223,7 @@ def run_single(run_cfg, params=None):
         config=run_cfg.to_dict(),
         stage_shapes=[f.map.shape for f in feats],
         pyramid_shapes=pyramid.shapes(),
-        param_count=sum(s.size for s in specs),
+        param_count=param_count(specs),
         forward_ms=statistics.median(times),
         diagnostics=diag,
     )
@@ -222,6 +236,8 @@ def expand_sweep(base, sweep):
     base config alone.  Axis order is fixed (sorted) so enumeration is
     deterministic.
     """
+    if not isinstance(sweep, dict) or not all(isinstance(v, (list, tuple)) for v in sweep.values()):
+        raise ConfigError(f"sweep must map each axis to a list of values, got {sweep!r}")
     if not sweep:
         return [base]
     for axis in sweep:
@@ -232,7 +248,7 @@ def expand_sweep(base, sweep):
     for combo in itertools.product(*(sweep[a] for a in axes)):
         upd = dict(zip(axes, combo))
         if "stages" in upd:
-            upd["stages"] = tuple(int(s) for s in upd["stages"])
+            upd["stages"] = _int_tuple("stages", upd["stages"])
         configs.append(replace(base, **upd))
     return configs
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_lines
 from .errors import FormatError, ValidationError
 
 COCO_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
@@ -208,16 +209,20 @@ def _read_jsonl(path, kind, make):
     """One ``make(record)`` per non-blank line; any bad record is a
     FormatError naming ``path:line``."""
     out = []
-    with open(path) as f:
-        for i, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(make(json.loads(line)))
-            except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as e:
-                raise FormatError(f"{path}:{i}: malformed {kind} record: {e}") from e
+    for where, line in text_lines(path):
+        try:
+            out.append(make(json.loads(line)))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, ValidationError) as e:
+            raise FormatError(f"{where}: malformed {kind} record: {e}") from e
     return out
+
+
+def _class_id(rec):
+    """The record's class as an exact integer, never a boolean or a fraction."""
+    c = rec.get("class", 0)
+    if isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()):
+        raise ValueError(f"class {c!r} is not an integer")
+    return int(c)
 
 
 def read_detections_jsonl(path):
@@ -225,7 +230,7 @@ def read_detections_jsonl(path):
         image_id=str(rec["image_id"]),
         box=tuple(float(v) for v in rec["bbox"]),
         score=float(rec["score"]),
-        class_id=int(rec.get("class", 0)),
+        class_id=_class_id(rec),
     ))
 
 
@@ -233,7 +238,7 @@ def read_ground_truth_jsonl(path):
     return _read_jsonl(path, "ground-truth", lambda rec: GroundTruth(
         image_id=str(rec["image_id"]),
         box=tuple(float(v) for v in rec["bbox"]),
-        class_id=int(rec.get("class", 0)),
+        class_id=_class_id(rec),
     ))
 
 

@@ -62,17 +62,6 @@ def to_map(t, h, w):
 # core kernels
 
 
-def matmul(a, b):
-    """Matrix product with float64 accumulation, result cast to float32."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a.shape[-1]} vs {b.shape[-2 if b.ndim > 1 else 0]}"
-        )
-    return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(DTYPE)
-
-
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Direct 2-D convolution (cross-correlation) on a (B, C, H, W) map.
 

@@ -33,18 +33,6 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0, groups=1):
     return out
 
 
-def matmul_loops(a, b):
-    """Triple-loop matrix product in float64."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            for l in range(k):
-                out[i, j] += float(a[i, l]) * float(b[l, j])
-    return out
-
-
 def softmax_rows_direct(m):
     """Exp-normalize evaluated row by row in float64."""
     m = np.asarray(m, np.float64)

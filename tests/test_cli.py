@@ -122,6 +122,51 @@ class TestSynthAndEval:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """A malformed or missing input file exits 1 with ``error: path[:line]``."""
+
+    def _fails(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "Traceback" not in err
+        return err
+
+    def test_non_list_stages_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"stages": 4}')
+        assert "error: stages: " in self._fails(capsys, ["--config", str(cfg), "inspect"])
+
+    def test_non_list_stages_in_sweep(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"stages": [4, 3]}')
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "--out", str(tmp_path / "g"),
+                                   "grid", "--sweep", str(sweep)])
+        assert "error: stages: " in err
+
+    def test_missing_detections_file(self, tmp_path, capsys):
+        gts = tmp_path / "g.jsonl"
+        gts.write_text("")
+        missing = tmp_path / "missing.jsonl"
+        err = self._fails(capsys, ["eval", "--dets", str(missing), "--gts", str(gts)])
+        assert "error: " in err and str(missing) in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--sweep"])
+    @pytest.mark.parametrize("data, where", [
+        (b'{"tau":\n', ":2: malformed JSON"),
+        (b"[" * 100000, ": JSON nested too deeply"),
+        (b'{\n"\xff": 1}', ":2: not UTF-8"),
+    ], ids=["truncated", "nested", "non-utf8"])
+    def test_malformed_json_names_file_and_line(self, tmp_path, capsys, flag, data, where):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        if flag == "--config":
+            argv = ["--config", str(bad), "inspect"]
+        else:
+            argv = ["--config", _fast_config(tmp_path), "grid", "--sweep", str(bad)]
+        assert f"error: {bad}{where}" in self._fails(capsys, argv)
+
+
 class TestBinEvents:
     def test_frames_written(self, tmp_path):
         events = tmp_path / "events.txt"

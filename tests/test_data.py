@@ -33,7 +33,7 @@ class TestNpyFormat:
         else:
             arr = rng.integers(0, 100, (3, 4, 5)).astype(dtype)
         path = tmp_path / "a.npy"
-        write_npy(path, arr, byte_order=order)
+        write_npy(path, arr.astype(arr.dtype.newbyteorder(order)))
         back = read_npy(path)
         assert back.dtype == np.dtype(dtype)
         assert np.array_equal(back, arr)

@@ -47,6 +47,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="timing_reps"):
             RunConfig(timing_reps=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", "x"), ("modalities", 3), ("batch", "2"), ("timing_reps", None),
+        ("seed", True), ("source", 5), ("input_size", (64,)),
+    ])
+    def test_wrong_type_names_field(self, field, value):
+        # a config file can hold any JSON value: none may escape as a TypeError,
+        # ValueError or AttributeError, and source 5 must not open fd 5
+        with pytest.raises(ConfigError, match=f"^{field}: expected"):
+            replace(FAST, **{field: value}).validate()
+
+    def test_int_tau_accepted(self):
+        assert replace(FAST, tau=1).validate().tau == 1
+
     def test_key_is_readable_and_unique_per_cell(self):
         a = RunConfig(mechanism="cssa", stages=(2, 3), tau=0.3)
         assert a.key() == "B1-cssa-s23-tau0.3-r4-separate-direct-RTE"
@@ -136,6 +149,11 @@ class TestSweeps:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="sweep axis"):
             expand_sweep(FAST, {"depth": [1, 2]})
+
+    @pytest.mark.parametrize("sweep", [{"stages": [4, 3]}, {"tau": 0.5}, 5])
+    def test_malformed_sweep_is_a_config_error(self, sweep):
+        with pytest.raises(ConfigError):
+            expand_sweep(FAST, sweep)
 
     def test_stage_subsets_cast_to_tuples(self):
         configs = expand_sweep(FAST, {"stages": [[1], [1, 2]]})

@@ -315,3 +315,20 @@ class TestJsonl:
         p.write_text('{"image_id": "a", "bbox": [0, 0, 5, 5], "score": 0.5, "class": Infinity}\n')
         with pytest.raises(FormatError, match="dets.jsonl:1"):
             read_detections_jsonl(p)
+
+    @pytest.mark.parametrize("cls", ["1.7", "true", "false", "-0.5", "Infinity"])
+    def test_class_must_be_an_exact_integer(self, tmp_path, cls):
+        # int() would read 1.7 and true as class 1, so a wrong-class record could match
+        p = tmp_path / "r.jsonl"
+        for reader, score in ((read_detections_jsonl, '"score": 0.5, '), (read_ground_truth_jsonl, "")):
+            p.write_text(f'{{"image_id": "a", "bbox": [0, 0, 5, 5], {score}"class": 1}}\n'
+                         f'{{"image_id": "a", "bbox": [0, 0, 5, 5], {score}"class": {cls}}}\n')
+            with pytest.raises(FormatError, match=r"r.jsonl:2: .*class"):
+                reader(p)
+
+    def test_integral_class_is_read_exactly(self, tmp_path):
+        p = tmp_path / "g.jsonl"
+        p.write_text('{"image_id": "a", "bbox": [0, 0, 5, 5], "class": 2.0}\n'
+                     '{"image_id": "a", "bbox": [0, 0, 5, 5], "class": 3}\n'
+                     '{"image_id": "a", "bbox": [0, 0, 5, 5]}\n')
+        assert [g.class_id for g in read_ground_truth_jsonl(p)] == [2, 3, 0]

@@ -12,7 +12,6 @@ from trifuse.tensors import (
     global_max_pool,
     init_params,
     layer_norm,
-    matmul,
     param_count,
     sigmoid,
     softmax_rows,
@@ -20,7 +19,7 @@ from trifuse.tensors import (
     to_tokens,
 )
 
-from oracles import attention_naive, conv2d_loops, layer_norm_two_pass, matmul_loops, softmax_rows_direct
+from oracles import attention_naive, conv2d_loops, layer_norm_two_pass, softmax_rows_direct
 
 
 class TestConv2d:
@@ -167,17 +166,6 @@ class TestElementwiseAndPools:
     def test_max_pool(self, rng):
         x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         assert np.array_equal(global_max_pool(x), x.max(axis=(2, 3)))
-
-    def test_matmul_vs_triple_loop(self, rng):
-        a = rng.standard_normal((2, 3)).astype(np.float32)
-        b = rng.standard_normal((3, 2)).astype(np.float32)
-        got = matmul(a, b)
-        want = matmul_loops(a, b).astype(np.float32)
-        assert np.array_equal(got, want)
-
-    def test_matmul_inner_mismatch(self, rng):
-        with pytest.raises(ShapeError, match="inner dimensions"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
 
 
 class TestTokenReshape:
