@@ -6,7 +6,6 @@ published inventory is available via ``trifuse grid --ablation-grid``.
 """
 
 import tempfile
-from pathlib import Path
 
 from trifuse.harness import RunConfig, run_grid, write_grid_outputs
 
@@ -17,8 +16,6 @@ sweep = {
 }
 
 reports = run_grid(base, sweep)
-out = Path(tempfile.mkdtemp(prefix="trifuse_grid_"))
-write_grid_outputs(reports, out)
 
 print(f"{'mechanism':>10} {'stages':>8} {'params':>12} {'ms':>7}")
 for r in reports:
@@ -27,4 +24,6 @@ for r in reports:
     print(f"{c['mechanism']:>10} {stages:>8} {r.param_count:>12,} {r.forward_ms:>7.0f}")
 
 failed = [r for r in reports if not r.ok]
-print(f"\n{len(reports)} runs, {len(failed)} failed; outputs in {out}")
+with tempfile.TemporaryDirectory(prefix="trifuse_grid_") as out:
+    write_grid_outputs(reports, out)
+    print(f"\n{len(reports)} runs, {len(failed)} failed; outputs in {out}")

@@ -295,28 +295,38 @@ def forward_single(x, cfg, params, p="a"):
     return feats
 
 
-def forward_dual(x, cfg, fusion, params, modalities="RTE", diag=None):
-    """Dual-stream pass with fusion hooks.
+def encode_step(streams, stage, cfg, params):
+    """Both streams through one stage: the (stream A, stream B) maps."""
+    xa, xb = streams
+    return encode_stage(xa, stage, cfg, params, "a"), encode_stage(xb, stage, cfg, params, "b")
 
-    Returns four StageFeatures.  At fused stages the emitted map is the
-    fusion output, which also replaces both streams' next-stage input; at
-    unfused stages the emitted map is the element-wise mean of the two
-    streams (parameter-free, keeping the neck interface fixed) while the
-    streams continue independently.
+
+def merge_step(encoded, stage, cfg, fusion, params, diag=None):
+    """One stage's emitted StageFeature and the next stage's two inputs.
+
+    At a fused stage the emitted map is the fusion output, which also feeds
+    both next-stage streams; at an unfused stage it is the element-wise mean
+    of the streams (parameter-free, keeping the neck interface fixed) while
+    the streams continue independently.
     """
+    fa, fb = encoded
+    if stage in fusion.stages:
+        out = apply_fusion(fusion, fa, fb, params, f"fuse.s{stage}", diag=diag)
+        streams = out, out
+    else:
+        out = ((fa.astype(np.float64) + fb.astype(np.float64)) / 2.0).astype(np.float32)
+        streams = encoded
+    return StageFeature(out, stage, STAGE_STRIDES[stage - 1], cfg.widths[stage - 1]), streams
+
+
+def forward_dual(x, cfg, fusion, params, modalities="RTE", diag=None):
+    """Dual-stream pass with fusion hooks: the four StageFeatures of
+    ``merge_step`` folded over ``encode_step``, stage by stage."""
     split = split_streams(x, modalities)
-    xa, xb = split.stream_a, split.stream_b
+    streams = split.stream_a, split.stream_b
     feats = []
     for stage in range(1, 5):
-        fa = encode_stage(xa, stage, cfg, params, "a")
-        fb = encode_stage(xb, stage, cfg, params, "b")
-        width = cfg.widths[stage - 1]
-        if stage in fusion.stages:
-            fused = apply_fusion(fusion, fa, fb, params, f"fuse.s{stage}", diag=diag)
-            out = fused
-            xa = xb = fused
-        else:
-            out = ((fa.astype(np.float64) + fb.astype(np.float64)) / 2.0).astype(np.float32)
-            xa, xb = fa, fb
-        feats.append(StageFeature(out, stage, STAGE_STRIDES[stage - 1], width))
+        encoded = encode_step(streams, stage, cfg, params)
+        feat, streams = merge_step(encoded, stage, cfg, fusion, params, diag)
+        feats.append(feat)
     return feats

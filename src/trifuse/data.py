@@ -74,8 +74,10 @@ def read_npy(path):
 
 def text_lines(path):
     """Yield ("path:line", stripped text) for each non-blank line of a UTF-8
-    text file.  Each line is decoded on its own, so a byte that is not UTF-8
-    is a FormatError naming its line."""
+    text file.  Lines end at ``\n`` (a ``\r\n`` ending is stripped with the
+    rest of the edge whitespace); a lone ``\r`` does not split a line.  Each
+    line is decoded on its own, so a byte that is not UTF-8 is a FormatError
+    naming its line."""
     with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
             where = f"{path}:{i}"

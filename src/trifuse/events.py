@@ -18,6 +18,7 @@ from .errors import ConfigError, FormatError, ValidationError
 
 # 30 FPS frame interval
 DEFAULT_WINDOW_S = 1.0 / 30.0
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass
@@ -84,7 +85,8 @@ def bin_events(stream, center_t, delta_t=DEFAULT_WINDOW_S):
 
 
 def read_event_file(path):
-    """Parse a whitespace text file of ``t_us x y polarity`` lines."""
+    """Parse a whitespace text file of ``t_us x y polarity`` lines, each
+    field an integer within the int64 range."""
     t, x, y, p = [], [], [], []
     for where, line in text_lines(path):
         if line.startswith("#"):
@@ -96,6 +98,8 @@ def read_event_file(path):
             fields = [int(v) for v in parts]
         except ValueError as e:
             raise FormatError(f"{where}: non-numeric field") from e
+        if min(fields) < INT64_MIN or max(fields) > INT64_MAX:
+            raise FormatError(f"{where}: field outside the int64 range")
         for column, v in zip((t, x, y, p), fields):
             column.append(v)
     return t, x, y, p

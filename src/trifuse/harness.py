@@ -4,10 +4,14 @@ Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for a
 single configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.  Grid cells share parameter arrays per (variant,
-modalities, seed): each array is built once per group, bitwise equal to a
-fresh ``init_params``, so reports match per-cell ``run_single`` runs.  A
-config listed more than once runs once and every listing gets its report.
+so it can be replayed.  Grid cells share work per (variant, modalities,
+seed) group: each parameter array is built once per group, bitwise equal to
+a fresh ``init_params``, and cells share stage prefixes, so each stage
+encode and fusion merge runs once per distinct fusion prefix.  Reports
+match per-cell ``run_single`` runs, except that a grid ``forward_ms`` is
+composed: the sum of the median times of the shared stage steps on the
+cell's path plus the cell's own FPN.  A config listed more than once runs
+once and every listing gets its report.
 """
 
 from __future__ import annotations
@@ -19,13 +23,22 @@ import json
 import statistics
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, backbone_param_specs, forward_dual, normalize_modalities
+from .backbone import (
+    BackboneConfig,
+    backbone_param_specs,
+    encode_step,
+    forward_dual,
+    merge_step,
+    normalize_modalities,
+    split_streams,
+)
 from .data import default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError
 from .fusion import FusionConfig
@@ -170,10 +183,15 @@ class RunReport:
 
 
 def _int_tuple(name, values):
-    try:
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{name}: expected a list of integers, got {values!r}") from e
+    """``values`` as a tuple of exact integers.  As for JSONL class ids, an
+    integral float is accepted; a string, a boolean or a fraction is not."""
+    def exact(v):
+        return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                or isinstance(v, float) and v.is_integer())
+
+    if not isinstance(values, (list, tuple)) or not all(map(exact, values)):
+        raise ConfigError(f"{name}: expected a list of integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def build_param_specs(run_cfg, with_neck=True):
@@ -199,6 +217,18 @@ def make_input(run_cfg):
     return padded, orig
 
 
+def _timed(reps, fn, *args):
+    """``fn(*args)``'s first output and its median wall ms over ``reps`` calls."""
+    out, times = None, []
+    for rep in range(reps):
+        t0 = time.perf_counter()
+        value = fn(*args)
+        times.append((time.perf_counter() - t0) * 1000.0)
+        if rep == 0:
+            out = value
+    return out, statistics.median(times)
+
+
 def run_single(run_cfg, params=None):
     """Execute one configuration end to end and report shapes/params/timing."""
     run_cfg.validate()
@@ -209,22 +239,18 @@ def run_single(run_cfg, params=None):
     fus = run_cfg.fusion_config()
     x, _ = make_input(run_cfg)
 
-    times = []
-    diag = {}
-    feats = pyramid = None
-    for _ in range(run_cfg.timing_reps):
+    def forward():
         diag = {}
-        t0 = time.perf_counter()
         feats = forward_dual(x, cfg, fus, params, run_cfg.modalities, diag=diag)
-        pyramid = fpn(feats, params)
-        times.append((time.perf_counter() - t0) * 1000.0)
+        return feats, fpn(feats, params), diag
 
+    (feats, pyramid, diag), ms = _timed(run_cfg.timing_reps, forward)
     return RunReport(
         config=run_cfg.to_dict(),
         stage_shapes=[f.map.shape for f in feats],
         pyramid_shapes=pyramid.shapes(),
         param_count=param_count(specs),
-        forward_ms=statistics.median(times),
+        forward_ms=ms,
         diagnostics=diag,
     )
 
@@ -253,20 +279,111 @@ def expand_sweep(base, sweep):
     return configs
 
 
-def _run_cell(cfg, memo, lock):
-    """``run_single`` on a store drawn from ``memo`` ({ParamSpec: array}),
-    which gains the arrays this cell was the first to need.  A TrifuseError
-    is recorded in the report, not raised."""
+def _path(cfg):
+    """Memo keys of the nodes a cell's forward passes, in order: its input,
+    then per stage its encode, keyed by the fusion prefix through the stage
+    before, and its merge, keyed by the prefix through the stage.  A prefix
+    entry is None for an unfused stage.  An invalid cell passes none."""
+    try:
+        fus = cfg.validate().fusion_config()
+    except ConfigError:
+        return []
+    source = (cfg.input_size, cfg.batch, cfg.source)
+    path, prefix = [source], ()
+    for stage in range(1, 5):
+        path.append((source, cfg.timing_reps, "encode", prefix))
+        fused = (fus.mechanism, fus.tau, fus.se_ratio, fus.guidance, fus.merge)
+        prefix += (fused if stage in fus.stages else None,)
+        path.append((source, cfg.timing_reps, "merge", prefix))
+    return path
+
+
+class _Group:
+    """What the cells of one (variant, modalities, seed) group share.
+
+    ``arrays`` holds one array per ``ParamSpec`` (the whole spec, since one
+    name can take two shapes across mechanism settings).  ``nodes`` holds
+    one Future per node key of ``_path``, created by the first cell to need
+    it, and ``users`` counts the cells still to pass each node, so a node is
+    dropped as soon as its last user has it.
+    """
+
+    def __init__(self, cells):
+        self.lock = threading.Lock()
+        self.arrays = {}
+        self.nodes = {}
+        self.users = Counter(key for cfg in cells for key in _path(cfg))
+
+    def params(self, specs, seed):
+        with self.lock:
+            missing = [s for s in specs if s not in self.arrays]
+            if missing:
+                store = init_params(missing, seed)
+                self.arrays.update((s, store[s.name]) for s in missing)
+            return ParamStore({s.name: self.arrays[s] for s in specs})
+
+    def node(self, key, fn, *args):
+        """The node's value: ``fn(*args)`` run by the first cell to ask, its
+        outcome, a raised error included, shared with every later one."""
+        with self.lock:
+            future = self.nodes.get(key)
+            mine = future is None
+            if mine:
+                future = self.nodes[key] = Future()
+        if mine:
+            try:
+                future.set_result(fn(*args))
+            except BaseException as e:  # re-raised by result() below
+                future.set_exception(e)
+        try:
+            return future.result()
+        finally:
+            with self.lock:
+                self.users[key] -= 1
+                if not self.users[key]:
+                    del self.nodes[key]
+
+
+def _input_streams(cfg):
+    split = split_streams(make_input(cfg)[0], cfg.modalities)
+    return split.stream_a, split.stream_b
+
+
+def _merge(encoded, stage, cfg, fusion, params):
+    diag = {}
+    return (*merge_step(encoded, stage, cfg, fusion, params, diag), diag)
+
+
+def _run_cell(cfg, group):
+    """One grid cell: ``run_single``'s report, from the group's shared input,
+    stage encodes and merges plus the cell's own FPN.  Its ``forward_ms`` is
+    the sum of the nodes' median times and the FPN's.  A TrifuseError is
+    recorded in the report, not raised."""
     try:
         cfg.validate()
         specs = build_param_specs(cfg)
-        with lock:
-            missing = [s for s in specs if s not in memo]
-            if missing:
-                store = init_params(missing, cfg.seed)
-                memo.update((s, store[s.name]) for s in missing)
-            params = ParamStore({s.name: memo[s] for s in specs})
-        return run_single(cfg, params=params)
+        params = group.params(specs, cfg.seed)
+        bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
+        source, *stage_keys = _path(cfg)
+        streams = group.node(source, _input_streams, cfg)
+        feats, diag, forward_ms = [], {}, 0.0
+        for stage, enc_key, merge_key in zip(range(1, 5), stage_keys[::2], stage_keys[1::2]):
+            encoded, enc_ms = group.node(enc_key, _timed, reps, encode_step, streams, stage, bcfg, params)
+            (feat, streams, part), merge_ms = group.node(
+                merge_key, _timed, reps, _merge, encoded, stage, bcfg, fus, params)
+            feats.append(feat)
+            forward_ms += enc_ms + merge_ms
+            for name, values in part.items():
+                diag.setdefault(name, []).extend(values)
+        pyramid, fpn_ms = _timed(reps, fpn, feats, params)
+        return RunReport(
+            config=cfg.to_dict(),
+            stage_shapes=[f.map.shape for f in feats],
+            pyramid_shapes=pyramid.shapes(),
+            param_count=param_count(specs),
+            forward_ms=forward_ms + fpn_ms,
+            diagnostics=diag,
+        )
     except TrifuseError as e:
         return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
 
@@ -276,10 +393,10 @@ def _run_cells(configs, workers=1):
 
     Each distinct config runs once and its repeats get the same report.
     Cells run grouped by (variant, modalities, seed), ``workers`` threads
-    at a time within a group.  A group keeps one array per ``ParamSpec``
-    (the whole spec, since one name can take two shapes across mechanism
-    settings) and drops them when it ends.  Per-name seeding makes a shared
-    array bitwise equal to the one a fresh ``init_params`` would build.
+    at a time within a group, and share a ``_Group``: its parameter arrays
+    and its nodes, each computed exactly once.  Per-name seeding makes a
+    shared array bitwise equal to the one a fresh ``init_params`` would
+    build, so a shared node computes what the cell's own forward would.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
@@ -288,8 +405,8 @@ def _run_cells(configs, workers=1):
         groups.setdefault((cfg.variant, cfg.modalities, cfg.seed), []).append(key)
     reports = {}
     for keys in groups.values():
-        cell = functools.partial(_run_cell, memo={}, lock=threading.Lock())
         cells = [distinct[k] for k in keys]
+        cell = functools.partial(_run_cell, group=_Group(cells))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(cell, cells))

@@ -284,13 +284,19 @@ class ParamStore:
 
 
 def trunc_normal(rng, shape, std=0.02, bound=2.0):
-    """Normal(0, std) resampled until all draws fall inside +-bound*std."""
+    """Normal(0, std) resampled until all draws fall inside +-bound*std.
+
+    Each round redraws the entries still out of bound, in C order, and
+    re-tests only those: an entry in bound never changes.
+    """
     out = rng.standard_normal(shape)
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > bound)
     for _ in range(64):
-        bad = np.abs(out) > bound
-        if not bad.any():
+        if not bad.size:
             break
-        out[bad] = rng.standard_normal(int(bad.sum()))
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > bound]
     return (out * std).astype(DTYPE)
 
 

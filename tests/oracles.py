@@ -135,3 +135,14 @@ def average_precision_staircase(dets, gts, thresh):
                 best = pr
         total += best
     return total / 101.0
+
+
+def trunc_normal_full_retest(rng, shape, std=0.02, bound=2.0):
+    """Truncated normal that re-tests the whole array after every redraw."""
+    out = rng.standard_normal(shape)
+    for _ in range(64):
+        bad = np.abs(out) > bound
+        if not bad.any():
+            break
+        out[bad] = rng.standard_normal(int(bad.sum()))
+    return (out * std).astype(np.float32)

@@ -144,6 +144,14 @@ class TestInputErrors:
                                    "grid", "--sweep", str(sweep)])
         assert "error: stages: " in err
 
+    @pytest.mark.parametrize("field, value", [("stages", [3.9]), ("stages", "34"), ("stages", [True]),
+                                              ("input_size", [64.5, 64]), ("input_size", ["64", 64])])
+    def test_inexact_integers_in_config(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "B0", "input_size": [64, 64], "timing_reps": 1, field: value}))
+        err = self._fails(capsys, ["--config", str(cfg), "--out", str(tmp_path / "r.json"), "inspect"])
+        assert f"error: {field}: expected a list of integers" in err
+
     def test_missing_detections_file(self, tmp_path, capsys):
         gts = tmp_path / "g.jsonl"
         gts.write_text("")
@@ -207,6 +215,19 @@ class TestBinEvents:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert f"error: {paths[bad]}:3: non-numeric" in err
+        assert "Traceback" not in err
+
+
+    def test_timestamp_beyond_int64_exits_one(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text("100000 2 1 1\n9223372036854775808 3 2 -1\n")
+        stamps = tmp_path / "stamps.txt"
+        stamps.write_text("0.1\n")
+        code = main(["--out", str(tmp_path / "frames"), "bin-events",
+                     "--events", str(events), "--timestamps", str(stamps)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"error: {events}:2: " in err
         assert "Traceback" not in err
 
 

@@ -19,6 +19,7 @@ from trifuse.data import (
     parse_labels,
     read_npy,
     save_manifest,
+    text_lines,
     write_npy,
 )
 from trifuse.errors import ConfigError, FormatError, ValidationError
@@ -79,6 +80,12 @@ def _write_sample(tmp_path, rng, h=301, w=391, labels="0 0.5 0.5 0.2 0.1\n"):
     write_npy(img, arr)
     lbl.write_text(labels)
     return img, lbl, arr
+
+
+def test_text_lines_end_at_newline_only(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a b\r\nc\rd\n\n  e \n")
+    assert list(text_lines(path)) == [(f"{path}:1", "a b"), (f"{path}:2", "c\rd"), (f"{path}:4", "e")]
 
 
 class TestLoadFrame:

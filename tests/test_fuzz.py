@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trifuse.data import load_manifest, parse_labels, read_npy, write_npy
 from trifuse.errors import FormatError, TrifuseError
-from trifuse.events import read_event_file
+from trifuse.events import EventStream, read_event_file
 from trifuse.metrics import read_detections_jsonl, read_ground_truth_jsonl
 
 # derandomized so that the suite is a deterministic gate; tmp_path is shared
@@ -66,6 +66,22 @@ def test_arbitrary_bytes_raise_only_trifuse_errors(tmp_path, name, data):
     path = tmp_path / "input"
     path.write_bytes(data)
     only_trifuse_errors(READERS[name], path)
+
+
+# event lines of four integer fields, some beyond int64, now and then a comment
+event_files = st.lists(
+    st.one_of(st.lists(st.one_of(st.integers(-2, 6), st.integers(-2**70, 2**70)), min_size=4, max_size=4)
+              .map(lambda fields: " ".join(map(str, fields))), st.just("# t x y p")),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode())
+
+
+@FUZZ
+@given(data=st.one_of(event_files, text_files))
+def test_event_file_into_event_stream_raises_only_trifuse_errors(tmp_path, data):
+    path = tmp_path / "events.txt"
+    path.write_bytes(data)
+    only_trifuse_errors(lambda p: EventStream(*read_event_file(p), sensor_size=(4, 5)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +186,16 @@ def test_non_utf8_byte_names_its_line(tmp_path, name):
     path = tmp_path / "input"
     path.write_bytes(FIRST_LINES[name].encode() + b"\n\xff\n")
     raises_at(READERS[name], path, f"{path}:2: not UTF-8")
+
+
+@pytest.mark.parametrize("field", [0, 3])
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+def test_event_field_beyond_int64_names_its_line(tmp_path, field, value):
+    fields = [100, 2, 1, 1]
+    fields[field] = value
+    path = tmp_path / "events.txt"
+    path.write_text("100 2 1 1\n" + " ".join(map(str, fields)) + "\n")
+    raises_at(read_event_file, path, f"{path}:2: ")
 
 
 @pytest.mark.parametrize("name", ["read_detections_jsonl", "read_ground_truth_jsonl", "load_manifest"])

@@ -1,15 +1,17 @@
+import gc
 import hashlib
 import json
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trifuse import harness
-from trifuse.errors import ConfigError
+from trifuse import backbone, harness
+from trifuse.errors import ConfigError, ShapeError, TrifuseError
 from trifuse.harness import (
     RunConfig,
     RunReport,
@@ -56,6 +58,18 @@ class TestRunConfig:
         # ValueError or AttributeError, and source 5 must not open fd 5
         with pytest.raises(ConfigError, match=f"^{field}: expected"):
             replace(FAST, **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["stages", "input_size"])
+    @pytest.mark.parametrize("value", [[3.9, 64], "34", [True, 64], ["64", 64], [64, float("nan")]],
+                             ids=["fraction", "string", "bool", "string-entry", "nan"])
+    def test_inexact_integers_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: expected a list of integers"):
+            RunConfig.from_dict({field: value})
+
+    def test_integral_floats_accepted(self):
+        cfg = RunConfig.from_dict({"stages": [3.0, 4], "input_size": [64.0, 64]})
+        assert cfg.stages == (3, 4) and cfg.input_size == (64, 64)
+        assert all(type(v) is int for v in cfg.stages + cfg.input_size)
 
     def test_int_tau_accepted(self):
         assert replace(FAST, tau=1).validate().tau == 1
@@ -155,6 +169,11 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             expand_sweep(FAST, sweep)
 
+    @pytest.mark.parametrize("stages", [[3.9], "34", [True], ["4"]])
+    def test_inexact_stage_lists_rejected(self, stages):
+        with pytest.raises(ConfigError, match="^stages: expected a list of integers"):
+            expand_sweep(FAST, {"stages": [[4], stages]})
+
     def test_stage_subsets_cast_to_tuples(self):
         configs = expand_sweep(FAST, {"stages": [[1], [1, 2]]})
         assert configs[0].stages == (1,)
@@ -187,27 +206,124 @@ class TestRunGrid:
         assert "ConfigError" in rows[1] + rows[2]
 
 
-class TestGridEngine:
-    """Grid cells share parameter arrays per (variant, modalities, seed)."""
+def single_report(cfg):
+    """``run_single``'s report, or the error report a grid cell records."""
+    try:
+        return run_single(cfg).to_dict()
+    except TrifuseError as e:
+        return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}").to_dict()
 
-    # gaff at se_ratio 4 and 8 gives one parameter name two shapes
-    SWEEP = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
-             "variant": ["B0", "B9"]}
+
+def assert_reports_equal_per_cell_runs(reports):
+    for rep in reports:
+        cfg = RunConfig.from_dict(rep.config)
+        got, want = rep.to_dict(), single_report(cfg)
+        got.pop("forward_ms"), want.pop("forward_ms")
+        assert got == want, cfg.key()
+
+
+class TestGridEngine:
+    """Grid cells share parameter arrays and stage prefixes per (variant,
+    modalities, seed)."""
+
+    # gaff at se_ratio 4 and 8 gives one parameter name two shapes; the two
+    # placements share stages 1-2, and the two taus share all but cssa's
+    # fused stages
+    SWEEP = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4], [3, 4]],
+             "tau": [0.3, 0.7], "variant": ["B0", "B9"]}
+    # 6 cells: stages 1-3 shared by all, stage 4 on four distinct prefixes
+    PREFIXES = {"mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reports_equal_per_cell_runs(self, workers):
-        reports = run_grid(FAST, self.SWEEP, workers=workers)
-        assert len(reports) == 8
-        assert sum(r.ok for r in reports) == 4
-        for rep in reports:
-            cfg = RunConfig.from_dict(rep.config)
-            try:
-                want = run_single(cfg).to_dict()
-            except ConfigError as e:
-                want = RunReport(config=cfg.to_dict(), error=f"ConfigError: {e}").to_dict()
-            got = rep.to_dict()
-            got.pop("forward_ms"), want.pop("forward_ms")
-            assert got == want, cfg.key()
+        # two timing reps: a node's reruns only time it, its first output stays
+        reports = run_grid(replace(FAST, timing_reps=2), self.SWEEP, workers=workers)
+        assert len(reports) == 32
+        assert sum(r.ok for r in reports) == 16
+        assert_reports_equal_per_cell_runs(reports)
+
+    def _count_encodes(self, monkeypatch):
+        calls = Counter()
+        real = backbone.encode_stage
+
+        def counting(x, stage, cfg, params, p):
+            calls[stage] += 1
+            return real(x, stage, cfg, params, p)
+
+        monkeypatch.setattr(backbone, "encode_stage", counting)
+        return calls
+
+    def test_each_stage_encoded_once_per_prefix(self, monkeypatch):
+        calls = self._count_encodes(monkeypatch)
+        run_grid(FAST, self.PREFIXES)
+        # two streams per encode; one cell at a time recomputed all 48
+        assert sum(calls.values()) == 14
+        assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
+
+    def test_each_stage_encoded_once_per_prefix_with_workers(self, monkeypatch):
+        calls = self._count_encodes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = run_grid(FAST, self.PREFIXES, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(calls.values()) == 14
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_nodes_dropped_after_their_last_user(self, monkeypatch):
+        maps = []
+        real_encode, real_fpn = backbone.encode_stage, harness.fpn
+        live_at_fpn = []
+
+        def recording(*args):
+            out = real_encode(*args)
+            maps.append(weakref.ref(out))
+            return out
+
+        def fpn(feats, params):
+            gc.collect()
+            live_at_fpn.append(sum(r() is not None for r in maps))
+            return real_fpn(feats, params)
+
+        monkeypatch.setattr(backbone, "encode_stage", recording)
+        monkeypatch.setattr(harness, "fpn", fpn)
+        run_grid(FAST, self.PREFIXES)
+        gc.collect()
+        assert len(maps) == 14 and len(live_at_fpn) == 6
+        # the last cell holds only its own stage-4 pair; the memo holds nothing
+        assert live_at_fpn[-1] <= 2
+        assert all(r() is None for r in maps)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch, workers):
+        raised = []
+        real = backbone.apply_fusion
+
+        def failing(cfg, xa, xb, params, p, diag=None):
+            if cfg.mechanism == "cssa" and p == "fuse.s3":
+                raised.append(p)
+                raise ShapeError("cssa at stage 3 refused")
+            return real(cfg, xa, xb, params, p, diag)
+
+        monkeypatch.setattr(backbone, "apply_fusion", failing)
+        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]},
+                           workers=workers)
+        assert len(raised) == 1  # one node, two cells
+        failed = [r for r in reports if not r.ok]
+        assert [(r.config["stages"], r.error) for r in failed] == [
+            ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
+        ]
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_failing_shared_input_fails_every_cell(self, tmp_path):
+        manifest = generate_corpus(tmp_path, 1, height=64, width=64, seed=0)
+        frame = tmp_path / "frame_0000.npy"
+        frame.write_bytes(frame.read_bytes()[:100])
+        reports = run_grid(replace(FAST, source=str(manifest)), self.PREFIXES, workers=2)
+        assert len({r.error for r in reports}) == 1
+        assert reports[0].error.startswith("FormatError: ")
+        assert_reports_equal_per_cell_runs(reports)
 
     def test_each_spec_built_once_per_group(self, monkeypatch):
         built = Counter()
@@ -237,12 +353,11 @@ class TestGridEngine:
     def test_ablation_reports_keep_inventory_order(self, monkeypatch):
         ran = []
 
-        def fake_run_single(cfg, params):
+        def fake_run_cell(cfg, group):
             ran.append(cfg)
             return RunReport(config=cfg.to_dict())
 
-        monkeypatch.setattr(harness, "build_param_specs", lambda cfg: [])
-        monkeypatch.setattr(harness, "run_single", fake_run_single)
+        monkeypatch.setattr(harness, "_run_cell", fake_run_cell)
         groups = run_ablation_grid(RunConfig())
         inventory = [cfg for _, cfg in ablation_grid_sweeps()]
         assert list(groups) == list(dict.fromkeys(g for g, _ in ablation_grid_sweeps()))
@@ -267,19 +382,19 @@ class TestAblationGridEngine:
 
         monkeypatch.setattr(harness, "init_params", tiled)
 
-    def _watch_run_single(self, monkeypatch):
+    def _watch_cells(self, monkeypatch):
         calls = []
-        real = harness.run_single
+        real = harness._run_cell
 
-        def watched(cfg, params=None):
+        def watched(cfg, group):
             calls.append((cfg, threading.current_thread()))
-            return real(cfg, params)
+            return real(cfg, group)
 
-        monkeypatch.setattr(harness, "run_single", watched)
+        monkeypatch.setattr(harness, "_run_cell", watched)
         return calls
 
     def test_each_distinct_config_runs_once(self, monkeypatch):
-        calls = self._watch_run_single(monkeypatch)
+        calls = self._watch_cells(monkeypatch)
         groups = run_ablation_grid(self.BASE)
         reports = [r for rs in groups.values() for r in rs]
         assert len(reports) == 52
@@ -290,7 +405,7 @@ class TestAblationGridEngine:
         assert len(repeats) == 3 and all(r is repeats[0] for r in repeats)
 
     def test_workers_agree_with_serial(self, monkeypatch):
-        calls = self._watch_run_single(monkeypatch)
+        calls = self._watch_cells(monkeypatch)
 
         def without_timing(groups):
             return {g: [{**r.to_dict(), "forward_ms": None} for r in rs] for g, rs in groups.items()}

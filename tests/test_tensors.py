@@ -19,7 +19,13 @@ from trifuse.tensors import (
     to_tokens,
 )
 
-from oracles import attention_naive, conv2d_loops, layer_norm_two_pass, softmax_rows_direct
+from oracles import (
+    attention_naive,
+    conv2d_loops,
+    layer_norm_two_pass,
+    softmax_rows_direct,
+    trunc_normal_full_retest,
+)
 
 
 class TestConv2d:
@@ -245,6 +251,17 @@ class TestParams:
         assert np.all(p["conv.b"] == 0)
         assert np.all(p["norm.g"] == 1)
         assert np.abs(p["conv.w"]).max() <= 0.04 + 1e-9  # truncated at 2 std
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4, 5), (64, 64), (8, 4, 3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    @pytest.mark.parametrize("bound", [2.0, 0.5, 0.05])  # 0.05 runs out of rounds
+    def test_trunc_normal_bitwise_as_full_retest(self, shape, seed, bound):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = tensors.trunc_normal(got_rng, shape, bound=bound)
+        want = trunc_normal_full_retest(want_rng, shape, bound=bound)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.standard_normal() == want_rng.standard_normal()  # same number of draws
 
     def test_conv_param_count_formula(self):
         # Cin*Cout*k^2 + Cout, cross-checked by enumerating scalars
