@@ -68,8 +68,10 @@ def read_npy(path):
         nbytes = math.prod(shape) * dtype.itemsize
         if nbytes > os.fstat(f.fileno()).st_size - f.tell():
             raise FormatError(f"{path}: truncated data section")
-        arr = np.frombuffer(f.read(nbytes), dtype=dtype).reshape(shape)
-        return arr.astype(dtype.newbyteorder("="))
+        arr = np.empty(shape, dtype)
+        if f.readinto(memoryview(arr.reshape(-1)).cast("B")) != nbytes:
+            raise FormatError(f"{path}: truncated data section")
+        return arr if dtype.isnative else arr.byteswap(inplace=True).view(dtype.newbyteorder("="))
 
 
 def text_lines(path):
@@ -186,7 +188,7 @@ def load_frame(array_path, label_path, meta=None):
         raise FormatError(f"{array_path}: expected rank-3 H x W x 5 array, got rank {arr.ndim}")
     if arr.shape[2] != 5:
         raise FormatError(f"{array_path}: expected 5 channels, got {arr.shape[2]}")
-    pixels = np.ascontiguousarray(arr.astype(np.float32).transpose(2, 0, 1)[None])
+    pixels = np.ascontiguousarray(arr.transpose(2, 0, 1)[None], dtype=np.float32)
     boxes = parse_labels(label_path) if label_path is not None else []
     return TriModalFrame(pixels=pixels, boxes=boxes, meta=dict(meta or {}))
 
@@ -219,11 +221,16 @@ def default_stats(pixel_range=1.0, thermal=(0.5, 0.25), event=(0.0, 0.5)):
 
 
 def normalize(frame, stats):
-    """Apply (x - mean) / std per channel; accepts a frame or a raw tensor."""
+    """Apply (x - mean) / std per channel in float64, rounded to float32;
+    accepts a frame or a raw (B, 5, H, W) tensor.  Each channel passes
+    through one reused float64 buffer."""
     pixels = frame.pixels if isinstance(frame, TriModalFrame) else frame
-    m = stats.mean.reshape(1, 5, 1, 1)
-    s = stats.std.reshape(1, 5, 1, 1)
-    return ((pixels.astype(np.float64) - m) / s).astype(np.float32)
+    out = np.empty(pixels.shape, np.float32)
+    buf = np.empty(out[:, 0].shape, np.float64)
+    for c in range(5):
+        np.subtract(pixels[:, c], stats.mean[c], out=buf, dtype=np.float64)
+        np.divide(buf, stats.std[c], out=out[:, c], dtype=np.float64)
+    return out
 
 
 def denormalize(tensor, stats):

@@ -42,16 +42,17 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ValidationError("event component arrays have unequal lengths")
-        if n and np.any(np.diff(self.t) < 0):
-            bad = int(np.argmax(np.diff(self.t) < 0)) + 1
-            raise ValidationError(f"timestamps decrease at event index {bad}")
+        # compared, not differenced: a difference can overflow int64
+        down = self.t[1:] < self.t[:-1]
+        if down.any():
+            raise ValidationError(f"timestamps decrease at event index {int(down.argmax()) + 1}")
         h, w = self.sensor_size
         if n:
             if self.x.min() < 0 or self.x.max() >= w:
                 raise ValidationError(f"x coordinate outside [0, {w})")
             if self.y.min() < 0 or self.y.max() >= h:
                 raise ValidationError(f"y coordinate outside [0, {h})")
-            if not np.all(np.isin(self.p, (-1, 1))):
+            if not ((self.p == 1) | (self.p == -1)).all():
                 raise ValidationError("polarity values must be +1 or -1")
 
     def __len__(self):

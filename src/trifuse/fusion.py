@@ -70,6 +70,10 @@ class FusionConfig:
         if self.merge not in GAFF_MERGES:
             raise ConfigError(f"merge must be direct/bottleneck, got {self.merge!r}")
 
+    def block_settings(self):
+        """The values of the fields the mechanism's fusion block reads."""
+        return tuple(getattr(self, name) for name in FUSIONS[self.mechanism][0])
+
 
 @dataclass
 class GatePack:
@@ -392,34 +396,36 @@ def _gate_diag(diag, gates):
     )
 
 
-# mechanism -> (specs(cfg, c, p), apply(cfg, xa, xb, params, p, diag));
-# apply is None for a mechanism without a fusion block.  Every name is
-# looked up when called, so wrapping a module function takes effect here.
+# mechanism -> (the FusionConfig fields its block reads, specs(c, p, *fields),
+# apply(xa, xb, params, p, diag, *fields)); apply is None for a mechanism
+# without a fusion block.  A block sees only the fields listed, so two
+# configs that agree on them and the mechanism compute the same block.
+# Every name is looked up when called, so wrapping a module function takes
+# effect here.
 FUSIONS = {
-    "mage_bite": (lambda cfg, c, p: mage_specs(c, p) + bite_specs(c, p),
-                  lambda cfg, xa, xb, params, p, diag: mage_bite(xa, xb, params, p, diag)),
-    "mage_only": (lambda cfg, c, p: mage_only_specs(c, p),
-                  lambda cfg, xa, xb, params, p, diag: mage_only(xa, xb, params, p, diag)),
-    "bite_only": (lambda cfg, c, p: bite_specs(c, p),
-                  lambda cfg, xa, xb, params, p, diag: bite(xa, xb, params, p)),
-    "cssa": (lambda cfg, c, p: cssa_specs(c, p),
-             lambda cfg, xa, xb, params, p, diag: cssa(xa, xb, params, p, cfg.tau, diag)),
-    "gaff": (lambda cfg, c, p: gaff_specs(c, p, cfg.se_ratio, cfg.guidance, cfg.merge),
-             lambda cfg, xa, xb, params, p, diag: gaff(
-                 xa, xb, params, p, cfg.se_ratio, cfg.guidance, cfg.merge, diag)),
-    "none": (lambda cfg, c, p: [], None),
+    "mage_bite": ((), lambda c, p: mage_specs(c, p) + bite_specs(c, p),
+                  lambda xa, xb, params, p, diag: mage_bite(xa, xb, params, p, diag)),
+    "mage_only": ((), lambda c, p: mage_only_specs(c, p),
+                  lambda xa, xb, params, p, diag: mage_only(xa, xb, params, p, diag)),
+    "bite_only": ((), lambda c, p: bite_specs(c, p),
+                  lambda xa, xb, params, p, diag: bite(xa, xb, params, p)),
+    "cssa": (("tau",), lambda c, p, tau: cssa_specs(c, p),
+             lambda xa, xb, params, p, diag, tau: cssa(xa, xb, params, p, tau, diag)),
+    "gaff": (("se_ratio", "guidance", "merge"), lambda c, p, *fields: gaff_specs(c, p, *fields),
+             lambda xa, xb, params, p, diag, *fields: gaff(xa, xb, params, p, *fields, diag)),
+    "none": ((), lambda c, p: [], None),
 }
 MECHANISMS = tuple(FUSIONS)
 
 
 def fusion_param_specs(cfg, c, p):
     """Parameter declarations for one fusion block of width ``c``."""
-    return FUSIONS[cfg.mechanism][0](cfg, c, p)
+    return FUSIONS[cfg.mechanism][1](c, p, *cfg.block_settings())
 
 
 def apply_fusion(cfg, xa, xb, params, p, diag=None):
     """Run the configured mechanism on one stage's stream pair."""
-    apply = FUSIONS[cfg.mechanism][1]
+    apply = FUSIONS[cfg.mechanism][2]
     if apply is None:
         raise ConfigError(f"mechanism {cfg.mechanism!r} has no fusion block")
-    return apply(cfg, xa, xb, params, p, diag)
+    return apply(xa, xb, params, p, diag, *cfg.block_settings())

@@ -94,6 +94,9 @@ class RunConfig:
             value, want = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 raise ConfigError(f"{f.name}: expected {want.__name__}, got {value!r}")
+        for name in ("stages", "input_size"):
+            if not all(map(_is_int, getattr(self, name))):
+                raise ConfigError(f"{name}: expected a list of integers, got {getattr(self, name)!r}")
         try:
             cfg = self.backbone_config()
         except ConfigError as e:
@@ -182,12 +185,16 @@ class RunReport:
         }
 
 
+def _is_int(v):
+    """An int, not a boolean: what a validated config holds."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_tuple(name, values):
     """``values`` as a tuple of exact integers.  As for JSONL class ids, an
     integral float is accepted; a string, a boolean or a fraction is not."""
     def exact(v):
-        return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                or isinstance(v, float) and v.is_integer())
+        return _is_int(v) or isinstance(v, np.integer) or isinstance(v, float) and v.is_integer()
 
     if not isinstance(values, (list, tuple)) or not all(map(exact, values)):
         raise ConfigError(f"{name}: expected a list of integers, got {values!r}")
@@ -283,7 +290,8 @@ def _path(cfg):
     """Memo keys of the nodes a cell's forward passes, in order: its input,
     then per stage its encode, keyed by the fusion prefix through the stage
     before, and its merge, keyed by the prefix through the stage.  A prefix
-    entry is None for an unfused stage.  An invalid cell passes none."""
+    entry is None for an unfused stage, else the mechanism and the settings
+    its block reads.  An invalid cell passes none."""
     try:
         fus = cfg.validate().fusion_config()
     except ConfigError:
@@ -292,7 +300,7 @@ def _path(cfg):
     path, prefix = [source], ()
     for stage in range(1, 5):
         path.append((source, cfg.timing_reps, "encode", prefix))
-        fused = (fus.mechanism, fus.tau, fus.se_ratio, fus.guidance, fus.merge)
+        fused = (fus.mechanism, *fus.block_settings())
         prefix += (fused if stage in fus.stages else None,)
         path.append((source, cfg.timing_reps, "merge", prefix))
     return path

@@ -146,3 +146,59 @@ def trunc_normal_full_retest(rng, shape, std=0.02, bound=2.0):
             break
         out[bad] = rng.standard_normal(int(bad.sum()))
     return (out * std).astype(np.float32)
+
+
+def greedy_match_loop(dets, gts, thresholds):
+    """The greedy matcher one detection at a time: per (image, class) group
+    one IoU matrix, then each detection in descending score (stable on
+    ties) takes, per threshold, the highest-IoU free ground truth at or
+    above it, the lowest index on ties.  Returns the order and the
+    (threshold, detection) true-positive flags."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    groups = {}
+    for j, g in enumerate(gts):
+        groups.setdefault((g.image_id, g.class_id), ([], []))[1].append(j)
+    for i in order:
+        group = groups.get((dets[i].image_id, dets[i].class_id))
+        if group is not None:
+            group[0].append(i)
+    thr = np.asarray(thresholds, np.float64)[:, None]
+    rows = np.arange(len(thr))
+    tp = np.zeros((len(thr), len(dets)), bool)
+    for det_idx, gt_idx in groups.values():
+        if not det_idx:
+            continue
+        a = np.array([dets[i].box for i in det_idx], np.float64)
+        b = np.array([gts[j].box for j in gt_idx], np.float64)
+        iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+        ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        ious = np.where((iw <= 0) | (ih <= 0), 0.0, inter / (area_a[:, None] + area_b[None, :] - inter))
+        free = np.ones((len(thr), len(gt_idx)), bool)
+        for i, row in zip(det_idx, ious):
+            ok = free & (row >= thr)
+            best = np.where(ok, row, -1.0).argmax(axis=1)
+            hit = ok[rows, best]
+            free[rows[hit], best[hit]] = False
+            tp[:, i] = hit
+    return order, tp
+
+
+def ap_running_sum(tp_flags, n_gt, recall_points):
+    """101-point interpolated AP with the recall points looked up one at a
+    time and added to a running total."""
+    if not len(tp_flags):
+        return 0.0
+    flags = tp_flags.astype(np.float64)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(1.0 - flags)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    for r in recall_points:
+        idx = np.searchsorted(recall, r, side="left")
+        ap += env[idx] if idx < len(env) else 0.0
+    return float(ap / len(recall_points))

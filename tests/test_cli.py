@@ -217,7 +217,6 @@ class TestBinEvents:
         assert f"error: {paths[bad]}:3: non-numeric" in err
         assert "Traceback" not in err
 
-
     def test_timestamp_beyond_int64_exits_one(self, tmp_path, capsys):
         events = tmp_path / "events.txt"
         events.write_text("100000 2 1 1\n9223372036854775808 3 2 -1\n")
@@ -231,14 +230,51 @@ class TestBinEvents:
         assert "Traceback" not in err
 
 
+    def test_timestamps_decreasing_across_int64_exit_one(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text(f"{2**63 - 1} 0 0 1\n{-2**63} 0 0 1\n")
+        stamps = tmp_path / "stamps.txt"
+        stamps.write_text("0.1\n")
+        code = main(["--out", str(tmp_path / "frames"), "bin-events", "--events", str(events),
+                     "--timestamps", str(stamps), "--sensor-size", "4", "4"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == "error: timestamps decrease at event index 1\n"
+        assert not (tmp_path / "frames").exists()
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [ln.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for ln in block.splitlines() if ln.startswith("trifuse ")]
+
+
 class TestParser:
     def test_readme_command_lines_parse(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        lines = [ln.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-                 for ln in block.splitlines() if ln.startswith("trifuse ")]
+        lines = _readme_command_lines()
         assert len(lines) == 7
         for line in lines:
             build_parser().parse_args(shlex.split(line)[1:])  # exits 2 on a parse error
+
+    def test_readme_command_lines_run(self, tmp_path, monkeypatch):
+        # each line as written, in a directory holding the files it names,
+        # with a config that shrinks the model (only inspect and grid read it)
+        monkeypatch.chdir(tmp_path)
+        config = _fast_config(tmp_path)
+        Path("sweep.json").write_text('{"mechanism": ["cssa", "gaff"], "stages": [[4], [3, 4]]}')
+        Path("events.txt").write_text("".join(f"{t} {t % 346} {t % 260} {t % 2 * 2 - 1}\n"
+                                              for t in range(0, 100_000, 997)))
+        Path("stamps.txt").write_text("0.02\n0.05\n")
+        write_detections_jsonl("dets.jsonl", [Detection("a", (1, 0, 11, 10), 0.9),
+                                              Detection("a", (50, 50, 60, 60), 0.4)])
+        Path("gt.jsonl").write_text('{"image_id": "a", "bbox": [0, 0, 10, 10]}\n'
+                                    '{"image_id": "a", "bbox": [20, 0, 30, 10]}\n')
+        for line in _readme_command_lines():
+            assert main(["--config", config] + shlex.split(line)[1:]) == EXIT_OK, line
+        assert json.loads(Path("report.json").read_text())["config"]["mechanism"] == "cssa"
+        assert len(json.loads(Path("runs/grid.json").read_text())) == 52
+        assert len(json.loads(Path("corpus/manifest.json").read_text())) == 8
+        assert read_npy("frames/frame_0001.npy").shape == (260, 346)
 
     def test_shared_flags_after_the_verb(self):
         parse = build_parser().parse_args

@@ -95,6 +95,15 @@ class TestLoadFrame:
         assert frame.pixels.shape == (1, 5, 301, 391)
         assert np.array_equal(frame.pixels[0].transpose(1, 2, 0), arr)
 
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4", "<f8", ">f8", "|u1", "<i2", ">i8"])
+    def test_pixels_bitwise_equal_to_cast_then_transpose(self, tmp_path, rng, dtype):
+        arr = (rng.standard_normal((7, 9, 5)) * 1e3).astype(dtype)
+        np.save(tmp_path / "a.npy", arr)
+        pixels = load_frame(tmp_path / "a.npy", None).pixels
+        want = np.ascontiguousarray(arr.astype(np.float32).transpose(2, 0, 1)[None])
+        assert pixels.dtype == np.float32 and pixels.flags.c_contiguous and pixels.flags.writeable
+        assert pixels.tobytes() == want.tobytes()
+
     def test_empty_labels(self, tmp_path, rng):
         img, lbl, _ = _write_sample(tmp_path, rng, h=8, w=8, labels="")
         assert load_frame(img, lbl).boxes == []
@@ -152,6 +161,16 @@ class TestNormalize:
         out = normalize(x, stats)
         want = (np.array([0.0, 0.485, 1.0]) - 0.485) / 0.229
         assert np.abs(out[0, 0, 0] - want.astype(np.float32)).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8, np.int32])
+    def test_bitwise_equal_to_the_whole_array_formula(self, rng, dtype):
+        x = (rng.standard_normal((2, 5, 7, 18)) * 300).astype(dtype)
+        stats = NormStats(rng.uniform(-2, 2, 5), rng.uniform(0.01, 3, 5))
+        m, s = stats.mean.reshape(1, 5, 1, 1), stats.std.reshape(1, 5, 1, 1)
+        for view in (x, x[..., ::2]):
+            want = ((view.astype(np.float64) - m) / s).astype(np.float32)
+            got = normalize(view, stats)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
     def test_denormalize_roundtrip(self, rng):
         stats = default_stats()

@@ -20,6 +20,15 @@ class TestEventStream:
         with pytest.raises(ValidationError, match="index 2"):
             EventStream([10, 20, 15], [0, 0, 0], [0, 0, 0], [1, 1, 1], (4, 4))
 
+    def test_decrease_across_the_int64_range_rejected(self):
+        # the difference of these two timestamps wraps to +1 in int64
+        with pytest.raises(ValidationError, match="timestamps decrease at event index 1$"):
+            EventStream([2**63 - 1, -2**63], [0, 0], [0, 0], [1, 1], (4, 4))
+        with pytest.raises(ValidationError, match="timestamps decrease at event index 2$"):
+            EventStream([-2**63, 0, -2**63], [0, 0, 0], [0, 0, 0], [1, 1, 1], (4, 4))
+        s = EventStream([-2**63, 0, 2**63 - 1], [0, 0, 0], [0, 0, 0], [1, -1, 1], (4, 4))
+        assert s.t.tolist() == [-2**63, 0, 2**63 - 1]
+
     def test_equal_timestamps_allowed(self):
         s = EventStream([5, 5, 5], [0, 1, 2], [0, 0, 0], [1, -1, 1], (4, 4))
         assert len(s) == 3
@@ -31,8 +40,9 @@ class TestEventStream:
             EventStream([1], [0], [-1], [1], (4, 4))
 
     def test_bad_polarity(self):
-        with pytest.raises(ValidationError, match="polarity"):
-            EventStream([1], [0], [0], [0], (4, 4))
+        for bad in (0, 2, -2, 2**63 - 1, -2**63):
+            with pytest.raises(ValidationError, match="polarity"):
+                EventStream([1, 2, 3], [0, 0, 0], [0, 0, 0], [1, bad, -1], (4, 4))
 
     def test_unequal_lengths(self):
         with pytest.raises(ValidationError, match="unequal"):

@@ -66,6 +66,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{field}: expected a list of integers"):
             RunConfig.from_dict({field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("stages", (True, 2.0)), ("stages", (3.0,)), ("stages", (np.int64(4),)), ("stages", ("4",)),
+        ("input_size", (64.0, 64)), ("input_size", (64, True)), ("input_size", (np.int64(64), 64)),
+    ])
+    def test_entries_must_be_ints(self, field, value):
+        # a config built in Python skips from_dict: validate checks the entries
+        with pytest.raises(ConfigError, match=f"^{field}: expected a list of integers"):
+            replace(FAST, **{field: value}).validate()
+
     def test_integral_floats_accepted(self):
         cfg = RunConfig.from_dict({"stages": [3.0, 4], "input_size": [64.0, 64]})
         assert cfg.stages == (3, 4) and cfg.input_size == (64, 64)
@@ -269,6 +278,19 @@ class TestGridEngine:
         finally:
             sys.setswitchinterval(interval)
         assert sum(calls.values()) == 14
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_fused_stages_keyed_by_the_settings_their_block_reads(self, monkeypatch):
+        # only cssa reads tau, so the other four mechanisms' fused stages are
+        # shared across the two taus: stage 3 merges on 7 distinct prefixes
+        # (unfused, four mechanisms, cssa at each tau), so stage 4 encodes 7
+        # times, where keying every hyperparameter made it 11
+        calls = self._count_encodes(monkeypatch)
+        sweep = {"mechanism": ["mage_bite", "mage_only", "bite_only", "cssa", "gaff"],
+                 "stages": [[4], [3, 4]], "tau": [0.3, 0.7]}
+        reports = run_grid(FAST, sweep)
+        assert len(reports) == 20 and all(r.ok for r in reports)
+        assert calls == {1: 2, 2: 2, 3: 2, 4: 14}
         assert_reports_equal_per_cell_runs(reports)
 
     def test_nodes_dropped_after_their_last_user(self, monkeypatch):

@@ -1,9 +1,12 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trifuse import metrics
 from trifuse.errors import FormatError, ValidationError
 from trifuse.metrics import (
     COCO_THRESHOLDS,
@@ -18,7 +21,7 @@ from trifuse.metrics import (
     write_detections_jsonl,
 )
 
-from oracles import average_precision_staircase, iou_direct
+from oracles import ap_running_sum, average_precision_staircase, greedy_match_loop, iou_direct
 
 
 def _random_scene(rng, n_img=3, n_gt=6, extra_fp=4):
@@ -119,6 +122,116 @@ class TestGreedyMatching:
         dets = [Detection("a", (5, 0, 15, 10), 0.9), Detection("a", (10, 0, 20, 10), 0.8)]
         assert match_greedy(dets, [left, right], 0.3)[0] == [True, True]
         assert match_greedy(dets, [right, left], 0.3)[0] == [True, False]
+
+
+def _dense_scene(rng, n_img=100, n_gt=16, n_det=64):
+    """Per image: jittered copies of every ground truth, second copies of
+    some, then random boxes, with distinct scores; the detection set shape
+    of a COCO-style evaluation."""
+    gts, dets = [], []
+    for i in range(n_img):
+        wh = rng.uniform(16, 128, (n_gt, 2))
+        xy = rng.uniform(0, 1, (n_gt, 2)) * (np.array([640, 512]) - wh)
+        boxes = np.concatenate([xy, xy + wh], 1)
+        src = np.concatenate([boxes, boxes[rng.integers(0, n_gt, (n_det - n_gt) // 3)]])
+        jit = src + rng.normal(0, 1, src.shape) * np.repeat(src[:, 2:] - src[:, :2], 2, 1) * 0.08
+        rxy = rng.uniform(0, 500, (n_det - len(src), 2))
+        found = np.concatenate([jit, np.concatenate([rxy, rxy + rng.uniform(16, 128, rxy.shape)], 1)])
+        found[:, 2:] = np.maximum(found[:, 2:], found[:, :2] + 1.0)
+        gts += [GroundTruth(f"img{i}", tuple(b)) for b in boxes]
+        dets += [Detection(f"img{i}", tuple(b), float(s)) for b, s in zip(found, rng.random(n_det))]
+    return dets, gts
+
+
+def _loop_evaluate(monkeypatch, dets, gts):
+    """``evaluate`` with the per-detection matcher and the running-sum AP."""
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_match", lambda d, g, t: tuple(map(np.asarray, greedy_match_loop(d, g, t))))
+        m.setattr(metrics, "_ap", lambda flags, n_gt: ap_running_sum(flags, n_gt, metrics.RECALL_POINTS))
+        return evaluate(dets, gts)
+
+
+# boxes on a half-unit grid, a few images, classes and scores: score ties,
+# IoU ties, exact duplicates, and detections of images or classes with no
+# ground truth; the images are weighted so that group sizes are skewed
+grid = st.integers(0, 12).map(lambda v: v / 2)
+boxes = st.tuples(grid, grid, st.integers(1, 8), st.integers(1, 8)).map(
+    lambda b: (b[0], b[1], b[0] + b[2] / 2, b[1] + b[3] / 2))
+where = st.tuples(st.sampled_from("aaaaaabcd"), st.integers(0, 2))
+det_lists = st.lists(st.tuples(where, boxes, st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0])), max_size=60)
+gt_lists = st.lists(st.tuples(where, boxes), max_size=25)
+threshold_sets = st.one_of(
+    st.just(COCO_THRESHOLDS),
+    st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 0.75, 1.0]), min_size=1, max_size=4))
+
+
+class TestLockstepMatcher:
+    """The vectorised matcher against the per-detection loop, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(det_lists, gt_lists, threshold_sets)
+    def test_equals_per_detection_loop(self, det_recs, gt_recs, thresholds):
+        dets = [Detection(img, box, score, cls) for (img, cls), box, score in det_recs]
+        gts = [GroundTruth(img, box, cls) for (img, cls), box in gt_recs]
+        order, tp = metrics._match(dets, gts, thresholds)
+        want_order, want_tp = greedy_match_loop(dets, gts, thresholds)
+        assert order.tolist() == want_order
+        assert tp.dtype == want_tp.dtype and np.array_equal(tp, want_tp)
+
+    def test_skewed_groups_equal_per_detection_loop(self, rng):
+        # one image with 400 detections beside 200 with one each, and
+        # detections of images and classes with no ground truth
+        dets, gts = _dense_scene(rng, n_img=1, n_gt=40, n_det=400)
+        for i in range(200):
+            x, y = rng.uniform(0, 50, 2)
+            gts.append(GroundTruth(f"one{i}", (x, y, x + 20, y + 20), class_id=i % 2))
+            dets.append(Detection(f"one{i}", (x + 1, y, x + 21, y + 20), float(rng.random()), i % 3))
+            dets.append(Detection(f"none{i}", (x, y, x + 20, y + 20), float(rng.random())))
+        order, tp = metrics._match(dets, gts, COCO_THRESHOLDS)
+        want_order, want_tp = greedy_match_loop(dets, gts, COCO_THRESHOLDS)
+        assert order.tolist() == want_order and np.array_equal(tp, want_tp)
+        assert want_tp.any() and not want_tp.all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluate_equals_loop_pipeline_exactly(self, monkeypatch, seed):
+        dets, gts = _dense_scene(np.random.default_rng(seed))
+        got, want = evaluate(dets, gts), _loop_evaluate(monkeypatch, dets, gts)
+        assert got.to_dict() == want.to_dict()
+        assert list(got.per_threshold.values()) == list(want.per_threshold.values())
+        assert 0 < want.mean_ap < want.ap50 < 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.booleans(), max_size=300), st.integers(1, 400))
+    def test_ap_equals_running_sum(self, flags, n_gt):
+        n_gt = max(n_gt, sum(flags))
+        flags = np.array(flags, bool)
+        assert metrics._ap(flags, n_gt) == ap_running_sum(flags, n_gt, metrics.RECALL_POINTS)
+
+    def test_empty_sets(self):
+        one = [Detection("a", (0, 0, 1, 1), 0.5)]
+        for dets, gts in (([], []), (one, []), ([], [GroundTruth("a", (0, 0, 1, 1))])):
+            order, tp = metrics._match(dets, gts, COCO_THRESHOLDS)
+            assert order.tolist() == list(range(len(dets))) and tp.shape == (10, len(dets))
+            assert not tp.any()
+
+    def test_peak_memory_is_linear_in_pairs(self, rng):
+        # one image with 2,000 detections and 50 ground truths beside 500
+        # images with one of each: 100,500 pairs, where padding every group
+        # to the largest would take 501 x 2,000 x 50 x 10 thresholds; the
+        # blocked IoU pass keeps the peak near 16 bytes a pair
+        dets, gts = _dense_scene(rng, n_img=1, n_gt=50, n_det=2000)
+        for i in range(500):
+            gts.append(GroundTruth(f"one{i}", (0, 0, 10, 10)))
+            dets.append(Detection(f"one{i}", (1, 0, 11, 10), float(rng.random())))
+        pairs = 2000 * 50 + 500
+        tracemalloc.start()
+        try:
+            metrics._match(dets, gts, COCO_THRESHOLDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * pairs
+
 
 class TestAveragePrecision:
     def test_hand_computed_fixture(self):
