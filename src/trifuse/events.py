@@ -26,6 +26,8 @@ class EventStream:
     """Sorted polarity events with the emitting sensor's resolution.
 
     t is in microseconds (int64), x is the column, y the row, p in {+1, -1}.
+    Every component must hold integers within the int64 range; any other
+    value is a :class:`ValidationError`, never truncated or wrapped.
     """
 
     t: np.ndarray
@@ -35,10 +37,9 @@ class EventStream:
     sensor_size: tuple  # (H, W)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, np.int64)
-        self.x = np.asarray(self.x, np.int64)
-        self.y = np.asarray(self.y, np.int64)
-        self.p = np.asarray(self.p, np.int64)
+        self.t, self.x, self.y, self.p = (
+            _exact_int64(name, getattr(self, name)) for name in ("t", "x", "y", "p")
+        )
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ValidationError("event component arrays have unequal lengths")
@@ -57,6 +58,38 @@ class EventStream:
 
     def __len__(self):
         return len(self.t)
+
+
+def _exact_int64(name, values):
+    """``values`` as int64, or :class:`ValidationError` naming the first
+    entry that is not an integer within the int64 range, so nothing is
+    truncated or wrapped.  As for JSONL class ids, an integral float counts
+    as an integer; a boolean or a string does not.  An int64 array is
+    returned as it is, without a pass over it."""
+    a = np.asarray(values)
+    if a.dtype == np.int64:
+        return a
+    if a.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # a sequence mixing floats with ints beyond 2**53 was rounded
+        a = np.array(values, object)
+    if a.dtype.kind == "O":
+        ok = np.frompyfunc(_is_int64, 1, 1)(a).astype(bool)
+    elif a.dtype.kind == "f":
+        ok = (a == np.trunc(a)) & (a >= INT64_MIN) & (a < 2.0**63)
+    elif a.dtype.kind in "iu":
+        ok = a <= INT64_MAX
+    else:
+        ok = np.zeros(a.shape, bool)
+    if not ok.all():
+        i = int(np.argmin(ok.reshape(-1)))
+        raise ValidationError(f"event {name}[{i}] = {a.item(i)!r} is not an integer within the int64 range")
+    return a.astype(np.int64)
+
+
+def _is_int64(v):
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        v = int(v)
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and INT64_MIN <= v <= INT64_MAX
 
 
 def bin_events(stream, center_t, delta_t=DEFAULT_WINDOW_S):

@@ -208,7 +208,8 @@ def bite(xa, xb, params, p):
     ta_up = ta + attention(qa, kb, vb, scale)
     tb_up = tb + attention(qb, ka, va, scale)
 
-    z = to_map(np.concatenate([ta_up, tb_up], axis=2), h, w)
+    # tokens viewed as a map, as in backbone.mix_ffn: no copy either side
+    z = np.concatenate([ta_up, tb_up], axis=2).transpose(0, 2, 1).reshape(-1, 2 * c, h, w)
     z = conv2d(z, params[f"{p}.bite.dw.w"], params[f"{p}.bite.dw.b"], stride=1, pad=1, groups=2 * c)
     return to_map(linear(to_tokens(z), params[f"{p}.bite.proj.w"], params[f"{p}.bite.proj.b"]), h, w)
 

@@ -7,10 +7,15 @@ accumulate in float64 so results compare against brute-force oracles
 within 1e-6.  Everything here is a pure function of its inputs, so
 repeated calls are bitwise identical.
 
-Temporaries are bounded: :func:`attention` holds one float64 score block
-of ``chunk`` x Nk per batch entry (``chunk`` = 128 query rows by default),
-and the dense path of :func:`conv2d` builds its float64 im2col columns in
-bands of output rows of at most 16 MB each.
+Temporaries are bounded, and a float64 result is rounded to float32 as it
+is stored, with any bias added in that same pass.  :func:`attention` holds
+one float64 score block of ``chunk`` x Nk per batch entry (``chunk`` = 128
+query rows by default) and divides each block by its row sums straight
+into the float32 output.  The dense path of :func:`conv2d` builds its
+float64 im2col columns in bands of output rows of at most 16 MB each; the
+depthwise path works channels-last beside its padded input, in bands of
+output rows with a float64 accumulator of at most 512 KB unless one
+output row alone needs more.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ DTYPE = np.float32
 # matrix for every band; with the FPN's 4.7 MB 3x3 weights, 4 MB bands ran
 # slower than one whole-map im2col and 16 MB bands faster
 _COL_BAND_BYTES = 16 << 20
+# size of one band of the depthwise conv's float64 accumulator.  With its
+# float32 products and input rows a band stays inside a 2 MB L2; on such a
+# core, bands from 64 KB to 4 MB timed the same, so the size mainly bounds
+# the memory the conv holds beyond its input and output
+_DW_BAND_BYTES = 512 << 10
 
 
 def _as_f32(x):
@@ -66,7 +76,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Direct 2-D convolution (cross-correlation) on a (B, C, H, W) map.
 
     ``w`` has shape (Cout, Cin/groups, kh, kw).  Output spatial size is
-    floor((H + 2*pad - k) / stride) + 1.  Depthwise convs use groups == C.
+    floor((H + 2*pad - k) / stride) + 1.  Depthwise convs use groups == C;
+    they work channels-last and return a (B, C, H, W) view of channels-last
+    memory, so a token matrix viewed as a map goes in and comes back out
+    through :func:`to_tokens` without a copy.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -90,30 +103,32 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         raise ShapeError(
             f"spatial size {h}x{wid} (+pad {pad}) smaller than kernel {kh}x{kw}"
         )
+    if b is not None:
+        b = np.asarray(b)
+        if b.shape != (cout,):
+            raise ShapeError(f"bias shape {b.shape} != ({cout},)")
+        b = b.astype(np.float64)
 
-    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wid + 2 * pad - kw) // stride + 1
+    if groups == cin and cin_g == 1:
+        return _depthwise(x, w, b, stride, pad, ho, wo)
+
+    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     w64 = w.astype(np.float64)
 
     def tap(dy, dx, r0=0, r1=ho):
         # input slice aligned with kernel tap (dy, dx) at output rows r0..r1-1
         return xp[:, :, dy + r0 * stride : dy + r1 * stride : stride, dx : dx + wo * stride : stride]
 
-    if groups == cin and cin_g == 1:
-        # depthwise: one multiply per kernel tap, accumulated in float64
-        out = np.zeros((bsz, cout, ho, wo), np.float64)
-        for dy in range(kh):
-            for dx in range(kw):
-                out += tap(dy, dx) * w[:, 0, dy, dx][None, :, None, None]
-    elif groups == 1:
+    out = np.empty((bsz, cout, ho * wo), np.float64)
+    if groups == 1:
         # dense: stack the kernel taps for a band of output rows and contract
         # it in one float64 matmul; a band's columns take at most
         # _COL_BAND_BYTES unless one output row alone needs more
         kdim = kh * kw * cin
         wmat = w64.transpose(0, 2, 3, 1).reshape(cout, kdim)
         rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
-        out = np.empty((bsz, cout, ho * wo), np.float64)
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
             cols = np.empty((bsz, kh, kw, cin, r1 - r0, wo), np.float64)
@@ -121,10 +136,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
                 for dx in range(kw):
                     cols[:, dy, dx] = tap(dy, dx, r0, r1)
             np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo), out=out[:, :, r0 * wo : r1 * wo])
-        out = out.reshape(bsz, cout, ho, wo)
     else:
         win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        out = np.empty((bsz, cout, ho, wo), np.float64)
         cg, og = cin // groups, cout // groups
         for g in range(groups):
             cols = (
@@ -134,15 +147,50 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
                 .reshape(bsz, ho * wo, cg * kh * kw)
             )
             wg = w64[g * og : (g + 1) * og].reshape(og, cg * kh * kw)
-            out[:, g * og : (g + 1) * og] = (
-                np.matmul(cols, wg.T).transpose(0, 2, 1).reshape(bsz, og, ho, wo)
-            )
-    if b is not None:
-        b = np.asarray(b)
-        if b.shape != (cout,):
-            raise ShapeError(f"bias shape {b.shape} != ({cout},)")
-        out += b.astype(np.float64).reshape(1, cout, 1, 1)
-    return out.astype(DTYPE)
+            out[:, g * og : (g + 1) * og] = np.matmul(cols, wg.T).transpose(0, 2, 1)
+    res = np.empty(out.shape, DTYPE)
+    _round_into(res, out, None if b is None else b.reshape(cout, 1))
+    return res.reshape(bsz, cout, ho, wo)
+
+
+def _depthwise(x, w, b, stride, pad, ho, wo):
+    """Depthwise conv, channels-last, in row bands of one cache-sized float64
+    accumulator.  Each tap's product, in the input dtype, is added in
+    float64 in (dy, dx) order and the float64 bias last, as the tap loop
+    over (B, C, H, W) maps did, so the result is bitwise the same."""
+    bsz = x.shape[0]
+    # one input channel broadcasts against every output channel's taps
+    cout, _, kh, kw = w.shape
+    # a token matrix viewed as a map is contiguous in this order
+    xl = x.transpose(0, 2, 3, 1)
+    xp = np.pad(xl, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else np.ascontiguousarray(xl)
+    taps = w[:, 0].transpose(1, 2, 0)  # (kh, kw, Cout)
+    out = np.empty((bsz, ho, wo, cout), DTYPE)
+    rows = max(1, _DW_BAND_BYTES // (wo * cout * 8))
+    acc = np.empty((min(rows, ho), wo, cout), np.float64)
+    prod = np.empty(acc.shape, np.result_type(x, w))
+    for n in range(bsz):
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            a, p = acc[: r1 - r0], prod[: r1 - r0]
+            a.fill(0.0)  # as the tap loop did: -0.0 products sum to +0.0
+            for dy in range(kh):
+                for dx in range(kw):
+                    src = xp[n, dy + r0 * stride : dy + r1 * stride : stride, dx : dx + wo * stride : stride]
+                    np.multiply(src, taps[dy, dx], out=p)
+                    a += p
+            _round_into(out[n, r0:r1], a, b)
+    return out.transpose(0, 3, 1, 2)
+
+
+def _round_into(out, acc, b=None):
+    """Store float64 ``acc + b`` into float32 ``out``: the bias add and the
+    rounding are one pass, bitwise ``(acc + b).astype(float32)``."""
+    if b is None:
+        np.copyto(out, acc, casting="unsafe")
+    else:
+        np.add(acc, b, out=out, casting="unsafe")
+    return out
 
 
 def layer_norm(t, gamma, beta, eps=1e-6):
@@ -152,10 +200,17 @@ def layer_norm(t, gamma, beta, eps=1e-6):
     t = np.asarray(t)
     # moments accumulate in float64; the per-element normalization stays 32-bit
     mean = t.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = t.var(axis=-1, keepdims=True, dtype=np.float64)
+    # the variance about that mean, squared, summed and divided as np.var does
+    dev = t - mean
+    np.square(dev, out=dev)
+    var = dev.sum(axis=-1, keepdims=True) / t.shape[-1]
     inv = (1.0 / np.sqrt(var + eps)).astype(DTYPE)
-    out = (t.astype(DTYPE) - mean.astype(DTYPE)) * inv
-    return (out * _as_f32(gamma) + _as_f32(beta)).astype(DTYPE)
+    out = t.astype(DTYPE)
+    out -= mean.astype(DTYPE)
+    out *= inv
+    out *= _as_f32(gamma)
+    out += _as_f32(beta)
+    return out
 
 
 def softmax_rows(m):
@@ -202,36 +257,43 @@ def global_max_pool(x):
 def linear(t, w, b=None):
     """Token-wise affine map: (..., Cin) @ (Cin, Cout) + b."""
     out = np.matmul(np.asarray(t, np.float64), np.asarray(w, np.float64))
-    if b is not None:
-        out += np.asarray(b, np.float64)
-    return out.astype(DTYPE)
+    b64 = None if b is None else np.asarray(b, np.float64)
+    return _round_into(np.empty(out.shape, DTYPE), out, b64)
 
 
 def attention(q, k, v, scale, chunk=128):
     """Scaled dot-product attention, exact in float64, over query blocks.
 
-    q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv) -> (B, Nq, dv).  Queries
-    are taken ``chunk`` rows at a time, so the only large temporary is one
-    float64 score block of B x chunk x Nk (8.5 MB for the 8,320-key stage-1
-    BiTE call).  Each block is shifted by its row max before ``exp``, and
-    the (chunk x dv) product with V is divided by the row sums afterwards,
-    which is the same softmax without a pass over the whole block.
+    q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv) -> (B, Nq, dv) float32.
+    Queries are taken ``chunk`` rows at a time and scaled by ``scale`` as
+    they are widened to float64, so the only large temporary is one float64
+    score block of B x chunk x Nk (8.5 MB for the 8,320-key stage-1 BiTE
+    call); K^T and V are held in float64, V with a ones column appended.
+    Each block is shifted by its row max before ``exp``; its product with
+    that V is the (chunk x dv) unnormalised output plus, in the last column,
+    each row's sum, and dividing one by the other writes the block straight
+    into the float32 output: the same softmax without a pass over the block
+    for the scale or the sums, and no float64 buffer the size of the output.
     """
-    q64 = np.asarray(q, np.float64)
     kt = np.ascontiguousarray(np.asarray(k, np.float64).transpose(0, 2, 1))
-    v64 = np.asarray(v, np.float64)
-    bsz, nq, _ = q64.shape
-    out = np.empty((bsz, nq, v64.shape[-1]), np.float64)
+    v = np.asarray(v)
+    bsz, nk, dv = v.shape
+    v1 = np.empty((bsz, nk, dv + 1), np.float64)
+    v1[..., :dv] = v
+    v1[..., dv] = 1.0
+    q = np.asarray(q)
+    nq = q.shape[1]
+    out = np.empty((bsz, nq, dv), DTYPE)
+    block = np.empty((bsz, min(chunk, nq), nk), np.float64)
     for lo in range(0, nq, chunk):
         hi = min(lo + chunk, nq)
-        scores = np.matmul(q64[:, lo:hi], kt)
-        scores *= scale
+        scores = block[:, : hi - lo]
+        np.matmul(np.multiply(q[:, lo:hi], scale, dtype=np.float64), kt, out=scores)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        block = out[:, lo:hi]
-        np.matmul(scores, v64, out=block)
-        block /= scores.sum(axis=-1, keepdims=True)
-    return out.astype(DTYPE)
+        pv = np.matmul(scores, v1)
+        np.divide(pv[..., :dv], pv[..., dv:], out=out[:, lo:hi], casting="unsafe")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +359,7 @@ def trunc_normal(rng, shape, std=0.02, bound=2.0):
             break
         flat[bad] = rng.standard_normal(bad.size)
         bad = bad[np.abs(flat[bad]) > bound]
-    return (out * std).astype(DTYPE)
+    return np.multiply(out, std, out=np.empty(out.shape, DTYPE), casting="unsafe")
 
 
 def init_params(specs, seed):

@@ -33,6 +33,45 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0, groups=1):
     return out
 
 
+def depthwise_nchw_taps(x, w, b=None, stride=1, pad=0):
+    """Depthwise conv as a tap loop over (B, C, H, W) maps: each tap's
+    product in the input dtype, added in float64 in (dy, dx) order, the
+    float64 bias last, then one rounding to float32."""
+    x = np.asarray(x)
+    bsz, _, h, wid = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wid + 2 * pad - kw) // stride + 1
+    out = np.zeros((bsz, cout, ho, wo), np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            tap = xp[:, :, dy : dy + ho * stride : stride, dx : dx + wo * stride : stride]
+            out += tap * w[:, 0, dy, dx][None, :, None, None]
+    if b is not None:
+        out += b.astype(np.float64).reshape(1, cout, 1, 1)
+    return out.astype(np.float32)
+
+
+def linear_add_then_cast(t, w, b=None):
+    """Token-wise affine map: float64 product, bias added in place, then a
+    separate rounding pass to float32."""
+    out = np.matmul(np.asarray(t, np.float64), np.asarray(w, np.float64))
+    if b is not None:
+        out += np.asarray(b, np.float64)
+    return out.astype(np.float32)
+
+
+def layer_norm_var_pass(t, gamma, beta, eps):
+    """Layer norm with float64 moments from ``mean`` and a separate ``var``
+    call, then the float32 normalisation and affine as new arrays."""
+    mean = t.mean(axis=-1, keepdims=True, dtype=np.float64)
+    var = t.var(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    out = (t.astype(np.float32) - mean.astype(np.float32)) * inv
+    return (out * gamma.astype(np.float32) + beta.astype(np.float32)).astype(np.float32)
+
+
 def softmax_rows_direct(m):
     """Exp-normalize evaluated row by row in float64."""
     m = np.asarray(m, np.float64)

@@ -18,7 +18,9 @@ from trifuse.backbone import (
 )
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.fusion import FusionConfig
-from trifuse.tensors import ParamStore, attention, conv2d, init_params, layer_norm, linear, to_map, to_tokens
+from trifuse.tensors import ParamStore, attention, conv2d, gelu, init_params, layer_norm, linear, to_map, to_tokens
+
+from oracles import depthwise_nchw_taps
 
 
 NONE = FusionConfig(mechanism="none")
@@ -117,6 +119,18 @@ class TestStagePieces:
         t = rng.standard_normal((1, 16, tiny_cfg.widths[0])).astype(np.float32)
         out = mix_ffn(t, 4, 4, tiny_cfg.expansion, params, "a.s1.blk0")
         assert np.array_equal(out, t)
+
+    def test_ffn_bitwise_as_map_layout(self, rng, tiny_cfg):
+        # odd 5 x 7 token grid, batch 2, every parameter random
+        h, w, q = 5, 7, "a.s1.blk0"
+        specs = [s for s in backbone_param_specs(tiny_cfg, NONE) if s.name.startswith(q + ".")]
+        params = ParamStore({s.name: rng.standard_normal(s.shape).astype(np.float32) for s in specs})
+        p = {s.name[len(q) + 1:]: params[s.name] for s in specs}
+        t = rng.standard_normal((2, h * w, tiny_cfg.widths[0])).astype(np.float32)
+        m = to_map(linear(layer_norm(t, p["norm2.g"], p["norm2.b"]), p["ffn.fc1.w"], p["ffn.fc1.b"]), h, w)
+        m = depthwise_nchw_taps(m, p["ffn.dw.w"], p["ffn.dw.b"], pad=1)
+        want = t + linear(gelu(to_tokens(m)), p["ffn.fc2.w"], p["ffn.fc2.b"])
+        assert mix_ffn(t, h, w, tiny_cfg.expansion, params, q).tobytes() == want.tobytes()
 
     def test_encode_stage_shape(self, rng, tiny_cfg):
         params = init_params(backbone_param_specs(tiny_cfg, NONE), 0)

@@ -51,6 +51,51 @@ class TestEventStream:
     def test_empty_stream_ok(self):
         s = EventStream([], [], [], [], (4, 4))
         assert len(s) == 0
+        assert s.t.dtype == s.p.dtype == np.int64
+
+    @pytest.mark.parametrize("component,bad", [
+        ("t", [0.5, 0.4]),  # truncation made these [0, 0]
+        ("x", [0, 1.5]),
+        ("y", np.array([0, np.nan])),
+        ("p", [1.9, 1]),  # truncation made this 1
+        ("p", np.array([1, -1], np.float32) + np.float32(1e-7)),
+        ("t", [0, 2**63]),  # uint64 in numpy: must not wrap
+        ("t", np.array([0, 2**63], np.uint64)),
+        ("t", [-2**63 - 1, 0]),  # object in numpy
+        ("t", [0, 2**64]),
+        ("t", np.array([0.0, 2.0**63])),
+        ("x", np.array([0.0, np.inf])),
+        ("p", [True, True]),
+        ("x", ["0", "1"]),
+        ("t", np.array([0, 1], object) + 0.5),
+    ])
+    def test_inexact_or_out_of_range_component_rejected(self, component, bad):
+        parts = dict(t=[0, 1], x=[0, 1], y=[0, 1], p=[1, -1])
+        parts[component] = bad
+        with pytest.raises(ValidationError, match=rf"^event {component}\[[01]\] = .* not an integer within the int64 range$"):
+            EventStream(**parts, sensor_size=(4, 4))
+
+    def test_rejection_names_the_first_bad_entry(self):
+        with pytest.raises(ValidationError, match=r"^event t\[0\] = 0.5 is not"):
+            EventStream([0.5, 0.4], [0, 0], [0, 0], [1.9, 1], (4, 4))
+        with pytest.raises(ValidationError, match=r"^event t\[1\] = 9223372036854775808 is not"):
+            EventStream([0, 2**63, 2**63], [0] * 3, [0] * 3, [1] * 3, (4, 4))
+
+    def test_integral_values_of_any_dtype_accepted(self):
+        want = [-2**63, 0, 2**62 + 1]
+        for t in (want, np.array(want, object), np.array(want, ">i8"), [-2.0**63, 0.0, 2**62 + 1]):
+            assert EventStream(t, [0] * 3, [0] * 3, [1] * 3, (4, 4)).t.tolist() == want
+        s = EventStream(np.array([0.0, 2.0**62]), np.array([0, 3], np.uint8),
+                        np.array([1.0, 2.0], np.float32), [1.0, -1], (4, 4))
+        assert [a.dtype for a in (s.t, s.x, s.y, s.p)] == [np.int64] * 4
+        assert (s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()) == (
+            [0, 2**62], [0, 3], [1, 2], [1, -1])
+        assert EventStream(np.array([0, 2**63 - 1], np.uint64), [0, 0], [0, 0], [1, 1], (4, 4)).t[1] == 2**63 - 1
+
+    def test_int64_arrays_are_taken_without_a_copy(self):
+        t, x, y, p = (np.array(v, np.int64) for v in ([1, 2], [0, 1], [1, 0], [1, -1]))
+        s = EventStream(t, x, y, p, (4, 4))
+        assert s.t is t and s.x is x and s.y is y and s.p is p
 
 
 class TestBinEvents:

@@ -18,7 +18,9 @@ from trifuse.fusion import (
     mage_only_specs,
     mage_specs,
 )
-from trifuse.tensors import ParamStore, init_params, param_count
+from trifuse.tensors import ParamStore, attention, init_params, linear, param_count, to_map, to_tokens
+
+from oracles import depthwise_nchw_taps
 
 C = 8
 
@@ -124,6 +126,22 @@ class TestBite:
         arrays2 = dict(arrays)
         arrays2["f.bite.a.q.w"] = arrays["f.bite.a.q.w"] * 2.0
         assert np.array_equal(got, bite(xa, xb, ParamStore(arrays2), "f"))
+
+    def test_bitwise_as_map_layout(self, rng):
+        xa, xb = _pair(rng)
+        params = ParamStore({s.name: rng.standard_normal(s.shape).astype(np.float32) for s in bite_specs(C, "f")})
+        ta, tb = to_tokens(xa), to_tokens(xb)
+
+        def lin(t, n):
+            return linear(t, params[f"f.bite.{n}.w"], params[f"f.bite.{n}.b"])
+
+        scale = 1.0 / np.sqrt(C)
+        ta_up = ta + attention(lin(ta, "a.q"), lin(tb, "b.k"), lin(tb, "b.v"), scale)
+        tb_up = tb + attention(lin(tb, "b.q"), lin(ta, "a.k"), lin(ta, "a.v"), scale)
+        z = to_map(np.concatenate([ta_up, tb_up], axis=2), 6, 5)
+        z = depthwise_nchw_taps(z, params["f.bite.dw.w"], params["f.bite.dw.b"], pad=1)
+        want = to_map(lin(to_tokens(z), "proj"), 6, 5)
+        assert bite(xa, xb, params, "f").tobytes() == want.tobytes()
 
     def test_param_count_closed_form(self):
         # 6 C->C projections, depthwise 3x3 on 2C, pointwise 2C->C

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from trifuse.tensors import (
     attention,
     conv2d,
     gelu,
+    linear,
     global_avg_pool,
     global_max_pool,
     init_params,
@@ -22,7 +25,10 @@ from trifuse.tensors import (
 from oracles import (
     attention_naive,
     conv2d_loops,
+    depthwise_nchw_taps,
     layer_norm_two_pass,
+    layer_norm_var_pass,
+    linear_add_then_cast,
     softmax_rows_direct,
     trunc_normal_full_retest,
 )
@@ -49,6 +55,68 @@ class TestConv2d:
         got = conv2d(x, w, b, stride=1, pad=1, groups=4)
         want = conv2d_loops(x, w, b, stride=1, pad=1, groups=4)
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("tokens", [False, True])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("bsz", [1, 2])
+    def test_depthwise_bitwise_as_nchw_tap_loop(self, rng, monkeypatch, bsz, pad, bias, tokens):
+        # bands of 2 output rows: 9 or 7 rows make full bands and a partial one
+        c, h, w = 6, 9, 7
+        ho, wo = h + 2 * pad - 2, w + 2 * pad - 2
+        monkeypatch.setattr(tensors, "_DW_BAND_BYTES", 2 * wo * c * 8)
+        # magnitudes spread over 2**+-30, so the float64 sums round and the
+        # order of the taps shows in the result
+        x = (rng.standard_normal((bsz, c, h, w)) * 2.0 ** rng.integers(-30, 30, (bsz, c, h, w))).astype(np.float32)
+        wt = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
+        # every tap product of channel 1 near the corner is -0.0, so only a
+        # sum started from +0.0 gives +0.0 there
+        x[:, :, :4, :4] = 0.0
+        wt[1] = -np.abs(wt[1])
+        # in (dy, dx) order 2**60 absorbs the 1 before -2**60 cancels it; in
+        # (dx, dy) order the 1 survives
+        x[:, 2, 4:6, 4:6] = [[2.0**60, 1.0], [-2.0**60, 0.0]]
+        wt[2] = 1.0
+        b = rng.standard_normal(c).astype(np.float32) if bias else None
+        want = depthwise_nchw_taps(x, wt, b, pad=pad)
+        if tokens:
+            # a token matrix viewed as a map, as mix_ffn and bite pass it
+            x = to_tokens(x).transpose(0, 2, 1).reshape(bsz, c, h, w)
+            assert not x.flags.c_contiguous
+        got = conv2d(x, wt, b, stride=1, pad=pad, groups=c)
+        assert got.shape == want.shape == (bsz, c, ho, wo) and got.dtype == np.float32
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        assert np.shares_memory(to_tokens(got), got)  # the tokens are free
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_depthwise_strided_and_one_input_channel(self, rng, monkeypatch, stride):
+        # one input channel broadcast against four output channels, as a
+        # patch embed on a one-channel stream runs it; bands of one row
+        monkeypatch.setattr(tensors, "_DW_BAND_BYTES", 1)
+        for cin, cout in ((5, 5), (1, 4)):
+            x = rng.standard_normal((2, cin, 11, 8)).astype(np.float32)
+            wt = rng.standard_normal((cout, 1, 3, 3)).astype(np.float32)
+            b = rng.standard_normal(cout).astype(np.float32)
+            got = conv2d(x, wt, b, stride=stride, pad=1, groups=cin)
+            want = depthwise_nchw_taps(x, wt, b, stride=stride, pad=1)
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_depthwise_memory_is_padded_input_plus_two_bands(self, rng):
+        # the B1 stage-1 Mix-FFN depthwise conv: 256 channels at 80 x 104,
+        # passed as a token view
+        c, h, w = 256, 80, 104
+        x = rng.standard_normal((1, h * w, c)).astype(np.float32).transpose(0, 2, 1).reshape(1, c, h, w)
+        wt = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(c).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, wt, b, stride=1, pad=1, groups=c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = (h + 2) * (w + 2) * c * 4
+        # a full-size float64 accumulator alone would be 2 * out.nbytes
+        assert peak <= out.nbytes + padded + 2 * tensors._DW_BAND_BYTES
 
     @pytest.mark.parametrize("stride,pad,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (2, 3, 1)])
     def test_general_vs_loop_oracle(self, rng, stride, pad, groups):
@@ -126,6 +194,15 @@ class TestLayerNorm:
         want = layer_norm_two_pass(t, g, b, 1e-6)
         assert np.abs(got - want).max() < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_as_separate_var_pass(self, rng, dtype):
+        t = (rng.standard_normal((2, 37, 64)) * 3 + 1).astype(dtype)
+        g = rng.standard_normal(64).astype(np.float32)
+        b = rng.standard_normal(64)  # float64 affine is rounded to float32
+        got = layer_norm(t, g, b)
+        assert got.dtype == np.float32
+        assert got.tobytes() == layer_norm_var_pass(t, g, b, 1e-6).tobytes()
+
     def test_eps_must_be_positive(self):
         with pytest.raises(ConfigError):
             layer_norm(np.zeros((1, 1, 4), np.float32), np.ones(4), np.zeros(4), eps=0.0)
@@ -189,6 +266,17 @@ class TestTokenReshape:
             to_map(np.zeros((1, 6, 2)), 2, 2)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bitwise_as_add_then_cast(self, rng, bias):
+        t = rng.standard_normal((2, 33, 24)).astype(np.float32)
+        w = rng.standard_normal((24, 40)).astype(np.float32)
+        b = rng.standard_normal(40).astype(np.float32) if bias else None
+        got = linear(t, w, b)
+        assert got.dtype == np.float32
+        assert got.tobytes() == linear_add_then_cast(t, w, b).tobytes()
+
+
 class TestAttentionHelper:
     def test_matches_naive(self, rng):
         q = rng.standard_normal((2, 9, 8)).astype(np.float32)
@@ -208,6 +296,34 @@ class TestAttentionHelper:
         want = attention_naive(q, k, v, 0.25)
         assert got.shape == (2, 131, 8)
         assert np.abs(got - want).max() < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_multi_head_batches_vs_naive(self, rng, heads):
+        # heads ride the batch axis, as sra_attention folds them
+        b, n, nk, d = 2, 70, 45, 8
+        q = rng.standard_normal((b * heads, n, d)).astype(np.float32)
+        k = rng.standard_normal((b * heads, nk, d)).astype(np.float32)
+        v = rng.standard_normal((b * heads, nk, d)).astype(np.float32)
+        got = attention(q, k, v, 1.0 / np.sqrt(d), chunk=32)
+        assert got.dtype == np.float32 and got.shape == (b * heads, n, d)
+        assert np.abs(got - attention_naive(q, k, v, 1.0 / np.sqrt(d))).max() < 1e-6
+
+    def test_holds_no_float64_buffer_the_size_of_its_output(self, rng):
+        b, nq, nk, d, dv = 2, 4000, 300, 8, 64
+        q = rng.standard_normal((b, nq, d)).astype(np.float32)
+        k = rng.standard_normal((b, nk, d)).astype(np.float32)
+        v = rng.standard_normal((b, nk, dv)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 K^T and V with its ones column, the float32 output, and per
+        # query block the scores plus smaller query and PV blocks
+        held = k.size * 8 + b * nk * (dv + 1) * 8 + out.nbytes
+        block = b * 128 * nk * 8
+        assert peak <= held + 2 * block < held + b * nq * dv * 8
 
     def test_single_key_returns_its_value(self, rng):
         q = rng.standard_normal((3, 10, 4)).astype(np.float32)
