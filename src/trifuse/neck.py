@@ -46,10 +46,21 @@ def fpn_param_specs(stage_widths, p="fpn"):
     return specs
 
 
-def _upsample2_nearest(x, target_hw):
-    up = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
-    th, tw = target_hw
-    return up[:, :, :th, :tw]
+def _add_upsampled(lat, top):
+    """``lat += top`` upsampled 2x by nearest neighbour and cropped to
+    ``lat``'s size, in place in float32.  Each of the four strided views
+    of ``lat`` takes the rows and columns of ``top`` it covers, so an odd
+    last row or column reads the last row or column of ``top``.
+
+    A float32 sum of two float32 values is their exact sum rounded once;
+    float64 has more than 2 * 24 + 2 mantissa bits, so adding in float64
+    and rounding to float32 gives the same bits (Figueroa, "When is double
+    rounding innocuous?", SIGNUM 1995)."""
+    for dy in (0, 1):
+        for dx in (0, 1):
+            dst = lat[:, :, dy::2, dx::2]
+            dst += top[:, :, : dst.shape[2], : dst.shape[3]]
+    return lat
 
 
 def fpn(features, params, p="fpn"):
@@ -58,6 +69,9 @@ def fpn(features, params, p="fpn"):
     Laterals are 1x1 projections to 256 channels, merged top-down with
     nearest-neighbor upsampling and a 3x3 smoothing conv per level; the
     fifth level is a stride-2 max pool (kernel 1) of level four's output.
+    Each merge adds the coarser merged map into the lateral in place, and
+    a merged map is dropped once its smoothing conv and the next merge
+    have read it.
     """
     if len(features) != 4:
         raise ShapeError(f"fpn expects 4 stage features, got {len(features)}")
@@ -65,18 +79,18 @@ def fpn(features, params, p="fpn"):
         if f.stride != stride:
             raise ShapeError(f"stage {f.stage} has stride {f.stride}, expected {stride}")
 
-    laterals = [
-        conv2d(f.map, params[f"{p}.lat{f.stage}.w"], params[f"{p}.lat{f.stage}.b"])
-        for f in features
-    ]
-    merged = [None] * 4
-    merged[3] = laterals[3]
-    for i in (2, 1, 0):
-        up = _upsample2_nearest(merged[i + 1], laterals[i].shape[2:])
-        merged[i] = (laterals[i].astype(np.float64) + up.astype(np.float64)).astype(np.float32)
-    outs = [
-        conv2d(m, params[f"{p}.out{i + 1}.w"], params[f"{p}.out{i + 1}.b"], stride=1, pad=1)
-        for i, m in enumerate(merged)
-    ]
+    def lateral(f):
+        return conv2d(f.map, params[f"{p}.lat{f.stage}.w"], params[f"{p}.lat{f.stage}.b"])
+
+    def smooth(stage, m):
+        return conv2d(m, params[f"{p}.out{stage}.w"], params[f"{p}.out{stage}.b"], stride=1, pad=1)
+
+    outs = [None] * 4
+    top = lateral(features[3])
+    for f in features[2::-1]:
+        merged = _add_upsampled(lateral(f), top)
+        outs[f.stage] = smooth(f.stage + 1, top)
+        top = merged
+    outs[0] = smooth(1, top)
     outs.append(np.ascontiguousarray(outs[3][:, :, ::2, ::2]))
     return Pyramid(levels=outs)

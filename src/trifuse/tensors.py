@@ -11,11 +11,13 @@ Temporaries are bounded, and a float64 result is rounded to float32 as it
 is stored, with any bias added in that same pass.  :func:`attention` holds
 one float64 score block of ``chunk`` x Nk per batch entry (``chunk`` = 128
 query rows by default) and divides each block by its row sums straight
-into the float32 output.  The dense path of :func:`conv2d` builds its
-float64 im2col columns in bands of output rows of at most 16 MB each; the
-depthwise path works channels-last beside its padded input, in bands of
-output rows with a float64 accumulator of at most 512 KB unless one
-output row alone needs more.
+into the float32 output.  The dense path of :func:`conv2d` pads only the
+input rows a band reads, builds its float64 im2col columns in bands of
+output rows of at most 16 MB each, and rounds each band's product into
+its slice of the float32 output as it stores it; the depthwise path works
+channels-last beside its padded input, in bands of output rows with a
+float64 accumulator of at most 512 KB unless one output row alone needs
+more.
 """
 
 from __future__ import annotations
@@ -76,10 +78,11 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Direct 2-D convolution (cross-correlation) on a (B, C, H, W) map.
 
     ``w`` has shape (Cout, Cin/groups, kh, kw).  Output spatial size is
-    floor((H + 2*pad - k) / stride) + 1.  Depthwise convs use groups == C;
-    they work channels-last and return a (B, C, H, W) view of channels-last
-    memory, so a token matrix viewed as a map goes in and comes back out
-    through :func:`to_tokens` without a copy.
+    floor((H + 2*pad - k) / stride) + 1.  Depthwise convs use groups == C
+    (Cout == C, or C == 1); they work channels-last and return a
+    (B, C, H, W) view of channels-last memory, so a token matrix viewed as a
+    map goes in and comes back out through :func:`to_tokens` without a
+    copy.  A channel multiplier (groups == C, Cout = k * C) is grouped.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -111,45 +114,46 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wid + 2 * pad - kw) // stride + 1
-    if groups == cin and cin_g == 1:
+    if groups == cin and (cout == cin or cin == 1):
         return _depthwise(x, w, b, stride, pad, ho, wo)
 
-    xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    w64 = w.astype(np.float64)
-
-    def tap(dy, dx, r0=0, r1=ho):
-        # input slice aligned with kernel tap (dy, dx) at output rows r0..r1-1
-        return xp[:, :, dy + r0 * stride : dy + r1 * stride : stride, dx : dx + wo * stride : stride]
-
-    out = np.empty((bsz, cout, ho * wo), np.float64)
+    res = np.empty((bsz, cout, ho * wo), DTYPE)
+    b = None if b is None else b.reshape(cout, 1)
     if groups == 1:
-        # dense: stack the kernel taps for a band of output rows and contract
-        # it in one float64 matmul; a band's columns take at most
-        # _COL_BAND_BYTES unless one output row alone needs more
+        # dense: stack the kernel taps for a band of output rows, contract
+        # it in one float64 matmul and round the band into its slice of the
+        # output.  A band's columns take at most _COL_BAND_BYTES unless one
+        # output row alone needs more, and only the input rows a band reads
+        # are padded
         kdim = kh * kw * cin
-        wmat = w64.transpose(0, 2, 3, 1).reshape(cout, kdim)
+        wmat = w.transpose(0, 2, 3, 1).astype(np.float64, order="C").reshape(cout, kdim)
         rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
+            lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+            xb = x[:, :, max(lo, 0) : hi]
+            if pad:
+                xb = np.pad(xb, ((0, 0), (0, 0), (max(-lo, 0), max(hi - h, 0)), (pad, pad)))
             cols = np.empty((bsz, kh, kw, cin, r1 - r0, wo), np.float64)
             for dy in range(kh):
                 for dx in range(kw):
-                    cols[:, dy, dx] = tap(dy, dx, r0, r1)
-            np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo), out=out[:, :, r0 * wo : r1 * wo])
+                    cols[:, dy, dx] = xb[:, :, dy : dy + (r1 - r0) * stride : stride, dx : dx + wo * stride : stride]
+            _round_into(res[:, :, r0 * wo : r1 * wo], np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo)), b)
+            del xb, cols  # before the next band's are allocated
     else:
+        xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
         cg, og = cin // groups, cout // groups
         for g in range(groups):
+            o = slice(g * og, (g + 1) * og)
             cols = (
                 win[:, g * cg : (g + 1) * cg]
                 .astype(np.float64)
                 .transpose(0, 2, 3, 1, 4, 5)
                 .reshape(bsz, ho * wo, cg * kh * kw)
             )
-            wg = w64[g * og : (g + 1) * og].reshape(og, cg * kh * kw)
-            out[:, g * og : (g + 1) * og] = np.matmul(cols, wg.T).transpose(0, 2, 1)
-    res = np.empty(out.shape, DTYPE)
-    _round_into(res, out, None if b is None else b.reshape(cout, 1))
+            wg = w[o].astype(np.float64).reshape(og, cg * kh * kw)
+            _round_into(res[:, o], np.matmul(cols, wg.T).transpose(0, 2, 1), None if b is None else b[o])
     return res.reshape(bsz, cout, ho, wo)
 
 
@@ -229,11 +233,20 @@ def sigmoid(x):
 
 
 def gelu(x):
+    """Exact (erf) GELU, ``0.5 * x * (1 + erf(x / sqrt(2)))``, in two
+    buffers the size of ``x``: erf in place on the scaled input, then the
+    1 added and the product with ``0.5 * x`` taken in place.  A float32
+    input stays 32-bit; any other is evaluated in float64 and rounded."""
     x = np.asarray(x)
-    if x.dtype == DTYPE:
-        return (DTYPE(0.5) * x * (DTYPE(1.0) + erf(x * DTYPE(0.7071067811865476)))).astype(DTYPE)
-    x64 = x.astype(np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 / np.sqrt(2.0)))).astype(DTYPE)
+    if x.dtype == DTYPE:  # elementwise, no accumulation: stay 32-bit
+        out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty_like(x))
+    else:
+        x = np.asarray(x, np.float64)
+        out = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
+    erf(out, out=out)
+    out += 1.0
+    out *= np.multiply(x, 0.5)
+    return out if out.dtype == DTYPE else out.astype(DTYPE)
 
 
 def relu(x):

@@ -5,6 +5,7 @@ and textbook formulas only, so they stay independent of what they check.
 """
 
 import numpy as np
+from scipy.special import erf
 
 
 def conv2d_loops(x, w, b=None, stride=1, pad=0, groups=1):
@@ -241,3 +242,20 @@ def ap_running_sum(tp_flags, n_gt, recall_points):
         idx = np.searchsorted(recall, r, side="left")
         ap += env[idx] if idx < len(env) else 0.0
     return float(ap / len(recall_points))
+
+
+def gelu_expression(x):
+    """GELU as one numpy expression: float32 input evaluated in float32,
+    any other in float64, then rounded to float32."""
+    x = np.asarray(x)
+    if x.dtype == np.float32:
+        return (np.float32(0.5) * x * (np.float32(1.0) + erf(x * np.float32(0.7071067811865476)))).astype(np.float32)
+    x64 = x.astype(np.float64)
+    return (0.5 * x64 * (1.0 + erf(x64 / np.sqrt(2.0)))).astype(np.float32)
+
+
+def fpn_merge_float64(lat, top):
+    """FPN top-down merge: the coarser map upsampled 2x by ``np.repeat``,
+    cropped to the lateral's size, added in float64 and rounded to float32."""
+    up = np.repeat(np.repeat(top, 2, axis=2), 2, axis=3)[:, :, : lat.shape[2], : lat.shape[3]]
+    return (lat.astype(np.float64) + up.astype(np.float64)).astype(np.float32)

@@ -26,6 +26,7 @@ from oracles import (
     attention_naive,
     conv2d_loops,
     depthwise_nchw_taps,
+    gelu_expression,
     layer_norm_two_pass,
     layer_norm_var_pass,
     linear_add_then_cast,
@@ -164,6 +165,19 @@ class TestConv2d:
         want += b.astype(np.float64).reshape(1, cout, 1, 1)
         assert np.array_equal(conv2d(x, w, b, stride=1, pad=1), want.astype(np.float32))
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_channel_multiplier_vs_loop_oracle(self, rng, bias):
+        # groups == Cin with two output channels per input channel: the
+        # grouped path computes it, the depthwise broadcast cannot
+        x = rng.standard_normal((2, 4, 5, 6)).astype(np.float32)
+        w = rng.standard_normal((8, 1, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(8).astype(np.float32) if bias else None
+        got = conv2d(x, w, b, stride=1, pad=1, groups=4)
+        want = conv2d_loops(x, w, b, stride=1, pad=1, groups=4)
+        assert got.shape == want.shape == (2, 8, 5, 6)
+        assert np.abs(got - want).max() < 1e-6
+        assert conv2d(np.ones((1, 4, 5, 5), np.float32), np.ones((8, 1, 3, 3), np.float32), groups=4).shape == (1, 8, 3, 3)
+
     def test_shape_mismatch_diagnostics(self, rng):
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
@@ -241,6 +255,31 @@ class TestElementwiseAndPools:
     def test_gelu_fixed_points(self):
         assert gelu(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
         assert abs(float(gelu(np.array([1.0]))[0]) - 0.8413447) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bitwise_as_expression(self, rng, dtype):
+        f32 = np.finfo(np.float32)
+        edges = [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal, 7 * f32.smallest_subnormal,
+                 f32.smallest_normal / 3, -f32.smallest_normal / 5, f32.smallest_normal,
+                 10.0, -10.0, 10.5, -10.5, 27.25, -27.25, 1e20, -1e20, f32.max, -f32.max]
+        if dtype is np.float64:
+            edges += [5e-324, -5e-324, 1e-310, -1e-310]
+        spread = rng.standard_normal(2000) * 2.0 ** rng.integers(-140, 100, 2000)
+        x = np.concatenate([edges, rng.standard_normal(4000) * 4, spread]).astype(dtype).reshape(2, 1, -1)
+        got = gelu(x)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert got.tobytes() == gelu_expression(x).tobytes()
+
+    def test_gelu_holds_two_output_sized_buffers(self, rng):
+        # the B1 stage-1 Mix-FFN hidden tokens
+        x = rng.standard_normal((1, 8320, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes + (64 << 10)
 
     def test_avg_pool_constant(self):
         x = np.full((2, 3, 4, 5), 2.5, np.float32)
