@@ -87,9 +87,9 @@ def fpn(features, params, p="fpn"):
 
     outs = [None] * 4
     top = lateral(features[3])
-    for f in features[2::-1]:
-        merged = _add_upsampled(lateral(f), top)
-        outs[f.stage] = smooth(f.stage + 1, top)
+    for i in (2, 1, 0):
+        merged = _add_upsampled(lateral(features[i]), top)
+        outs[i + 1] = smooth(i + 2, top)
         top = merged
     outs[0] = smooth(1, top)
     outs.append(np.ascontiguousarray(outs[3][:, :, ::2, ::2]))
