@@ -7,11 +7,13 @@ run is deterministic given (config, seed) and its report embeds the config
 so it can be replayed.  Grid cells share work per (variant, modalities,
 seed) group: each parameter array is built once per group, bitwise equal to
 a fresh ``init_params``, and cells share stage prefixes, so each stage
-encode and fusion merge runs once per distinct fusion prefix.  Reports
-match per-cell ``run_single`` runs, except that a grid ``forward_ms`` is
-composed: the sum of the median times of the shared stage steps on the
-cell's path plus the cell's own FPN.  A config listed more than once runs
-once and every listing gets its report.
+encode and fusion merge runs once per distinct fusion prefix.  The pyramid's
+shapes depend only on the input, so the FPN runs once per group and input.
+Reports match per-cell ``run_single`` runs, except that a grid
+``forward_ms`` is composed: the sum of the median times of the shared stage
+steps on the cell's path plus the median time of that one FPN run, where
+``run_single`` and ``inspect`` time whole forwards.  A config listed more
+than once runs once and every listing gets its report.
 """
 
 from __future__ import annotations
@@ -289,9 +291,10 @@ def expand_sweep(base, sweep):
 def _path(cfg):
     """Memo keys of the nodes a cell's forward passes, in order: its input,
     then per stage its encode, keyed by the fusion prefix through the stage
-    before, and its merge, keyed by the prefix through the stage.  A prefix
-    entry is None for an unfused stage, else the mechanism and the settings
-    its block reads.  An invalid cell passes none."""
+    before, and its merge, keyed by the prefix through the stage, and last
+    its FPN, keyed by the input alone, which within a group fixes the stage
+    shapes.  A prefix entry is None for an unfused stage, else the mechanism
+    and the settings its block reads.  An invalid cell passes none."""
     try:
         fus = cfg.validate().fusion_config()
     except ConfigError:
@@ -303,6 +306,7 @@ def _path(cfg):
         fused = (fus.mechanism, *fus.block_settings())
         prefix += (fused if stage in fus.stages else None,)
         path.append((source, cfg.timing_reps, "merge", prefix))
+    path.append((source, cfg.timing_reps, "fpn"))
     return path
 
 
@@ -362,17 +366,25 @@ def _merge(encoded, stage, cfg, fusion, params):
     return (*merge_step(encoded, stage, cfg, fusion, params, diag), diag)
 
 
+def _pyramid_shapes(reps, feats, params):
+    """The pyramid's shapes and the FPN's median ms, without the pyramid."""
+    pyramid, ms = _timed(reps, fpn, feats, params)
+    return pyramid.shapes(), ms
+
+
 def _run_cell(cfg, group):
     """One grid cell: ``run_single``'s report, from the group's shared input,
-    stage encodes and merges plus the cell's own FPN.  Its ``forward_ms`` is
-    the sum of the nodes' median times and the FPN's.  A TrifuseError is
-    recorded in the report, not raised."""
+    stage encodes and merges, and the one FPN run of its group and input.
+    No report field reads a pyramid value, only its shapes, so the first
+    cell to reach the FPN runs it and every other takes its shapes and
+    time.  Its ``forward_ms`` is the sum of the stage nodes' median times
+    and that FPN's.  A TrifuseError is recorded in the report, not raised."""
     try:
         cfg.validate()
         specs = build_param_specs(cfg)
         params = group.params(specs, cfg.seed)
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
-        source, *stage_keys = _path(cfg)
+        source, *stage_keys, fpn_key = _path(cfg)
         streams = group.node(source, _input_streams, cfg)
         feats, diag, forward_ms = [], {}, 0.0
         for stage, enc_key, merge_key in zip(range(1, 5), stage_keys[::2], stage_keys[1::2]):
@@ -383,11 +395,11 @@ def _run_cell(cfg, group):
             forward_ms += enc_ms + merge_ms
             for name, values in part.items():
                 diag.setdefault(name, []).extend(values)
-        pyramid, fpn_ms = _timed(reps, fpn, feats, params)
+        pyramid_shapes, fpn_ms = group.node(fpn_key, _pyramid_shapes, reps, feats, params)
         return RunReport(
             config=cfg.to_dict(),
             stage_shapes=[f.map.shape for f in feats],
-            pyramid_shapes=pyramid.shapes(),
+            pyramid_shapes=pyramid_shapes,
             param_count=param_count(specs),
             forward_ms=forward_ms + fpn_ms,
             diagnostics=diag,

@@ -280,6 +280,46 @@ class TestGridEngine:
         assert sum(calls.values()) == 14
         assert_reports_equal_per_cell_runs(reports)
 
+    def _count_fpns(self, monkeypatch):
+        calls = []
+        real = harness.fpn
+
+        def counting(feats, params):
+            calls.append([f.map.shape for f in feats])
+            return real(feats, params)
+
+        monkeypatch.setattr(harness, "fpn", counting)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_fpn_run_per_group_and_input(self, monkeypatch, workers):
+        calls = self._count_fpns(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = run_grid(FAST, self.PREFIXES, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        # the pyramid's shapes depend on the input alone; one FPN per cell made 6
+        assert len(calls) == 1
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_fpn_runs_once_per_valid_group(self, monkeypatch):
+        calls = self._count_fpns(monkeypatch)
+        sweep = {"variant": ["B0", "B9"], "modalities": ["RT", "RTE"], "mechanism": ["cssa", "gaff"]}
+        reports = run_grid(FAST, sweep)
+        assert sum(r.ok for r in reports) == 4
+        assert len(calls) == 2  # (B0, RT) and (B0, RTE); no B9 cell reaches the neck
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_fpn_keyed_by_input(self, monkeypatch):
+        calls = self._count_fpns(monkeypatch)
+        configs = [replace(FAST, input_size=size, mechanism=m)
+                   for size in ((64, 64), (64, 96)) for m in ("cssa", "none")]
+        reports = harness._run_cells(configs)
+        assert [shapes[0][2:] for shapes in calls] == [(16, 16), (16, 24)]
+        assert_reports_equal_per_cell_runs(reports)
+
     def test_fused_stages_keyed_by_the_settings_their_block_reads(self, monkeypatch):
         # only cssa reads tau, so the other four mechanisms' fused stages are
         # shared across the two taus: stage 3 merges on 7 distinct prefixes
@@ -294,27 +334,29 @@ class TestGridEngine:
         assert_reports_equal_per_cell_runs(reports)
 
     def test_nodes_dropped_after_their_last_user(self, monkeypatch):
-        maps = []
-        real_encode, real_fpn = backbone.encode_stage, harness.fpn
-        live_at_fpn = []
+        maps, live_after_cell = [], []
+        real_encode, real_cell = backbone.encode_stage, harness._run_cell
 
         def recording(*args):
             out = real_encode(*args)
             maps.append(weakref.ref(out))
             return out
 
-        def fpn(feats, params):
+        def cell(cfg, group):
+            report = real_cell(cfg, group)
             gc.collect()
-            live_at_fpn.append(sum(r() is not None for r in maps))
-            return real_fpn(feats, params)
+            live_after_cell.append(sum(r() is not None for r in maps))
+            return report
 
         monkeypatch.setattr(backbone, "encode_stage", recording)
-        monkeypatch.setattr(harness, "fpn", fpn)
+        monkeypatch.setattr(harness, "_run_cell", cell)
         run_grid(FAST, self.PREFIXES)
         gc.collect()
-        assert len(maps) == 14 and len(live_at_fpn) == 6
-        # the last cell holds only its own stage-4 pair; the memo holds nothing
-        assert live_at_fpn[-1] <= 2
+        assert len(maps) == 14 and len(live_after_cell) == 6
+        # sampled after each cell, since the one FPN run sees only the first
+        # cell: the last cell leaves at most its own stage-4 pair live, and
+        # once the grid is done the memo holds nothing
+        assert live_after_cell[-1] <= 2
         assert all(r() is None for r in maps)
 
     @pytest.mark.parametrize("workers", [1, 2])
