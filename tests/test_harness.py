@@ -262,24 +262,6 @@ class TestGridEngine:
         monkeypatch.setattr(backbone, "encode_stage", counting)
         return calls
 
-    def test_each_stage_encoded_once_per_prefix(self, monkeypatch):
-        calls = self._count_encodes(monkeypatch)
-        run_grid(FAST, self.PREFIXES)
-        # two streams per encode; one cell at a time recomputed all 48
-        assert sum(calls.values()) == 14
-        assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
-
-    def test_each_stage_encoded_once_per_prefix_with_workers(self, monkeypatch):
-        calls = self._count_encodes(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            reports = run_grid(FAST, self.PREFIXES, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sum(calls.values()) == 14
-        assert_reports_equal_per_cell_runs(reports)
-
     def _count_fpns(self, monkeypatch):
         calls = []
         real = harness.fpn
@@ -291,17 +273,24 @@ class TestGridEngine:
         monkeypatch.setattr(harness, "fpn", counting)
         return calls
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_one_fpn_run_per_group_and_input(self, monkeypatch, workers):
-        calls = self._count_fpns(monkeypatch)
+    def test_each_stage_encoded_once_per_prefix(self, monkeypatch):
+        calls, fpns = self._count_encodes(monkeypatch), self._count_fpns(monkeypatch)
+        run_grid(FAST, self.PREFIXES)
+        # two streams per encode; one cell at a time recomputed all 48
+        assert sum(calls.values()) == 14
+        assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
+        # the pyramid's shapes depend on the input alone; one FPN per cell made 6
+        assert len(fpns) == 1
+
+    def test_each_stage_encoded_once_per_prefix_with_workers(self, monkeypatch):
+        calls, fpns = self._count_encodes(monkeypatch), self._count_fpns(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            reports = run_grid(FAST, self.PREFIXES, workers=workers)
+            reports = run_grid(FAST, self.PREFIXES, workers=4)
         finally:
             sys.setswitchinterval(interval)
-        # the pyramid's shapes depend on the input alone; one FPN per cell made 6
-        assert len(calls) == 1
+        assert sum(calls.values()) == 14 and len(fpns) == 1
         assert_reports_equal_per_cell_runs(reports)
 
     def test_fpn_runs_once_per_valid_group(self, monkeypatch):
