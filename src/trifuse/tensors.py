@@ -12,12 +12,12 @@ is stored, with any bias added in that same pass.  :func:`attention` holds
 one float64 score block of ``chunk`` x Nk per batch entry (``chunk`` = 128
 query rows by default) and divides each block by its row sums straight
 into the float32 output.  The dense path of :func:`conv2d` pads only the
-input rows a band reads, works in bands of output rows whose float64
-im2col columns and float64 product take at most 16 MB each, and rounds
-each band's product into its slice of the float32 output as it stores it;
-the depthwise path works channels-last beside its padded input, in bands
-of output rows with a float64 accumulator of at most 512 KB unless one
-output row alone needs more.
+input rows a band reads, builds its float64 im2col columns in bands of
+output rows of at most 16 MB each, and rounds each band's product into
+its slice of the float32 output as it stores it; the depthwise path works
+channels-last beside its padded input, in bands of output rows with a
+float64 accumulator of at most 512 KB unless one output row alone needs
+more.
 """
 
 from __future__ import annotations
@@ -122,12 +122,12 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     if groups == 1:
         # dense: stack the kernel taps for a band of output rows, contract
         # it in one float64 matmul and round the band into its slice of the
-        # output.  A band's columns and its float64 product each take at
-        # most _COL_BAND_BYTES unless one output row alone needs more, and
-        # only the input rows a band reads are padded
+        # output.  A band's columns take at most _COL_BAND_BYTES unless one
+        # output row alone needs more, and only the input rows a band reads
+        # are padded
         kdim = kh * kw * cin
         wmat = w.transpose(0, 2, 3, 1).astype(np.float64, order="C").reshape(cout, kdim)
-        rows = max(1, _COL_BAND_BYTES // (bsz * max(kdim, cout) * wo * 8))
+        rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
             lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad

@@ -165,36 +165,6 @@ class TestConv2d:
         want += b.astype(np.float64).reshape(1, cout, 1, 1)
         assert np.array_equal(conv2d(x, w, b, stride=1, pad=1), want.astype(np.float32))
 
-    @staticmethod
-    def _lateral(rng):
-        # the FPN's stride-4 lateral: a 1x1 conv from 64 to 256 channels at
-        # 80 x 104, whose float64 product (17 MB) is four times its columns
-        x = rng.standard_normal((1, 64, 80, 104)).astype(np.float32)
-        w = rng.standard_normal((256, 64, 1, 1)).astype(np.float32)
-        b = rng.standard_normal(256).astype(np.float32)
-        return x, w, b
-
-    def test_band_bound_counts_the_float64_product(self, rng):
-        x, w, b = self._lateral(rng)
-        tracemalloc.start()
-        try:
-            out = conv2d(x, w, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a band's product takes at most one band and its columns a quarter
-        # of one, beside the output and the float64 weights; the whole
-        # product and its columns take 0.3 MB more
-        band = tensors._COL_BAND_BYTES
-        assert peak <= out.nbytes + band + band * 64 // 256 + w.size * 8
-
-    def test_banded_lateral_equals_one_shot_gemm(self, rng):
-        x, w, b = self._lateral(rng)
-        assert 80 * 104 * 256 * 8 > tensors._COL_BAND_BYTES  # two bands
-        want = np.matmul(w[:, :, 0, 0].astype(np.float64), x.astype(np.float64).reshape(1, 64, -1))
-        want += b.astype(np.float64).reshape(256, 1)
-        assert np.array_equal(conv2d(x, w, b), want.astype(np.float32).reshape(1, 256, 80, 104))
-
     @pytest.mark.parametrize("bias", [False, True])
     def test_channel_multiplier_vs_loop_oracle(self, rng, bias):
         # groups == Cin with two output channels per input channel: the
