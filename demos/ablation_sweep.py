@@ -1,11 +1,11 @@
 """Run a small ablation grid and summarize it.
 
 Sweeps fusion mechanism against placement at reduced input size so the
-whole grid takes seconds, then prints a parameter/time table.  The full
-published inventory is available via ``trifuse grid --ablation-grid``.
+whole grid takes seconds, then prints a parameter/time table and writes
+grid.json and grid.csv to grid_out/, the default output directory of
+``trifuse grid``.  The full published inventory is available via
+``trifuse grid --ablation-grid``.
 """
-
-import tempfile
 
 from trifuse.harness import RunConfig, run_grid, write_grid_outputs
 
@@ -24,6 +24,6 @@ for r in reports:
     print(f"{c['mechanism']:>10} {stages:>8} {r.param_count:>12,} {r.forward_ms:>7.0f}")
 
 failed = [r for r in reports if not r.ok]
-with tempfile.TemporaryDirectory(prefix="trifuse_grid_") as out:
-    write_grid_outputs(reports, out)
-    print(f"\n{len(reports)} runs, {len(failed)} failed; outputs in {out}")
+out = "grid_out"
+write_grid_outputs(reports, out)
+print(f"\n{len(reports)} runs, {len(failed)} failed; outputs in {out}/")

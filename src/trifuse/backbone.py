@@ -42,7 +42,16 @@ VARIANTS = {
     "B4": ((64, 128, 320, 512), (3, 8, 27, 3)),
 }
 
-MODALITY_SETS = ("RTE", "RT", "RE", "TE")
+# (stream A, stream B) input channels of each modality subset; the input
+# holds RGB in channels 0-2, thermal in 3 and event in 4.  RGB always feeds
+# stream A; for Thermal+Event, thermal is stream A and event stream B
+STREAM_SLICES = {
+    "RTE": (slice(0, 3), slice(3, 5)),
+    "RT": (slice(0, 3), slice(3, 4)),
+    "RE": (slice(0, 3), slice(4, 5)),
+    "TE": (slice(3, 4), slice(4, 5)),
+}
+MODALITY_SETS = tuple(STREAM_SLICES)
 
 
 @dataclass(frozen=True)
@@ -100,18 +109,8 @@ def normalize_modalities(modalities):
 
 
 def stream_channels(modalities):
-    """(stream A channels, stream B channels) for a modality subset.
-
-    RGB always occupies stream A; the auxiliary stream carries the selected
-    thermal/event channels.  For Thermal+Event, thermal is stream A and
-    event stream B.
-    """
-    mods = normalize_modalities(modalities)
-    if mods == "RTE":
-        return 3, 2
-    if mods in ("RT", "RE"):
-        return 3, 1
-    return 1, 1  # TE
+    """(stream A channels, stream B channels) for a modality subset."""
+    return tuple(sl.stop - sl.start for sl in STREAM_SLICES[normalize_modalities(modalities)])
 
 
 def split_streams(x, modalities="RTE"):
@@ -119,15 +118,8 @@ def split_streams(x, modalities="RTE"):
     if x.ndim != 4 or x.shape[1] != 5:
         raise ShapeError(f"expected (B, 5, H, W) input, got shape {x.shape}")
     mods = normalize_modalities(modalities)
-    if mods == "RTE":
-        a, b = x[:, 0:3], x[:, 3:5]
-    elif mods == "RT":
-        a, b = x[:, 0:3], x[:, 3:4]
-    elif mods == "RE":
-        a, b = x[:, 0:3], x[:, 4:5]
-    else:  # TE
-        a, b = x[:, 3:4], x[:, 4:5]
-    return StreamSplit(np.ascontiguousarray(a), np.ascontiguousarray(b), mods)
+    a, b = (np.ascontiguousarray(x[:, sl]) for sl in STREAM_SLICES[mods])
+    return StreamSplit(a, b, mods)
 
 
 # ---------------------------------------------------------------------------

@@ -175,16 +175,10 @@ class RunReport:
         return self.error is None
 
     def to_dict(self):
-        return {
-            "config": self.config,
-            "stage_shapes": [list(s) for s in self.stage_shapes],
-            "pyramid_shapes": [list(s) for s in self.pyramid_shapes],
-            "param_count": self.param_count,
-            "forward_ms": self.forward_ms,
-            "diagnostics": self.diagnostics,
-            "eval_report": self.eval_report,
-            "error": self.error,
-        }
+        d = asdict(self)
+        for k in ("stage_shapes", "pyramid_shapes"):
+            d[k] = [list(s) for s in d[k]]
+        return d
 
 
 def _is_int(v):
@@ -203,12 +197,10 @@ def _int_tuple(name, values):
     return tuple(int(v) for v in values)
 
 
-def build_param_specs(run_cfg, with_neck=True):
+def build_param_specs(run_cfg):
     cfg = run_cfg.backbone_config()
     specs = backbone_param_specs(cfg, run_cfg.fusion_config(), run_cfg.modalities)
-    if with_neck:
-        specs = specs + fpn_param_specs(cfg.widths)
-    return specs
+    return specs + fpn_param_specs(cfg.widths)
 
 
 def make_input(run_cfg):
@@ -506,12 +498,6 @@ _INVENTORY = (
     + _group("capacity", variant=["B0", "B1", "B2", "B3", "B4"])
     + _group("components", mechanism=["bite_only", "mage_bite", "mage_only"])
 )
-
-
-def ablation_grid_sweeps():
-    """The ablation inventory on the default config: a flat list of
-    (group, RunConfig) pairs in report order."""
-    return [(group, replace(RunConfig(), **o)) for group, o in _INVENTORY]
 
 
 def run_ablation_grid(base, workers=1):

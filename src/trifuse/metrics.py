@@ -216,13 +216,6 @@ def _class_mean_ap(dets, gts, order, tp):
     ]
 
 
-def match_greedy(dets, gts, iou_thresh):
-    """One TP flag per detection in descending score order (stable on
-    ties), plus that order."""
-    order, tp = _match(dets, gts, (iou_thresh,))
-    return tp[0, order].tolist(), order.tolist()
-
-
 def average_precision(dets, gts, iou_thresh):
     """101-point interpolated AP at one IoU threshold, averaged over the
     classes that have ground truth (0.0 when there is none)."""
@@ -298,13 +291,3 @@ def read_ground_truth_jsonl(path):
         class_id=_class_id(rec),
     ))
 
-
-def write_detections_jsonl(path, dets):
-    with open(path, "w") as f:
-        for d in dets:
-            f.write(
-                json.dumps(
-                    {"image_id": d.image_id, "bbox": list(d.box), "score": d.score, "class": d.class_id}
-                )
-                + "\n"
-            )

@@ -11,8 +11,10 @@ Temporaries are bounded, and a float64 result is rounded to float32 as it
 is stored, with any bias added in that same pass.  :func:`attention` holds
 one float64 score block of ``chunk`` x Nk per batch entry (``chunk`` = 128
 query rows by default) and divides each block by its row sums straight
-into the float32 output.  The dense path of :func:`conv2d` pads only the
-input rows a band reads, builds its float64 im2col columns in bands of
+into the float32 output.  :func:`conv2d` computes two groupings, dense
+(groups 1) and depthwise (groups == Cin, with Cout == Cin or Cin == 1),
+and raises :class:`~trifuse.errors.ShapeError` for any other before it
+allocates.  Its dense path pads only the input rows a band reads, builds its float64 im2col columns in bands of
 output rows of at most 16 MB each, and rounds each band's product into
 its slice of the float32 output as it stores it; the depthwise path works
 channels-last beside its padded input, in bands of output rows with a
@@ -26,7 +28,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 from .errors import ConfigError, ShapeError
@@ -78,11 +79,13 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """Direct 2-D convolution (cross-correlation) on a (B, C, H, W) map.
 
     ``w`` has shape (Cout, Cin/groups, kh, kw).  Output spatial size is
-    floor((H + 2*pad - k) / stride) + 1.  Depthwise convs use groups == C
-    (Cout == C, or C == 1); they work channels-last and return a
+    floor((H + 2*pad - k) / stride) + 1.  Two groupings are computed: dense
+    (groups == 1) and depthwise (groups == Cin, with Cout == Cin or
+    Cin == 1); any other grouping, a channel multiplier included, is a
+    :class:`ShapeError`.  Depthwise convs work channels-last and return a
     (B, C, H, W) view of channels-last memory, so a token matrix viewed as a
     map goes in and comes back out through :func:`to_tokens` without a
-    copy.  A channel multiplier (groups == C, Cout = k * C) is grouped.
+    copy.
     """
     x = np.asarray(x)
     w = np.asarray(w)
@@ -92,10 +95,12 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         raise ShapeError(f"conv2d weight must be rank 4, got rank {w.ndim}")
     bsz, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
-    if cin % groups != 0:
-        raise ShapeError(f"input channels {cin} not divisible by groups {groups}")
-    if cout % groups != 0:
-        raise ShapeError(f"output channels {cout} not divisible by groups {groups}")
+    depthwise = groups == cin and (cout == cin or cin == 1)
+    if groups != 1 and not depthwise:
+        raise ShapeError(
+            f"conv2d is dense (groups 1) or depthwise (groups == Cin, Cout == Cin or Cin == 1): "
+            f"got groups {groups} with Cin {cin}, Cout {cout}"
+        )
     if cin_g != cin // groups:
         raise ShapeError(
             f"weight expects {cin_g} channels per group, input provides {cin // groups}"
@@ -114,46 +119,30 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wid + 2 * pad - kw) // stride + 1
-    if groups == cin and (cout == cin or cin == 1):
+    if depthwise:
         return _depthwise(x, w, b, stride, pad, ho, wo)
 
+    # dense: stack the kernel taps for a band of output rows, contract it in
+    # one float64 matmul and round the band into its slice of the output.  A
+    # band's columns take at most _COL_BAND_BYTES unless one output row alone
+    # needs more, and only the input rows a band reads are padded
     res = np.empty((bsz, cout, ho * wo), DTYPE)
     b = None if b is None else b.reshape(cout, 1)
-    if groups == 1:
-        # dense: stack the kernel taps for a band of output rows, contract
-        # it in one float64 matmul and round the band into its slice of the
-        # output.  A band's columns take at most _COL_BAND_BYTES unless one
-        # output row alone needs more, and only the input rows a band reads
-        # are padded
-        kdim = kh * kw * cin
-        wmat = w.transpose(0, 2, 3, 1).astype(np.float64, order="C").reshape(cout, kdim)
-        rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
-        for r0 in range(0, ho, rows):
-            r1 = min(r0 + rows, ho)
-            lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad
-            xb = x[:, :, max(lo, 0) : hi]
-            if pad:
-                xb = np.pad(xb, ((0, 0), (0, 0), (max(-lo, 0), max(hi - h, 0)), (pad, pad)))
-            cols = np.empty((bsz, kh, kw, cin, r1 - r0, wo), np.float64)
-            for dy in range(kh):
-                for dx in range(kw):
-                    cols[:, dy, dx] = xb[:, :, dy : dy + (r1 - r0) * stride : stride, dx : dx + wo * stride : stride]
-            _round_into(res[:, :, r0 * wo : r1 * wo], np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo)), b)
-            del xb, cols  # before the next band's are allocated
-    else:
-        xp = x if pad == 0 else np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        cg, og = cin // groups, cout // groups
-        for g in range(groups):
-            o = slice(g * og, (g + 1) * og)
-            cols = (
-                win[:, g * cg : (g + 1) * cg]
-                .astype(np.float64)
-                .transpose(0, 2, 3, 1, 4, 5)
-                .reshape(bsz, ho * wo, cg * kh * kw)
-            )
-            wg = w[o].astype(np.float64).reshape(og, cg * kh * kw)
-            _round_into(res[:, o], np.matmul(cols, wg.T).transpose(0, 2, 1), None if b is None else b[o])
+    kdim = kh * kw * cin
+    wmat = w.transpose(0, 2, 3, 1).astype(np.float64, order="C").reshape(cout, kdim)
+    rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+        xb = x[:, :, max(lo, 0) : hi]
+        if pad:
+            xb = np.pad(xb, ((0, 0), (0, 0), (max(-lo, 0), max(hi - h, 0)), (pad, pad)))
+        cols = np.empty((bsz, kh, kw, cin, r1 - r0, wo), np.float64)
+        for dy in range(kh):
+            for dx in range(kw):
+                cols[:, dy, dx] = xb[:, :, dy : dy + (r1 - r0) * stride : stride, dx : dx + wo * stride : stride]
+        _round_into(res[:, :, r0 * wo : r1 * wo], np.matmul(wmat, cols.reshape(bsz, kdim, (r1 - r0) * wo)), b)
+        del xb, cols  # before the next band's are allocated
     return res.reshape(bsz, cout, ho, wo)
 
 
@@ -215,14 +204,6 @@ def layer_norm(t, gamma, beta, eps=1e-6):
     out *= _as_f32(gamma)
     out += _as_f32(beta)
     return out
-
-
-def softmax_rows(m):
-    """Row-wise softmax over the last axis, shift-invariant and stable."""
-    m64 = np.asarray(m, np.float64)
-    m64 = m64 - m64.max(axis=-1, keepdims=True)
-    e = np.exp(m64)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(DTYPE)
 
 
 def sigmoid(x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fusion
-from .backbone import BackboneConfig, forward_dual, forward_single, split_streams
+from .backbone import BackboneConfig, backbone_param_specs, forward_dual, forward_single, split_streams
 from .data import NormStats, denormalize, normalize, pad_to_stride
 from .events import EventStream, bin_events
 from .fusion import FusionConfig, cssa_switch, channel_scores, fusion_param_specs
@@ -21,7 +21,6 @@ from .tensors import (
     ParamStore,
     conv2d,
     init_params,
-    softmax_rows,
     to_map,
     to_tokens,
 )
@@ -39,16 +38,6 @@ TINY = BackboneConfig(
 
 def _rng(seed):
     return np.random.default_rng(seed)
-
-
-def prop_softmax_rows(seed):
-    rng = _rng(seed)
-    m = rng.uniform(-50, 50, (16, 24)).astype(np.float32)
-    s = softmax_rows(m)
-    assert np.all(s >= 0)
-    assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-6
-    shifted = softmax_rows(m + rng.uniform(-5, 5, (16, 1)).astype(np.float32))
-    assert np.abs(shifted - s).max() < 1e-5
 
 
 def prop_conv_identity(seed):
@@ -254,14 +243,10 @@ def prop_ap_ranking_invariance(seed):
 
 def prop_pyramid_shape_contract(seed):
     rng = _rng(seed)
-    fus_specs = []
-    stores = {}
     x = rng.standard_normal((1, 5, 64, 96)).astype(np.float32)
     shapes = None
     for mech in ("cssa", "gaff", "mage_only"):
         fus = FusionConfig(mechanism=mech, stages=frozenset({2, 4}))
-        from .backbone import backbone_param_specs  # local to avoid cycle at import
-
         specs = backbone_param_specs(TINY, fus, "RTE") + fpn_param_specs(TINY.widths)
         params = init_params(specs, seed)
         feats = forward_dual(x, TINY, fus, params, "RTE")
@@ -273,8 +258,6 @@ def prop_pyramid_shape_contract(seed):
 
 def prop_unfused_rgb_stream_matches_single(seed):
     rng = _rng(seed)
-    from .backbone import backbone_param_specs
-
     fus = FusionConfig(mechanism="none", stages=frozenset())
     specs = backbone_param_specs(TINY, fus, "RTE")
     params = init_params(specs, seed)
@@ -291,7 +274,6 @@ def prop_unfused_rgb_stream_matches_single(seed):
 
 
 PROPERTIES = [
-    ("softmax_rows_sum_to_one", prop_softmax_rows),
     ("depthwise_identity_conv", prop_conv_identity),
     ("token_map_roundtrip", prop_token_roundtrip),
     ("param_init_determinism", prop_param_determinism),

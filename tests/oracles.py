@@ -73,16 +73,6 @@ def layer_norm_var_pass(t, gamma, beta, eps):
     return (out * gamma.astype(np.float32) + beta.astype(np.float32)).astype(np.float32)
 
 
-def softmax_rows_direct(m):
-    """Exp-normalize evaluated row by row in float64."""
-    m = np.asarray(m, np.float64)
-    out = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        e = np.array([np.exp(v) for v in m[i]])
-        out[i] = e / e.sum()
-    return out
-
-
 def attention_naive(q, k, v, scale):
     """Full O(N^2) attention without chunking; float64 throughout."""
     q = np.asarray(q, np.float64)

@@ -198,17 +198,6 @@ class TestForward:
             (1, 8, 16, 16), (1, 16, 8, 8), (1, 32, 4, 4), (1, 64, 2, 2),
         ]
 
-    def test_unfused_emits_stream_mean(self, rng, tiny_cfg):
-        params = _dual_params(tiny_cfg, NONE)
-        x = _input(rng)
-        feats = forward_dual(x, tiny_cfg, NONE, params)
-        s = split_streams(x, "RTE")
-        fa = forward_single(s.stream_a, tiny_cfg, params, "a")
-        fb = forward_single(s.stream_b, tiny_cfg, params, "b")
-        for f, a, b in zip(feats, fa, fb):
-            want = ((a.map.astype(np.float64) + b.map.astype(np.float64)) / 2).astype(np.float32)
-            assert np.array_equal(f.map, want)
-
     @pytest.mark.parametrize("mechanism", ["mage_bite", "cssa", "gaff"])
     def test_fused_shapes_match_unfused(self, rng, tiny_cfg, mechanism):
         fusion = FusionConfig(mechanism=mechanism, stages=frozenset({2, 4}))
@@ -261,14 +250,6 @@ class TestCounts:
         fusion = FusionConfig(mechanism="mage_bite", stages=frozenset({1, 3}))
         store = _dual_params(tiny_cfg, fusion)
         assert count_params(tiny_cfg, fusion) == store.total_size()
-
-    def test_variant_counts_strictly_increase(self):
-        fusion = FusionConfig(mechanism="mage_bite")
-        counts = [
-            count_params(BackboneConfig.variant_config(v), fusion)
-            for v in ("B0", "B1", "B2", "B3", "B4")
-        ]
-        assert counts == sorted(counts) and len(set(counts)) == 5
 
     def test_modality_subsets_only_change_stage1_embeds(self):
         fusion = FusionConfig(mechanism="none")

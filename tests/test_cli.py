@@ -1,13 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
 from trifuse.data import read_npy
-from trifuse.metrics import Detection, GroundTruth, write_detections_jsonl
 
 
 FAST_FLAGS = ["--variant", "B0"]
@@ -98,13 +100,10 @@ class TestSynthAndEval:
         assert json.loads(out.read_text())["stage_shapes"][0] == [1, 32, 16, 16]
 
     def test_eval_perfect_detector(self, tmp_path):
-        gts = [GroundTruth("a", (0, 0, 10, 10)), GroundTruth("a", (20, 0, 30, 10))]
-        dets = [Detection(g.image_id, g.box, 0.9) for g in gts]
+        boxes = [[0, 0, 10, 10], [20, 0, 30, 10]]
         dpath, gpath = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
-        write_detections_jsonl(dpath, dets)
-        with open(gpath, "w") as f:
-            for g in gts:
-                f.write(json.dumps({"image_id": g.image_id, "bbox": list(g.box)}) + "\n")
+        dpath.write_text("".join(json.dumps({"image_id": "a", "bbox": b, "score": 0.9}) + "\n" for b in boxes))
+        gpath.write_text("".join(json.dumps({"image_id": "a", "bbox": b}) + "\n" for b in boxes))
         out = tmp_path / "eval.json"
         code = main(["--out", str(out), "eval", "--dets", str(dpath), "--gts", str(gpath)])
         assert code == EXIT_OK
@@ -243,10 +242,13 @@ class TestBinEvents:
         assert not (tmp_path / "frames").exists()
 
 
-def _readme_command_lines():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_command_lines(prefix="trifuse "):
+    readme = (REPO / "README.md").read_text()
     return [ln.split("#")[0] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-            for ln in block.splitlines() if ln.startswith("trifuse ")]
+            for ln in block.splitlines() if ln.startswith(prefix)]
 
 
 class TestParser:
@@ -265,8 +267,8 @@ class TestParser:
         Path("events.txt").write_text("".join(f"{t} {t % 346} {t % 260} {t % 2 * 2 - 1}\n"
                                               for t in range(0, 100_000, 997)))
         Path("stamps.txt").write_text("0.02\n0.05\n")
-        write_detections_jsonl("dets.jsonl", [Detection("a", (1, 0, 11, 10), 0.9),
-                                              Detection("a", (50, 50, 60, 60), 0.4)])
+        Path("dets.jsonl").write_text('{"image_id": "a", "bbox": [1, 0, 11, 10], "score": 0.9}\n'
+                                      '{"image_id": "a", "bbox": [50, 50, 60, 60], "score": 0.4}\n')
         Path("gt.jsonl").write_text('{"image_id": "a", "bbox": [0, 0, 10, 10]}\n'
                                     '{"image_id": "a", "bbox": [20, 0, 30, 10]}\n')
         for line in _readme_command_lines():
@@ -275,6 +277,20 @@ class TestParser:
         assert len(json.loads(Path("runs/grid.json").read_text())) == 52
         assert len(json.loads(Path("corpus/manifest.json").read_text())) == 8
         assert read_npy("frames/frame_0001.npy").shape == (260, 346)
+
+    def test_readme_demo_lines_run(self, tmp_path):
+        # each demo as the README runs it, from a scratch working directory
+        lines = _readme_command_lines("python3 demos/")
+        assert len(lines) == 6
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        for line in lines:
+            script = REPO / shlex.split(line)[1]
+            run = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, f"{line}\n{run.stderr}"
+            if script.name == "ablation_sweep.py":
+                out = tmp_path / re.search(r"outputs in (\S+)", run.stdout).group(1)
+                assert (out / "grid.json").is_file() and (out / "grid.csv").is_file()
 
     def test_shared_flags_after_the_verb(self):
         parse = build_parser().parse_args

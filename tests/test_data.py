@@ -10,7 +10,6 @@ from trifuse.data import (
     STD_EPS,
     compute_stats,
     default_stats,
-    denormalize,
     filter_split,
     load_frame,
     load_manifest,
@@ -172,11 +171,6 @@ class TestNormalize:
             got = normalize(view, stats)
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
-    def test_denormalize_roundtrip(self, rng):
-        stats = default_stats()
-        x = rng.random((1, 5, 6, 6)).astype(np.float32)
-        assert np.abs(denormalize(normalize(x, stats), stats) - x).max() < 1e-6
-
     def test_bad_std_rejected(self):
         with pytest.raises(ValidationError, match="std"):
             NormStats(np.zeros(5), [1, 1, 0, 1, 1])
@@ -222,12 +216,6 @@ class TestComputeStats:
 
 
 class TestPadToStride:
-    def test_native_size(self, rng):
-        x = rng.random((1, 5, 301, 391)).astype(np.float32)
-        padded, orig = pad_to_stride(x, 32)
-        assert padded.shape == (1, 5, 320, 416)
-        assert orig == (301, 391)
-
     def test_aligned_untouched(self, rng):
         x = rng.random((1, 5, 64, 64)).astype(np.float32)
         padded, _ = pad_to_stride(x, 32)

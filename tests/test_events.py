@@ -148,21 +148,6 @@ class TestBinEvents:
         frame = bin_events(s, 100.0, 0.01)
         assert np.all(frame == 0.0)
 
-    def test_vs_counting_oracle(self, rng):
-        s = _random_stream(rng, n=1000)
-        centers = rng.uniform(0.0, 2.0, 10)
-        for c in centers:
-            got = bin_events(s, c, 0.25)
-            want = bin_events_loops(s.t, s.x, s.y, s.p, s.sensor_size, c, 0.25)
-            assert np.array_equal(got, want.astype(np.float32))
-
-    def test_polarity_inversion_negates_frame(self, rng):
-        s = _random_stream(rng)
-        inv = EventStream(s.t, s.x, s.y, -s.p, s.sensor_size)
-        a = bin_events(s, 1.0, 0.5)
-        b = bin_events(inv, 1.0, 0.5)
-        assert np.array_equal(a, -b)
-
     def test_default_window_is_30fps(self):
         assert DEFAULT_WINDOW_S == pytest.approx(1.0 / 30.0)
         s = EventStream([int(1e6)], [0], [0], [1], (2, 2))

@@ -18,7 +18,6 @@ from trifuse.harness import (
     build_param_specs,
     expand_sweep,
     make_input,
-    ablation_grid_sweeps,
     run_ablation_grid,
     run_grid,
     run_single,
@@ -29,6 +28,8 @@ from trifuse.tensors import ParamStore, init_params, param_count
 
 # small-but-real probe config used throughout; keeps each forward cheap
 FAST = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
+# the ablation inventory on the default config, as (group, RunConfig) pairs
+INVENTORY = [(group, replace(RunConfig(), **o)) for group, o in harness._INVENTORY]
 
 
 class TestRunConfig:
@@ -197,13 +198,6 @@ class TestRunGrid:
         assert by_variant["B0"].ok
         assert not by_variant["B9"].ok
         assert "ConfigError" in by_variant["B9"].error
-
-    def test_workers_agree_with_serial(self):
-        sweep = {"mechanism": ["cssa", "none"]}
-        serial = run_grid(FAST, sweep, workers=1)
-        parallel = run_grid(FAST, sweep, workers=2)
-        assert [r.config for r in serial] == [r.config for r in parallel]
-        assert [r.stage_shapes for r in serial] == [r.stage_shapes for r in parallel]
 
     def test_outputs_written(self, tmp_path):
         reports = run_grid(FAST, {"variant": ["B0", "B9"]})
@@ -413,8 +407,8 @@ class TestGridEngine:
 
         monkeypatch.setattr(harness, "_run_cell", fake_run_cell)
         groups = run_ablation_grid(RunConfig())
-        inventory = [cfg for _, cfg in ablation_grid_sweeps()]
-        assert list(groups) == list(dict.fromkeys(g for g, _ in ablation_grid_sweeps()))
+        inventory = [cfg for _, cfg in INVENTORY]
+        assert list(groups) == list(dict.fromkeys(g for g, _ in INVENTORY))
         assert [r.config for rs in groups.values() for r in rs] == [c.to_dict() for c in inventory]
         keys = [(c.variant, c.modalities, c.seed) for c in ran]
         assert keys == sorted(keys, key=keys.index)  # grouped, each group contiguous
@@ -476,7 +470,7 @@ class TestAblationGridEngine:
 
 class TestAblationGridInventory:
     def test_run_totals(self):
-        groups = [g for g, _ in ablation_grid_sweeps()]
+        groups = [g for g, _ in INVENTORY]
         sizes = {g: groups.count(g) for g in groups}  # first-seen order
         assert list(sizes.items()) == [
             ("gaff_placement", 8), ("gaff_mechanism", 11), ("cssa", 21),
@@ -487,16 +481,16 @@ class TestAblationGridInventory:
 
     def test_report_order_is_pinned(self):
         # the grid.json row order: "<group> <key>" per run, hashed
-        lines = "\n".join(f"{g} {cfg.key()}" for g, cfg in ablation_grid_sweeps())
+        lines = "\n".join(f"{g} {cfg.key()}" for g, cfg in INVENTORY)
         assert hashlib.sha1(lines.encode()).hexdigest() == "d21708830b8156a971abcf8666dbd49cc430baf9"
 
     def test_default_run_appears_in_three_groups(self):
-        cells = ablation_grid_sweeps()
+        cells = INVENTORY
         assert [g for g, cfg in cells if cfg == RunConfig()] == ["modality", "capacity", "components"]
         assert len({cfg for _, cfg in cells}) == 50
 
     def test_placement_subsets(self):
-        placements = [cfg.stages for g, cfg in ablation_grid_sweeps() if g == "gaff_placement"]
+        placements = [cfg.stages for g, cfg in INVENTORY if g == "gaff_placement"]
         assert (1, 2, 3, 4) in placements
         assert all(set(p) <= {1, 2, 3, 4} for p in placements)
 

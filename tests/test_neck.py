@@ -89,17 +89,6 @@ class TestFpn:
         assert all(lvl.shape[1] == PYRAMID_WIDTH for lvl in pyr.levels)
         assert pyr.strides == PYRAMID_STRIDES
 
-    def test_detection_resolution_shapes(self, rng):
-        # padded 320x416 input gives stage maps 80x104 .. 10x13
-        pyr = fpn(_features(rng, 80, 104), _params())
-        assert pyr.shapes() == [
-            (1, 256, 80, 104),
-            (1, 256, 40, 52),
-            (1, 256, 20, 26),
-            (1, 256, 10, 13),
-            (1, 256, 5, 7),
-        ]
-
     def test_extra_level_is_strided_subsample(self, rng):
         pyr = fpn(_features(rng), _params())
         assert np.array_equal(pyr.levels[4], pyr.levels[3][:, :, ::2, ::2])

@@ -7,7 +7,7 @@ from trifuse.verify import PROPERTIES, run_verification
 class TestProperties:
     def test_every_property_passes(self):
         summary = run_verification(n_seeds=3, base_seed=0)
-        assert len(summary) == len(PROPERTIES) == 17
+        assert len(summary) == len(PROPERTIES) == 16
         for name, res in summary.items():
             assert res["failed"] == [], f"{name} failed on seeds {res['failed']}"
             assert res["passed"] == 3
