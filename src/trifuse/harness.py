@@ -4,14 +4,17 @@ Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for a
 single configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.  Grid cells share work per (variant, modalities,
-seed) group: each parameter array is built once per group, bitwise equal to
-a fresh ``init_params``, and cells share stage prefixes, so each stage
-encode and fusion merge runs once per distinct fusion prefix.  The pyramid's
-shapes depend only on the input, so the FPN runs once per group and input.
+so it can be replayed.  The cells of one grid call share one memo.  A node
+(the input, a stream input, one stream's stage encode, a stage merge, the
+FPN) is keyed by what it reads, so it runs once per call: nested variants
+share their common stages and modality sets share a stream up to its first
+fused stage.  Each parameter array, bitwise equal to a fresh
+``init_params``, is drawn just before the first node that reads it and
+dropped after the last.  The pyramid's shapes depend only on the input and
+the widths, so one FPN runs per input and widths, after every stage node.
 Reports match per-cell ``run_single`` runs, except that a grid
-``forward_ms`` is composed: the sum of the median times of the shared stage
-steps on the cell's path plus the median time of that one FPN run, where
+``forward_ms`` is composed: the sum of the median times of the shared nodes
+on the cell's path plus the median time of that one FPN run, where
 ``run_single`` and ``inspect`` time whole forwards.  A config listed more
 than once runs once and every listing gets its report.
 """
@@ -19,7 +22,6 @@ than once runs once and every listing gets its report.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import statistics
@@ -32,17 +34,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import backbone
 from .backbone import (
+    STREAM_SLICES,
     BackboneConfig,
     backbone_param_specs,
-    encode_step,
     forward_dual,
     merge_step,
     normalize_modalities,
-    split_streams,
 )
 from .data import default_stats, load_frame, load_manifest, normalize, pad_to_stride
-from .errors import ConfigError, TrifuseError
+from .errors import ConfigError, TrifuseError, ValidationError
 from .fusion import FusionConfig
 from .neck import fpn, fpn_param_specs
 from .tensors import ParamStore, init_params, param_count
@@ -167,7 +169,6 @@ class RunReport:
     param_count: int = 0
     forward_ms: float = 0.0
     diagnostics: dict = field(default_factory=dict)
-    eval_report: dict = None
     error: str = None
 
     @property
@@ -211,6 +212,8 @@ def make_input(run_cfg):
         x = rng.standard_normal((run_cfg.batch, 5, h, w)).astype(np.float32)
     else:
         manifest = load_manifest(run_cfg.source)
+        if not manifest.entries:
+            raise ValidationError(f"{run_cfg.source}: manifest has no entries")
         frame = load_frame(manifest.entries[0].image, manifest.entries[0].labels)
         x = normalize(frame, default_stats())
         x = np.repeat(x, run_cfg.batch, axis=0)
@@ -280,55 +283,76 @@ def expand_sweep(base, sweep):
     return configs
 
 
+def _reader(name):
+    """The nodes that read parameter ``name``: ``fpn`` for the FPN, else
+    ``<a|b|fuse>.s<stage>`` for that stream's encode or that stage's merge."""
+    head, rest = name.split(".", 1)
+    return head if head == "fpn" else f"{head}.{rest.split('.', 1)[0]}"
+
+
 def _path(cfg):
-    """Memo keys of the nodes a cell's forward passes, in order: its input,
-    then per stage its encode, keyed by the fusion prefix through the stage
-    before, and its merge, keyed by the prefix through the stage, and last
-    its FPN, keyed by the input alone, which within a group fixes the stage
-    shapes.  A prefix entry is None for an unfused stage, else the mechanism
-    and the settings its block reads.  An invalid cell passes none."""
+    """The nodes a cell's forward passes, in order, as (key, arrays) pairs,
+    ``arrays`` being the (ParamSpec, seed) pairs the node reads.  A key says
+    what the node reads, not which cell asks: the input is keyed by
+    (input_size, batch, source, seed); a stream input by the input and its
+    channel slice; a stream's stage encode by its stream, the stage geometry
+    and the node it reads; a merge by the stage, the fusion settings its
+    block reads (None if unfused) and its two encodes; and the FPN by the
+    input and the widths, which fix the stage shapes.  A fused stage feeds
+    its merge to both next encodes, an unfused one each encode to its own,
+    so variants share stages up to where their geometry differs and
+    modality sets share a stream up to its first fused stage.  An invalid
+    cell passes none."""
     try:
         fus = cfg.validate().fusion_config()
     except ConfigError:
         return []
-    source = (cfg.input_size, cfg.batch, cfg.source)
-    path, prefix = [source], ()
+    bcfg, reps = cfg.backbone_config(), cfg.timing_reps
+    reads = {}
+    for spec in build_param_specs(cfg):
+        reads.setdefault(_reader(spec.name), []).append((spec, cfg.seed))
+    source = ("input", cfg.input_size, cfg.batch, cfg.source, cfg.seed)
+    slices = STREAM_SLICES[normalize_modalities(cfg.modalities)]
+    streams = [("stream", source, sl.start, sl.stop) for sl in slices]
+    path = [(key, []) for key in [source, *streams]]
     for stage in range(1, 5):
-        path.append((source, cfg.timing_reps, "encode", prefix))
-        fused = (fus.mechanism, *fus.block_settings())
-        prefix += (fused if stage in fus.stages else None,)
-        path.append((source, cfg.timing_reps, "merge", prefix))
-    path.append((source, cfg.timing_reps, "fpn"))
+        i = stage - 1
+        geometry = (stage, bcfg.widths[i], bcfg.depths[i], bcfg.heads[i], bcfg.sr_ratios[i], bcfg.expansion)
+        encoded = [("encode", p, geometry, reps, up) for p, up in zip("ab", streams)]
+        fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
+        merge = ("merge", stage, fused, *encoded)
+        path += [(key, reads[f"{key[1]}.s{stage}"]) for key in encoded]
+        path.append((merge, reads.get(f"fuse.s{stage}", [])))
+        streams = [merge, merge] if fused else encoded
+    path.append((("fpn", source, bcfg.widths, reps), reads["fpn"]))
     return path
 
 
-class _Group:
-    """What the cells of one (variant, modalities, seed) group share.
+class _Memo:
+    """What the cells of one ``_run_cells`` call share.
 
-    ``arrays`` holds one array per ``ParamSpec`` (the whole spec, since one
-    name can take two shapes across mechanism settings).  ``nodes`` holds
-    one Future per node key of ``_path``, created by the first cell to need
-    it, and ``users`` counts the cells still to pass each node, so a node is
-    dropped as soon as its last user has it.
+    ``paths`` holds each cell's ``_path``.  ``nodes`` holds one Future per
+    node key, created by the first cell to need it, and ``users`` counts the
+    cells still to pass each node, so a node is dropped as soon as its last
+    user has it.  ``arrays`` holds one Future per (ParamSpec, seed), drawn
+    just before the first node that reads it runs, and ``readers`` counts
+    the nodes still to read it, so an array is dropped once the last of them
+    has run.  ``feats`` keeps each FPN node's first user's stage features
+    until the FPNs run.
     """
 
     def __init__(self, cells):
         self.lock = threading.Lock()
-        self.arrays = {}
-        self.nodes = {}
-        self.users = Counter(key for cfg in cells for key in _path(cfg))
-
-    def params(self, specs, seed):
-        with self.lock:
-            missing = [s for s in specs if s not in self.arrays]
-            if missing:
-                store = init_params(missing, seed)
-                self.arrays.update((s, store[s.name]) for s in missing)
-            return ParamStore({s.name: self.arrays[s] for s in specs})
+        self.paths = {repr(cfg): _path(cfg) for cfg in cells}
+        self.reads = {key: arrays for path in self.paths.values() for key, arrays in path}
+        self.users = Counter(key for path in self.paths.values() for key, _ in path)
+        self.readers = Counter(a for arrays in self.reads.values() for a in arrays)
+        self.nodes, self.arrays, self.feats = {}, {}, {}
 
     def node(self, key, fn, *args):
-        """The node's value: ``fn(*args)`` run by the first cell to ask, its
-        outcome, a raised error included, shared with every later one."""
+        """The node's value: ``fn(params, *args)`` run by the first cell to
+        ask, with the arrays the node reads, its outcome, a raised error
+        included, shared with every later one."""
         with self.lock:
             future = self.nodes.get(key)
             mine = future is None
@@ -336,95 +360,174 @@ class _Group:
                 future = self.nodes[key] = Future()
         if mine:
             try:
-                future.set_result(fn(*args))
+                future.set_result(fn(self._params(key), *args))
             except BaseException as e:  # re-raised by result() below
                 future.set_exception(e)
+            finally:
+                self._read(key)
         try:
             return future.result()
         finally:
+            self.leave([key])
+
+    def _params(self, key):
+        """The arrays node ``key`` reads; those no node has drawn yet are
+        drawn here, outside the lock, in one ``init_params`` call."""
+        reads = self.reads[key]
+        with self.lock:
+            mine = [a for a in reads if a not in self.arrays]
+            for a in mine:
+                self.arrays[a] = Future()
+            futures = [self.arrays[a] for a in reads]
+        if mine:
+            try:
+                store = init_params([spec for spec, _ in mine], mine[0][1])
+                for spec, seed in mine:
+                    self.arrays[spec, seed].set_result(store[spec.name])
+            except BaseException as e:
+                for a in mine:
+                    self.arrays[a].set_exception(e)
+                raise
+        return ParamStore({spec.name: f.result() for (spec, _), f in zip(reads, futures)})
+
+    def _read(self, key):
+        """Node ``key`` has run, or never will: each array it reads loses a
+        reader, and one left with none is dropped."""
+        with self.lock:
+            for a in self.reads[key]:
+                self.readers[a] -= 1
+                if not self.readers[a]:
+                    self.arrays.pop(a, None)
+
+    def leave(self, keys):
+        """A cell is done with ``keys``: passed, or never to be reached.  A
+        node left by its last user is dropped, and one that never ran
+        releases its arrays."""
+        for key in keys:
             with self.lock:
                 self.users[key] -= 1
-                if not self.users[key]:
-                    del self.nodes[key]
+                if self.users[key]:
+                    continue
+                ran = self.nodes.pop(key, None) is not None
+            if not ran:
+                self._read(key)
 
 
-def _input_streams(cfg):
-    split = split_streams(make_input(cfg)[0], cfg.modalities)
-    return split.stream_a, split.stream_b
+def _input(params, cfg):
+    return make_input(cfg)[0]
 
 
-def _merge(encoded, stage, cfg, fusion, params):
-    diag = {}
-    return (*merge_step(encoded, stage, cfg, fusion, params, diag), diag)
+def _stream(params, x, channels):
+    return np.ascontiguousarray(x[:, channels])
 
 
-def _pyramid_shapes(reps, feats, params):
+def _encode(params, reps, x, stage, cfg, p):
+    # looked up in ``backbone`` at call time, as ``encode_step`` does
+    return _timed(reps, backbone.encode_stage, x, stage, cfg, params, p)
+
+
+def _merge(params, reps, encoded, stage, cfg, fusion):
+    def merge():
+        diag = {}
+        return (*merge_step(encoded, stage, cfg, fusion, params, diag), diag)
+
+    return _timed(reps, merge)
+
+
+def _pyramid_shapes(params, reps, feats):
     """The pyramid's shapes and the FPN's median ms, without the pyramid."""
     pyramid, ms = _timed(reps, fpn, feats, params)
     return pyramid.shapes(), ms
 
 
-def _run_cell(cfg, group):
-    """One grid cell: ``run_single``'s report, from the group's shared input,
-    stage encodes and merges, and the one FPN run of its group and input.
-    No report field reads a pyramid value, only its shapes, so the first
-    cell to reach the FPN runs it and every other takes its shapes and
-    time.  Its ``forward_ms`` is the sum of the stage nodes' median times
-    and that FPN's.  A TrifuseError is recorded in the report, not raised."""
+def _error_report(cfg, e):
+    return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
+
+
+def _run_cell(cfg, memo):
+    """One grid cell's stage nodes: ``run_single``'s report without the
+    pyramid, from the memo's shared input, stream inputs, stream encodes and
+    merges, with ``forward_ms`` the sum of those nodes' median times.  The
+    first cell of its FPN node leaves its stage features in the memo for
+    ``_add_pyramid``.  A TrifuseError is recorded in the report, not raised,
+    and the nodes the cell will not reach lose it as a user."""
+    path = iter(key for key, _ in memo.paths[repr(cfg)])
+
+    def node(fn, *args):
+        return memo.node(next(path), fn, *args)
+
     try:
         cfg.validate()
         specs = build_param_specs(cfg)
-        params = group.params(specs, cfg.seed)
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
-        source, *stage_keys, fpn_key = _path(cfg)
-        streams = group.node(source, _input_streams, cfg)
+        x = node(_input, cfg)
+        streams = [node(_stream, x, sl) for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
         feats, diag, forward_ms = [], {}, 0.0
-        for stage, enc_key, merge_key in zip(range(1, 5), stage_keys[::2], stage_keys[1::2]):
-            encoded, enc_ms = group.node(enc_key, _timed, reps, encode_step, streams, stage, bcfg, params)
-            (feat, streams, part), merge_ms = group.node(
-                merge_key, _timed, reps, _merge, encoded, stage, bcfg, fus, params)
+        for stage in range(1, 5):
+            encoded = [node(_encode, reps, s, stage, bcfg, p) for p, s in zip("ab", streams)]
+            (feat, streams, part), merge_ms = node(_merge, reps, [e for e, _ in encoded], stage, bcfg, fus)
             feats.append(feat)
-            forward_ms += enc_ms + merge_ms
+            forward_ms += sum(ms for _, ms in encoded) + merge_ms
             for name, values in part.items():
                 diag.setdefault(name, []).extend(values)
-        pyramid_shapes, fpn_ms = group.node(fpn_key, _pyramid_shapes, reps, feats, params)
+        with memo.lock:
+            memo.feats.setdefault(next(path), feats)
         return RunReport(
             config=cfg.to_dict(),
             stage_shapes=[f.map.shape for f in feats],
-            pyramid_shapes=pyramid_shapes,
             param_count=param_count(specs),
-            forward_ms=forward_ms + fpn_ms,
+            forward_ms=forward_ms,
             diagnostics=diag,
         )
     except TrifuseError as e:
-        return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
+        memo.leave(path)
+        return _error_report(cfg, e)
+
+
+def _add_pyramid(report, cfg, memo):
+    """A cell's report completed by its FPN node.  No report field reads a
+    pyramid value, only its shapes, so the node runs once, on the stage
+    features of its first user, and every user adds its median time."""
+    if not report.ok:
+        return report
+    key, _ = memo.paths[repr(cfg)][-1]
+    try:
+        # only the first user finds the features, and the node runs for it
+        shapes, ms = memo.node(key, _pyramid_shapes, cfg.timing_reps, memo.feats.pop(key, None))
+    except TrifuseError as e:
+        return _error_report(cfg, e)
+    return replace(report, pyramid_shapes=shapes, forward_ms=report.forward_ms + ms)
 
 
 def _run_cells(configs, workers=1):
     """The grid engine: run ``configs`` and return their reports in order.
 
     Each distinct config runs once and its repeats get the same report.
-    Cells run grouped by (variant, modalities, seed), ``workers`` threads
-    at a time within a group, and share a ``_Group``: its parameter arrays
-    and its nodes, each computed exactly once.  Per-name seeding makes a
-    shared array bitwise equal to the one a fresh ``init_params`` would
-    build, so a shared node computes what the cell's own forward would.
+    All cells share one ``_Memo``, so each node and each parameter array is
+    computed once per call.  Per-name seeding makes a shared array bitwise
+    equal to the one a fresh ``init_params`` would build, so a shared node
+    computes what the cell's own forward would.  Cells run grouped by
+    (seed, variant, modalities), ``workers`` threads at a time within a
+    group, with a variant's modality sets and the variants next to each
+    other.  The FPN nodes run after every stage node, when the stage arrays
+    are gone, and then each report gets its pyramid.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
     groups = {}
     for key, cfg in distinct.items():
-        groups.setdefault((cfg.variant, cfg.modalities, cfg.seed), []).append(key)
+        groups.setdefault(tuple(map(str, (cfg.seed, cfg.variant, cfg.modalities))), []).append(key)
+    memo = _Memo(distinct.values())
     reports = {}
-    for keys in groups.values():
+    for _, keys in sorted(groups.items()):
         cells = [distinct[k] for k in keys]
-        cell = functools.partial(_run_cell, group=_Group(cells))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(cell, cells))
+                done = list(pool.map(_run_cell, cells, [memo] * len(cells)))
         else:
-            done = [cell(c) for c in cells]
+            done = [_run_cell(c, memo) for c in cells]
         reports.update(zip(keys, done))
+    reports = {k: _add_pyramid(reports[k], cfg, memo) for k, cfg in distinct.items()}
     return [reports[repr(cfg)] for cfg in configs]
 
 

@@ -151,6 +151,20 @@ class TestInputErrors:
         err = self._fails(capsys, ["--config", str(cfg), "--out", str(tmp_path / "r.json"), "inspect"])
         assert f"error: {field}: expected a list of integers" in err
 
+    def test_empty_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--source", str(manifest)])
+        assert err == f"error: {manifest}: manifest has no entries\n"
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"mechanism": ["cssa", "gaff"]}')
+        out = tmp_path / "grid"
+        code = main(["--config", _fast_config(tmp_path), "--out", str(out),
+                     "grid", "--sweep", str(sweep), "--source", str(manifest)])
+        assert code == EXIT_PARTIAL_GRID
+        errors = [r["error"] for r in json.loads((out / "grid.json").read_text())]
+        assert errors == [f"ValidationError: {manifest}: manifest has no entries"] * 2
+
     def test_missing_detections_file(self, tmp_path, capsys):
         gts = tmp_path / "g.jsonl"
         gts.write_text("")

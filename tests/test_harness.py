@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import sys
 import threading
 import weakref
@@ -209,6 +210,13 @@ class TestRunGrid:
         assert "ConfigError" in rows[1] + rows[2]
 
 
+def tiled_params(specs, seed):
+    """B0-B4 weights tiled from a small seeded pool: every report field is
+    still computed by a real forward, without the B4-sized draws."""
+    pool = np.random.default_rng(seed).standard_normal(4099).astype(np.float32) * 0.02
+    return ParamStore({s.name: np.resize(pool, s.shape) for s in specs})
+
+
 def single_report(cfg):
     """``run_single``'s report, or the error report a grid cell records."""
     try:
@@ -226,8 +234,7 @@ def assert_reports_equal_per_cell_runs(reports):
 
 
 class TestGridEngine:
-    """Grid cells share parameter arrays and stage prefixes per (variant,
-    modalities, seed)."""
+    """Grid cells share parameter arrays and nodes across one grid call."""
 
     # gaff at se_ratio 4 and 8 gives one parameter name two shapes; the two
     # placements share stages 1-2, and the two taus share all but cssa's
@@ -245,12 +252,12 @@ class TestGridEngine:
         assert sum(r.ok for r in reports) == 16
         assert_reports_equal_per_cell_runs(reports)
 
-    def _count_encodes(self, monkeypatch):
+    def _count_encodes(self, monkeypatch, by_stream=False):
         calls = Counter()
         real = backbone.encode_stage
 
         def counting(x, stage, cfg, params, p):
-            calls[stage] += 1
+            calls[(stage, p) if by_stream else stage] += 1
             return real(x, stage, cfg, params, p)
 
         monkeypatch.setattr(backbone, "encode_stage", counting)
@@ -267,13 +274,24 @@ class TestGridEngine:
         monkeypatch.setattr(harness, "fpn", counting)
         return calls
 
+    def _record_memos(self, monkeypatch):
+        memos = []
+        real = harness._Memo
+
+        def recording(cells):
+            memos.append(real(cells))
+            return memos[-1]
+
+        monkeypatch.setattr(harness, "_Memo", recording)
+        return memos
+
     def test_each_stage_encoded_once_per_prefix(self, monkeypatch):
         calls, fpns = self._count_encodes(monkeypatch), self._count_fpns(monkeypatch)
         run_grid(FAST, self.PREFIXES)
         # two streams per encode; one cell at a time recomputed all 48
         assert sum(calls.values()) == 14
         assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
-        # the pyramid's shapes depend on the input alone; one FPN per cell made 6
+        # the pyramid's shapes depend on the input and widths; one FPN per cell made 6
         assert len(fpns) == 1
 
     def test_each_stage_encoded_once_per_prefix_with_workers(self, monkeypatch):
@@ -287,12 +305,14 @@ class TestGridEngine:
         assert sum(calls.values()) == 14 and len(fpns) == 1
         assert_reports_equal_per_cell_runs(reports)
 
-    def test_fpn_runs_once_per_valid_group(self, monkeypatch):
+    def test_fpn_runs_once_per_input_and_widths(self, monkeypatch):
         calls = self._count_fpns(monkeypatch)
-        sweep = {"variant": ["B0", "B9"], "modalities": ["RT", "RTE"], "mechanism": ["cssa", "gaff"]}
+        sweep = {"variant": ["B0", "B1", "B9"], "modalities": ["RT", "RTE"], "mechanism": ["cssa"]}
         reports = run_grid(FAST, sweep)
         assert sum(r.ok for r in reports) == 4
-        assert len(calls) == 2  # (B0, RT) and (B0, RTE); no B9 cell reaches the neck
+        # one per set of widths: the modality sets share theirs, and no B9
+        # cell reaches the neck
+        assert [[s[1] for s in shapes] for shapes in calls] == [[32, 64, 160, 256], [64, 128, 320, 512]]
         assert_reports_equal_per_cell_runs(reports)
 
     def test_fpn_keyed_by_input(self, monkeypatch):
@@ -343,6 +363,76 @@ class TestGridEngine:
         assert live_after_cell == [8, 8, 8, 8, 6, 0]
         assert all(r() is None for r in maps)
 
+    def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch):
+        # B2-B4 have the same stage 1 (depth 3), B2 and B3 the same stage 2
+        # (depth 4), and all three the same widths
+        calls, fpns = self._count_encodes(monkeypatch, by_stream=True), self._count_fpns(monkeypatch)
+        drawn = Counter()
+
+        def counting(specs, seed):
+            drawn.update((s, seed) for s in specs)
+            return tiled_params(specs, seed)
+
+        monkeypatch.setattr(harness, "init_params", counting)
+        reports = run_grid(replace(FAST, input_size=(32, 32)), {"variant": ["B2", "B3", "B4"]})
+        assert all(r.ok for r in reports)
+        assert calls == {(1, "a"): 1, (1, "b"): 1, (2, "a"): 2, (2, "b"): 2,
+                         (3, "a"): 3, (3, "b"): 3, (4, "a"): 3, (4, "b"): 3}
+        assert len(fpns) == 1
+        want = {(s, 0) for r in reports for s in build_param_specs(RunConfig.from_dict(r.config))}
+        assert drawn == Counter(want)
+        assert_reports_equal_per_cell_runs(reports)
+
+    @pytest.mark.parametrize("fused", [4, 2])
+    def test_modality_sets_share_a_stream_up_to_its_first_fused_stage(self, monkeypatch, fused):
+        calls = self._count_encodes(monkeypatch, by_stream=True)
+        reports = run_grid(replace(FAST, mechanism="cssa", stages=(fused,)),
+                           {"modalities": ["RE", "RT", "RTE", "TE"]})
+        # up to the fused stage, stream A reads RGB in RE, RT and RTE and
+        # thermal in TE; stream B reads event in RE and TE, thermal in RT and
+        # both in RTE.  After it, each modality set has its own streams
+        assert calls == {(s, p): (2 if p == "a" else 3) if s <= fused else 4
+                         for s in range(1, 5) for p in "ab"}
+        assert_reports_equal_per_cell_runs(reports)
+
+    def test_arrays_live_from_first_reader_to_last(self, monkeypatch):
+        arrays, live_at = [], {"encode": [], "fpn": []}
+        memos = self._record_memos(monkeypatch)
+        real_init, real_encode, real_fpn = harness.init_params, backbone.encode_stage, harness.fpn
+
+        def live():
+            return {name for name, ref in arrays if ref() is not None}
+
+        def recording(specs, seed):
+            store = real_init(specs, seed)
+            arrays.extend((s.name, weakref.ref(store[s.name])) for s in specs)
+            return store
+
+        def encode(x, stage, cfg, params, p):
+            if stage == 4:
+                live_at["encode"].append(live())
+            return real_encode(x, stage, cfg, params, p)
+
+        def fpn(feats, params):
+            live_at["fpn"].append(live())
+            return real_fpn(feats, params)
+
+        monkeypatch.setattr(harness, "init_params", recording)
+        monkeypatch.setattr(backbone, "encode_stage", encode)
+        monkeypatch.setattr(harness, "fpn", fpn)
+        run_grid(FAST, {"variant": ["B0", "B1"], "mechanism": ["cssa"], "stages": [[4], [3, 4]]})
+        # a stream's stage arrays are gone before its next stage's encodes
+        # run (B1's cssa merges still read the width-free fuse.s3 arrays that
+        # B0's drew), and every encoder and fusion array before the first
+        # FPN; B1's FPN still reads the fpn.out arrays that B0's drew
+        assert len(live_at["encode"]) == 8 and len(live_at["fpn"]) == 2
+        assert not [n for names in live_at["encode"] for n in names if re.match(r"[ab]\.s[123]\.", n)]
+        assert all(n.startswith("fpn.") for names in live_at["fpn"] for n in names)
+        assert {n for n in live_at["fpn"][1] if n.startswith("fpn.out")} == {
+            f"fpn.out{i}.{w}" for i in range(1, 5) for w in "wb"}
+        assert not live() and len(memos) == 1
+        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch, workers):
         raised = []
@@ -355,9 +445,12 @@ class TestGridEngine:
             return real(cfg, xa, xb, params, p, diag)
 
         monkeypatch.setattr(backbone, "apply_fusion", failing)
+        memos = self._record_memos(monkeypatch)
         reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]},
                            workers=workers)
         assert len(raised) == 1  # one node, two cells
+        # the nodes the failed cells never reached released their arrays
+        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
         failed = [r for r in reports if not r.ok]
         assert [(r.config["stages"], r.error) for r in failed] == [
             ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
@@ -373,7 +466,7 @@ class TestGridEngine:
         assert reports[0].error.startswith("FormatError: ")
         assert_reports_equal_per_cell_runs(reports)
 
-    def test_each_spec_built_once_per_group(self, monkeypatch):
+    def test_each_spec_built_once(self, monkeypatch):
         built = Counter()
 
         def counting(specs, seed):
@@ -381,29 +474,28 @@ class TestGridEngine:
             return init_params(specs, seed)
 
         monkeypatch.setattr(harness, "init_params", counting)
+        memos = self._record_memos(monkeypatch)
         sweep = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
                  "modalities": ["RT", "RTE"]}
         # more threads than cores and frequent switches: a cell that missed
-        # another's arrays would build them a second time
+        # another's arrays would build them a second time, and a lost count
+        # would leave a node or an array in the memo
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             run_grid(FAST, sweep, workers=4)
         finally:
             sys.setswitchinterval(interval)
-        want = Counter()
-        for mods in sweep["modalities"]:
-            cells = expand_sweep(replace(FAST, modalities=mods), {**sweep, "modalities": [mods]})
-            want.update({s for cfg in cells for s in build_param_specs(cfg)})
-        assert built == want
-        assert set(want.values()) == {1, 2}  # specs both groups need are built in each
+        # once per grid call, although the two modality sets are two groups
+        assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
+        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
 
     def test_ablation_reports_keep_inventory_order(self, monkeypatch):
         ran = []
 
-        def fake_run_cell(cfg, group):
+        def fake_run_cell(cfg, memo):
             ran.append(cfg)
-            return RunReport(config=cfg.to_dict())
+            return RunReport(config=cfg.to_dict(), error="not run")
 
         monkeypatch.setattr(harness, "_run_cell", fake_run_cell)
         groups = run_ablation_grid(RunConfig())
@@ -412,7 +504,11 @@ class TestGridEngine:
         assert [r.config for rs in groups.values() for r in rs] == [c.to_dict() for c in inventory]
         keys = [(c.variant, c.modalities, c.seed) for c in ran]
         assert keys == sorted(keys, key=keys.index)  # grouped, each group contiguous
-        assert ran != inventory
+        # a variant's modality sets, then the nested variants, one after another
+        assert list(dict.fromkeys(k[:2] for k in keys)) == [
+            ("B0", "RTE"), ("B1", "RE"), ("B1", "RT"), ("B1", "RTE"), ("B1", "TE"),
+            ("B2", "RTE"), ("B3", "RTE"), ("B4", "RTE"),
+        ]
 
 
 class TestAblationGridEngine:
@@ -422,13 +518,7 @@ class TestAblationGridEngine:
 
     @pytest.fixture(autouse=True)
     def cheap_init(self, monkeypatch):
-        # B0-B4 weights tiled from a small seeded pool: every report field is
-        # still computed by a real forward, without the B4-sized draws
-        def tiled(specs, seed):
-            pool = np.random.default_rng(seed).standard_normal(4099).astype(np.float32) * 0.02
-            return ParamStore({s.name: np.resize(pool, s.shape) for s in specs})
-
-        monkeypatch.setattr(harness, "init_params", tiled)
+        monkeypatch.setattr(harness, "init_params", tiled_params)
 
     def _watch_cells(self, monkeypatch):
         calls = []
