@@ -2,8 +2,8 @@
 
 One test per release criterion, ordered; run with ``pytest -v
 tests/test_acceptance.py`` to get one pass/fail line per criterion.  The
-two grid criteria run full-size forwards: 24-28 s and 75-82 s on one
-core of a shared 2-vCPU Intel Xeon host.
+two grid criteria run full-size forwards: 23-25 s and 55 s on one core
+of a shared 2-vCPU Intel Xeon host.
 """
 
 import itertools
