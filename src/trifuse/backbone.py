@@ -259,10 +259,13 @@ def mix_ffn(t, h, w, expansion, params, q):
     tn = layer_norm(t, params[f"{q}.norm2.g"], params[f"{q}.norm2.b"])
     hid = linear(tn, params[f"{q}.ffn.fc1.w"], params[f"{q}.ffn.fc1.b"])
     # the token matrix viewed as a map: the depthwise conv reads it and
-    # writes its result channels-last, so neither side copies
+    # writes its result channels-last, so neither side copies.  Each
+    # token-sized buffer is dropped after its last reader
     m = hid.transpose(0, 2, 1).reshape(b, -1, h, w)
+    del tn, hid
     m = conv2d(m, params[f"{q}.ffn.dw.w"], params[f"{q}.ffn.dw.b"], stride=1, pad=1, groups=expansion * c)
     hid = gelu(to_tokens(m))
+    del m
     out = linear(hid, params[f"{q}.ffn.fc2.w"], params[f"{q}.ffn.fc2.b"])
     return t + out
 

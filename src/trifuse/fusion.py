@@ -205,11 +205,16 @@ def bite(xa, xb, params, p):
 
     qa, ka, va = qkv(ta, "a")
     qb, kb, vb = qkv(tb, "b")
-    ta_up = ta + attention(qa, kb, vb, scale)
-    tb_up = tb + attention(qb, ka, va, scale)
+    # the two updated streams side by side, each stored as its attention
+    # returns; queries, keys and values are dropped after their one reader
+    zt = np.empty((*ta.shape[:2], 2 * c), np.result_type(ta, np.float32))
+    np.add(ta, attention(qa, kb, vb, scale), out=zt[..., :c])
+    del qa, kb, vb
+    np.add(tb, attention(qb, ka, va, scale), out=zt[..., c:])
+    del qb, ka, va
 
     # tokens viewed as a map, as in backbone.mix_ffn: no copy either side
-    z = np.concatenate([ta_up, tb_up], axis=2).transpose(0, 2, 1).reshape(-1, 2 * c, h, w)
+    z = zt.transpose(0, 2, 1).reshape(-1, 2 * c, h, w)
     z = conv2d(z, params[f"{p}.bite.dw.w"], params[f"{p}.bite.dw.b"], stride=1, pad=1, groups=2 * c)
     return to_map(linear(to_tokens(z), params[f"{p}.bite.proj.w"], params[f"{p}.bite.proj.b"]), h, w)
 

@@ -7,23 +7,28 @@ accumulate in float64 so results compare against brute-force oracles
 within 1e-6.  Everything here is a pure function of its inputs, so
 repeated calls are bitwise identical.
 
-Temporaries are bounded, and a float64 result is rounded to float32 as it
-is stored, with any bias added in that same pass.  :func:`attention` holds
-one float64 score block of ``chunk`` x Nk per batch entry (``chunk`` = 128
-query rows by default) and divides each block by its row sums straight
-into the float32 output.  :func:`conv2d` computes two groupings, dense
-(groups 1) and depthwise (groups == Cin, with Cout == Cin or Cin == 1),
-and raises :class:`~trifuse.errors.ShapeError` for any other before it
-allocates.  Its dense path pads only the input rows a band reads, builds its float64 im2col columns in bands of
-output rows of at most 16 MB each, and rounds each band's product into
-its slice of the float32 output as it stores it; the depthwise path works
-channels-last beside its padded input, in bands of output rows with a
-float64 accumulator of at most 512 KB unless one output row alone needs
-more.
+Temporaries are bounded: float64 is held in cache-sized tiles and bands,
+and a float64 result is rounded to float32 as it is stored, with any bias
+added in that same pass.  :func:`attention` takes 128 query rows at a
+time against 2,048 keys at a time, so its one score tile (2 MB at batch 1)
+stays in L2 through ``exp`` and the PV GEMM; the softmax shift comes out
+of the QK GEMM itself, and each block is divided by its row sums straight
+into the float32 output.  :func:`linear` widens and multiplies its rows
+1,024 at a time into reused float64 buffers.  :func:`conv2d` computes two
+groupings, dense (groups 1) and depthwise (groups == Cin, with
+Cout == Cin or Cin == 1), and raises :class:`~trifuse.errors.ShapeError`
+for any other before it allocates.  Its dense path pads only the input
+rows a band reads, and builds its float64 im2col columns in bands of
+output rows whose columns and product take at most 8 MB each, rounding
+each band's product into its slice of the float32 output; the depthwise
+path works channels-last beside its padded input, in bands of output rows
+with a float64 accumulator of at most 512 KB unless one output row alone
+needs more.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -33,15 +38,31 @@ from scipy.special import erf, expit
 from .errors import ConfigError, ShapeError
 
 DTYPE = np.float32
-# size of one band of dense-conv im2col columns.  BLAS re-packs the weight
-# matrix for every band; with the FPN's 4.7 MB 3x3 weights, 4 MB bands ran
-# slower than one whole-map im2col and 16 MB bands faster
-_COL_BAND_BYTES = 16 << 20
+# size of one band of dense-conv im2col columns, and of its float64
+# product (a 1x1 conv widening 64 to 256 channels has a product 4x its
+# columns).  BLAS re-packs the weight matrix for every band; with the FPN's
+# 4.7 MB 3x3 weights, 8 MB bands ran the stride-4 smoothing conv 7% slower
+# than 16 MB bands (245 vs 228 ms) and 4 MB bands 10%, but 8 MB bands take
+# 8 MB off the FPN's peak, which was the default forward's
+_COL_BAND_BYTES = 8 << 20
 # size of one band of the depthwise conv's float64 accumulator.  With its
 # float32 products and input rows a band stays inside a 2 MB L2; on such a
 # core, bands from 64 KB to 4 MB timed the same, so the size mainly bounds
 # the memory the conv holds beyond its input and output
 _DW_BAND_BYTES = 512 << 10
+# rows of one band of linear's float64 input and product.  The 130- and
+# 520-token layers of stages 3-4 stay one GEMM: banding them ran 0-10% slower
+_LINEAR_BAND_ROWS = 1024
+# keys per score tile in attention: a 128-query block of 2,048 float64
+# scores is 2 MB, one L2, so exp and the PV GEMM read it from cache
+_KEY_TILE = 2048
+# a query block with a row whose exp-weights, shifted by its bound, sum
+# below this is computed again, each row shifted by its max.  Above it a
+# row's largest weight is a normal float64 for any key count below 1e10
+_MIN_ROW_SUM = 1e-290
+# float64 draws per band of trunc_normal's first draw: 512 KB, in cache
+# while it is scaled, rounded into the float32 output and tested
+_DRAW_BAND = 1 << 16
 
 
 def _as_f32(x):
@@ -124,13 +145,14 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     # dense: stack the kernel taps for a band of output rows, contract it in
     # one float64 matmul and round the band into its slice of the output.  A
-    # band's columns take at most _COL_BAND_BYTES unless one output row alone
-    # needs more, and only the input rows a band reads are padded
+    # band's columns and its float64 product each take at most
+    # _COL_BAND_BYTES unless one output row alone needs more, and only the
+    # input rows a band reads are padded
     res = np.empty((bsz, cout, ho * wo), DTYPE)
     b = None if b is None else b.reshape(cout, 1)
     kdim = kh * kw * cin
     wmat = w.transpose(0, 2, 3, 1).astype(np.float64, order="C").reshape(cout, kdim)
-    rows = max(1, _COL_BAND_BYTES // (bsz * kdim * wo * 8))
+    rows = max(1, _COL_BAND_BYTES // (bsz * max(kdim, cout) * wo * 8))
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
         lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad
@@ -249,45 +271,97 @@ def global_max_pool(x):
 
 
 def linear(t, w, b=None):
-    """Token-wise affine map: (..., Cin) @ (Cin, Cout) + b."""
-    out = np.matmul(np.asarray(t, np.float64), np.asarray(w, np.float64))
-    b64 = None if b is None else np.asarray(b, np.float64)
-    return _round_into(np.empty(out.shape, DTYPE), out, b64)
+    """Token-wise affine map: (..., Cin) @ (Cin, Cout) + b.
+
+    The rows, all leading axes flattened, are widened to float64 and
+    multiplied ``_LINEAR_BAND_ROWS`` at a time in two reused float64
+    buffers (one GEMM when they are fewer), and each band's product is
+    rounded, bias included, straight into its rows of the float32 output.
+    Per row this is the one-shot float64 GEMM, so the result is bitwise the
+    same.
+    """
+    t = np.asarray(t)
+    w = np.asarray(w, np.float64)
+    b = None if b is None else np.asarray(b, np.float64)
+    n = math.prod(t.shape[:-1])
+    rows = t.reshape(n, t.shape[-1])
+    out = np.empty((n, w.shape[-1]), DTYPE)
+    step = max(1, min(n, _LINEAR_BAND_ROWS))
+    band = np.empty((step, rows.shape[1]), np.float64)
+    prod = np.empty((step, w.shape[-1]), np.float64)
+    for r0 in range(0, n, step):
+        x, y = band[: min(step, n - r0)], prod[: min(step, n - r0)]
+        np.copyto(x, rows[r0 : r0 + x.shape[0]])
+        _round_into(out[r0 : r0 + x.shape[0]], np.matmul(x, w, out=y), b)
+    return out.reshape(t.shape[:-1] + (w.shape[-1],))
 
 
 def attention(q, k, v, scale, chunk=128):
-    """Scaled dot-product attention, exact in float64, over query blocks.
+    """Scaled dot-product attention, exact in float64, over query blocks
+    and key tiles.
 
     q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv) -> (B, Nq, dv) float32.
-    Queries are taken ``chunk`` rows at a time and scaled by ``scale`` as
-    they are widened to float64, so the only large temporary is one float64
-    score block of B x chunk x Nk (8.5 MB for the 8,320-key stage-1 BiTE
-    call); K^T and V are held in float64, V with a ones column appended.
-    Each block is shifted by its row max before ``exp``; its product with
-    that V is the (chunk x dv) unnormalised output plus, in the last column,
-    each row's sum, and dividing one by the other writes the block straight
-    into the float32 output: the same softmax without a pass over the block
-    for the scale or the sums, and no float64 buffer the size of the output.
+    Queries are taken ``chunk`` rows at a time, keys ``_KEY_TILE`` at a
+    time, so the only score buffer is one float64 tile of B x chunk x
+    _KEY_TILE (2 MB at batch 1), which stays in cache through ``exp`` and
+    the PV GEMM; K^T and V are held in float64.  Each scaled query row
+    carries one more column, ``-bound`` with bound = |q_i| max_j |k_j|
+    (Cauchy-Schwarz, so no score exceeds it), and K^T one more row of
+    ones: the QK GEMM returns scores already shifted, and no pass over them
+    looks for a row max.  V carries a ones column, so the PV GEMM summed
+    over the tiles is the unnormalised output plus each row's sum, and
+    dividing one by the other writes the block straight into the float32
+    output.  If a row's sum falls below ``_MIN_ROW_SUM`` (its scores all
+    lie far below its bound, so its weights underflow), the block is
+    computed again with each row shifted by its max instead.
     """
-    kt = np.ascontiguousarray(np.asarray(k, np.float64).transpose(0, 2, 1))
-    v = np.asarray(v)
+    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
     bsz, nk, dv = v.shape
+    nq, d = q.shape[1:]
+    kt = np.empty((bsz, d + 1, nk), np.float64)
+    kt[:, :d] = k.transpose(0, 2, 1)
+    kt[:, d] = 1.0
+    kmax = np.sqrt(np.einsum("bdn,bdn->bn", kt[:, :d], kt[:, :d]).max(axis=-1, initial=0.0))
     v1 = np.empty((bsz, nk, dv + 1), np.float64)
     v1[..., :dv] = v
     v1[..., dv] = 1.0
-    q = np.asarray(q)
-    nq = q.shape[1]
     out = np.empty((bsz, nq, dv), DTYPE)
-    block = np.empty((bsz, min(chunk, nq), nk), np.float64)
+    rows = min(chunk, nq)
+    qs = np.empty((bsz, rows, d + 1), np.float64)
+    tile = np.empty((bsz, rows, min(_KEY_TILE, nk)), np.float64)
+    acc = np.empty((bsz, rows, dv + 1), np.float64)
     for lo in range(0, nq, chunk):
         hi = min(lo + chunk, nq)
-        scores = block[:, : hi - lo]
-        np.matmul(np.multiply(q[:, lo:hi], scale, dtype=np.float64), kt, out=scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        pv = np.matmul(scores, v1)
-        np.divide(pv[..., :dv], pv[..., dv:], out=out[:, lo:hi], casting="unsafe")
+        qb, a = qs[:, : hi - lo], acc[:, : hi - lo]
+        np.multiply(q[:, lo:hi], scale, out=qb[..., :d], dtype=np.float64)
+        qb[..., d] = np.sqrt(np.einsum("bnd,bnd->bn", qb[..., :d], qb[..., :d])) * -kmax[:, None]
+        _weighted_sum(qb, kt, v1, tile, a)
+        if (a[..., dv] < _MIN_ROW_SUM).any():
+            qb[..., d] = 0.0
+            qb[..., d] = -np.max([s.max(axis=-1) for _, s in _score_tiles(qb, kt, tile)], axis=0)
+            _weighted_sum(qb, kt, v1, tile, a)
+        np.divide(a[..., :dv], a[..., dv:], out=out[:, lo:hi], casting="unsafe")
     return out
+
+
+def _score_tiles(qb, kt, tile):
+    """Yield (k0, qb @ kt[..., k0:k0 + n]) for each key tile, each product
+    stored in the ``tile`` buffer."""
+    step = tile.shape[-1]
+    for k0 in range(0, kt.shape[-1], step):
+        s = tile[:, : qb.shape[1], : min(step, kt.shape[-1] - k0)]
+        yield k0, np.matmul(qb, kt[..., k0 : k0 + s.shape[-1]], out=s)
+
+
+def _weighted_sum(qb, kt, v1, tile, acc):
+    """acc = exp(qb @ kt) @ v1, summed over the key tiles."""
+    for k0, s in _score_tiles(qb, kt, tile):
+        np.exp(s, out=s)
+        vt = v1[:, k0 : k0 + s.shape[-1]]
+        if k0 == 0:
+            np.matmul(s, vt, out=acc)
+        else:
+            acc += np.matmul(s, vt)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +416,32 @@ class ParamStore:
 def trunc_normal(rng, shape, std=0.02, bound=2.0):
     """Normal(0, std) resampled until all draws fall inside +-bound*std.
 
-    Each round redraws the entries still out of bound, in C order, and
-    re-tests only those: an entry in bound never changes.
+    The first draw fills one reused float64 band of ``_DRAW_BAND`` values
+    at a time, rounded times ``std`` into the float32 output, and notes the
+    entries out of bound.  Each round then redraws the entries still out of
+    bound, in C order, and re-tests only those: an entry in bound never
+    changes.  The draws are the same, in the same order, as one
+    ``standard_normal(shape)`` followed by the rounds.
     """
-    out = rng.standard_normal(shape)
+    out = np.empty(shape, DTYPE)
     flat = out.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > bound)
+    band = np.empty(min(_DRAW_BAND, flat.size))
+    bad = [np.empty(0, np.intp)]
+    for r0 in range(0, flat.size, _DRAW_BAND):
+        x = band[: min(_DRAW_BAND, flat.size - r0)]
+        rng.standard_normal(out=x)
+        np.multiply(x, std, out=flat[r0 : r0 + x.size], casting="unsafe")
+        bad.append(np.flatnonzero(np.abs(x) > bound) + r0)
+    bad = np.concatenate(bad)
+    vals = np.empty(bad.size)
+    left = np.arange(bad.size)
     for _ in range(64):
-        if not bad.size:
+        if not left.size:
             break
-        flat[bad] = rng.standard_normal(bad.size)
-        bad = bad[np.abs(flat[bad]) > bound]
-    return np.multiply(out, std, out=np.empty(out.shape, DTYPE), casting="unsafe")
+        vals[left] = rng.standard_normal(left.size)
+        left = left[np.abs(vals[left]) > bound]
+    flat[bad] = vals * std
+    return out
 
 
 def init_params(specs, seed):

@@ -163,6 +163,20 @@ class TestConv2d:
         want += b.astype(np.float64).reshape(1, cout, 1, 1)
         assert np.array_equal(conv2d(x, w, b, stride=1, pad=1), want.astype(np.float32))
 
+    def test_dense_product_is_banded_too(self, rng, monkeypatch):
+        # the FPN stride-4 lateral, 64 -> 256 at 80 x 104, with 1 MB bands:
+        # its float64 product per output row is 4x its columns
+        monkeypatch.setattr(tensors, "_COL_BAND_BYTES", 1 << 20)
+        x = rng.standard_normal((1, 64, 80, 104)).astype(np.float32)
+        w = rng.standard_normal((256, 64, 1, 1)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * tensors._COL_BAND_BYTES + w.size * 8
+
     def test_shape_mismatch_diagnostics(self, rng):
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
@@ -283,6 +297,38 @@ class TestLinear:
         assert got.dtype == np.float32
         assert got.tobytes() == linear_add_then_cast(t, w, b).tobytes()
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_row_bands_bitwise_as_add_then_cast(self, rng, monkeypatch, bias):
+        # bands of 7 rows: 66 rows make nine full bands and a partial one,
+        # read from a transposed view as well as from contiguous tokens
+        monkeypatch.setattr(tensors, "_LINEAR_BAND_ROWS", 7)
+        t = rng.standard_normal((2, 33, 24)).astype(np.float32)
+        w = rng.standard_normal((24, 40)).astype(np.float32)
+        b = rng.standard_normal(40).astype(np.float32) if bias else None
+        want = linear_add_then_cast(t, w, b).tobytes()
+        assert linear(t, w, b).tobytes() == want
+        view = np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert linear(view, w, b).tobytes() == want
+
+    def test_memory_is_output_plus_one_band(self, rng):
+        # the B1 stage-1 Mix-FFN fc1: 8,320 tokens, 64 -> 256
+        n, cin, cout = 8320, 64, 256
+        t = rng.standard_normal((1, n, cin)).astype(np.float32)
+        w = rng.standard_normal((cin, cout)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = linear(t, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = tensors._LINEAR_BAND_ROWS * (cin + cout) * 8
+        # a float64 copy of the input and a whole float64 product would be
+        # 21.3 MB beside the 8.5 MB output
+        assert n > tensors._LINEAR_BAND_ROWS
+        # slack for the buffers of the casting store
+        assert peak <= out.nbytes + band + w.size * 8 + (256 << 10) < out.nbytes + n * (cin + cout) * 8
+
 
 class TestAttentionHelper:
     @pytest.mark.parametrize("chunk", [1, 3, 128, 200])
@@ -343,6 +389,49 @@ class TestAttentionHelper:
         assert np.isfinite(got).all()
         assert np.abs(got - want).max() < 1e-6
 
+    def test_rows_empty_under_the_bound_are_shifted_by_their_max(self, rng):
+        # |q| |k| = 1600 while q.k stays within about +-20: shifted by the
+        # bound every weight of those rows underflows to 0.  Half the rows
+        # are small, so a block mixes both kinds
+        b, nq, nk, d = 2, 40, 50, 8
+        q = rng.standard_normal((b, nq, d)) * 0.1
+        k = rng.standard_normal((b, nk, d)) * 0.1
+        q[:, ::2, 0] += 40.0
+        k[..., 1] += 40.0
+        v = rng.standard_normal((b, nk, 6)).astype(np.float32)
+        q, k = q.astype(np.float32), k.astype(np.float32)
+        bound = np.linalg.norm(q.astype(np.float64), axis=-1).max() * np.linalg.norm(k.astype(np.float64), axis=-1).max()
+        assert bound > 1500
+        got = attention(q, k, v, 1.0, chunk=16)
+        assert np.isfinite(got).all()
+        assert np.abs(got - attention_naive(q, k, v, 1.0)).max() < 1e-6
+
+    def test_ragged_last_key_tile_vs_naive(self, rng):
+        nk = tensors._KEY_TILE + 37
+        q = rng.standard_normal((2, 50, 16)).astype(np.float32)
+        k = rng.standard_normal((2, nk, 16)).astype(np.float32)
+        v = rng.standard_normal((2, nk, 8)).astype(np.float32)
+        got = attention(q, k, v, 0.25, chunk=32)
+        assert np.abs(got - attention_naive(q, k, v, 0.25)).max() < 1e-6
+
+    def test_long_keys_hold_one_score_tile(self, rng):
+        b, nq, nk, d, dv = 1, 256, 8 * tensors._KEY_TILE, 8, 8
+        q = rng.standard_normal((b, nq, d)).astype(np.float32)
+        k = rng.standard_normal((b, nk, d)).astype(np.float32)
+        v = rng.standard_normal((b, nk, dv)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 K^T with its ones row, V with its ones column, the float32
+        # output and one score tile, plus small query and PV blocks; a block
+        # of all Nk scores would be 16 MB
+        held = b * nk * (d + 1) * 8 + b * nk * (dv + 1) * 8 + out.nbytes
+        tile = b * 128 * tensors._KEY_TILE * 8
+        assert peak <= held + tile + (256 << 10) < held + b * 128 * nk * 8
+
 
 class TestParams:
     SPECS = [
@@ -357,7 +446,8 @@ class TestParams:
         assert np.all(p["norm.g"] == 1)
         assert np.abs(p["conv.w"]).max() <= 0.04 + 1e-9  # truncated at 2 std
 
-    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4, 5), (64, 64), (8, 4, 3, 3)])
+    # (301, 700) spans three full draw bands and a partial one
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4, 5), (64, 64), (8, 4, 3, 3), (301, 700)])
     @pytest.mark.parametrize("seed", [0, 1, 29])
     @pytest.mark.parametrize("bound", [2.0, 0.5, 0.05])  # 0.05 runs out of rounds
     def test_trunc_normal_bitwise_as_full_retest(self, shape, seed, bound):
