@@ -196,22 +196,19 @@ def bite(xa, xb, params, p):
     ta, tb = to_tokens(xa), to_tokens(xb)
     scale = 1.0 / np.sqrt(c)
 
-    def qkv(t, s):
-        return (
-            linear(t, params[f"{p}.bite.{s}.q.w"], params[f"{p}.bite.{s}.q.b"]),
-            linear(t, params[f"{p}.bite.{s}.k.w"], params[f"{p}.bite.{s}.k.b"]),
-            linear(t, params[f"{p}.bite.{s}.v.w"], params[f"{p}.bite.{s}.v.b"]),
-        )
+    def proj(t, s, n):
+        return linear(t, params[f"{p}.bite.{s}.{n}.w"], params[f"{p}.bite.{s}.{n}.b"])
 
-    qa, ka, va = qkv(ta, "a")
-    qb, kb, vb = qkv(tb, "b")
     # the two updated streams side by side, each stored as its attention
-    # returns; queries, keys and values are dropped after their one reader
+    # returns.  A direction's queries, keys and values are projected just
+    # before its attention and dropped after it, and each stream's tokens
+    # after their last reader
     zt = np.empty((*ta.shape[:2], 2 * c), np.result_type(ta, np.float32))
-    np.add(ta, attention(qa, kb, vb, scale), out=zt[..., :c])
-    del qa, kb, vb
+    np.add(ta, attention(proj(ta, "a", "q"), proj(tb, "b", "k"), proj(tb, "b", "v"), scale), out=zt[..., :c])
+    qb, ka, va = proj(tb, "b", "q"), proj(ta, "a", "k"), proj(ta, "a", "v")
+    del ta
     np.add(tb, attention(qb, ka, va, scale), out=zt[..., c:])
-    del qb, ka, va
+    del tb, qb, ka, va
 
     # tokens viewed as a map, as in backbone.mix_ffn: no copy either side
     z = zt.transpose(0, 2, 1).reshape(-1, 2 * c, h, w)

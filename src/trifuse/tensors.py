@@ -24,6 +24,10 @@ each band's product into its slice of the float32 output; the depthwise
 path works channels-last beside its padded input, in bands of output rows
 with a float64 accumulator of at most 512 KB unless one output row alone
 needs more.
+
+:func:`gelu` and :func:`sigmoid` take ``erf`` and ``expit`` from
+``scipy.special``, imported on their first call, so a process that runs
+no forward (``synth``, ``eval``, ``bin-events``) never loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ConfigError, ShapeError
 
@@ -229,6 +232,8 @@ def layer_norm(t, gamma, beta, eps=1e-6):
 
 
 def sigmoid(x):
+    from scipy.special import expit
+
     x = np.asarray(x)
     if x.dtype == DTYPE:  # elementwise, no accumulation: stay 32-bit
         return expit(x)
@@ -240,6 +245,8 @@ def gelu(x):
     buffers the size of ``x``: erf in place on the scaled input, then the
     1 added and the product with ``0.5 * x`` taken in place.  A float32
     input stays 32-bit; any other is evaluated in float64 and rounded."""
+    from scipy.special import erf
+
     x = np.asarray(x)
     if x.dtype == DTYPE:  # elementwise, no accumulation: stay 32-bit
         out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty_like(x))

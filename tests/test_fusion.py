@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from trifuse import fusion
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.fusion import (
     FusionConfig,
@@ -133,6 +136,28 @@ class TestBite:
         z = depthwise_nchw_taps(z, params["f.bite.dw.w"], params["f.bite.dw.b"], pad=1)
         want = to_map(lin(to_tokens(z), "proj"), 6, 5)
         assert bite(xa, xb, params, "f").tobytes() == want.tobytes()
+
+    def test_each_buffer_dropped_after_its_last_reader(self, rng, monkeypatch):
+        # the default B1's stage-1 BiTE: 64 channels at 80 x 104.  Live
+        # traced memory, in token matrices, as each attention and the merge
+        # conv start; the (N, 2C) sum of the updated streams counts two
+        xa, xb = _pair(rng, b=1, c=64, h=80, w=104)
+        params = ParamStore({s.name: rng.standard_normal(s.shape).astype(np.float32) for s in bite_specs(64, "f")})
+        live = []
+        for name in ("attention", "conv2d"):
+            def watched(*args, _real=getattr(fusion, name), **kwargs):
+                live.append(tracemalloc.get_traced_memory()[0])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fusion, name, watched)
+        tracemalloc.start()
+        try:
+            bite(xa, xb, params, "f")
+        finally:
+            tracemalloc.stop()
+        # first attention: both streams' tokens, the sum, and its q, k, v;
+        # second: stream b's tokens, the sum, and its q, k, v; conv: the sum
+        assert [m // xa.nbytes for m in live] == [7, 6, 2]
 
     def test_param_count_closed_form(self):
         # 6 C->C projections, depthwise 3x3 on 2C, pointwise 2C->C

@@ -1,6 +1,10 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks that need only the standard library: static
+checks of the source, and what a fresh interpreter loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -82,3 +86,75 @@ def test_no_test_only_functions():
         if name not in exported
     ]
     assert not found, "defined in src/ but used only by tests:\n" + "\n".join(found)
+
+
+def _run_fresh(script, cwd):
+    """Run ``script`` in a fresh interpreter that imports the package and
+    the test oracles from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(TESTS)])}
+    run = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
+SCIPY_ON_FIRST_KERNEL_CALL = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import trifuse
+from trifuse import cli
+from trifuse.tensors import gelu, sigmoid
+
+box = [0, 0, 10, 10]
+Path("d.jsonl").write_text(json.dumps({"image_id": "a", "bbox": box, "score": 0.9}) + "\\n")
+Path("g.jsonl").write_text(json.dumps({"image_id": "a", "bbox": box}) + "\\n")
+Path("events.txt").write_text("100000 2 1 1\\n200000 3 2 -1\\n")
+Path("stamps.txt").write_text("0.15\\n")
+for argv in (["--out", "corpus", "synth", "--n", "2", "--height", "40", "--width", "48"],
+             ["--out", "eval.json", "eval", "--dets", "d.jsonl", "--gts", "g.jsonl"],
+             ["--out", "frames", "bin-events", "--events", "events.txt", "--timestamps", "stamps.txt",
+              "--sensor-size", "4", "5"]):
+    assert cli.main(argv) == cli.EXIT_OK, argv
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded
+
+rng = np.random.default_rng(7)
+x32 = (rng.standard_normal(4096) * 8).astype(np.float32)
+x64 = rng.standard_normal(4096) * 8
+got = [gelu(x32), gelu(x64), sigmoid(x32), sigmoid(x64)]
+assert "scipy.special" in sys.modules
+from scipy.special import expit
+from oracles import gelu_expression
+want = [gelu_expression(x32), gelu_expression(x64), expit(x32), expit(x64).astype(np.float32)]
+for g, w in zip(got, want):
+    assert g.dtype == w.dtype == np.float32 and g.tobytes() == w.tobytes()
+"""
+
+
+def test_scipy_loads_on_the_first_gelu_or_sigmoid(tmp_path):
+    # synth, eval and bin-events never load scipy; the kernels that need it
+    # load it on their first call and compute what the module-level import did
+    _run_fresh(SCIPY_ON_FIRST_KERNEL_CALL, tmp_path)
+
+
+SCIPY_FIRST_LOADED_IN_A_POOL_THREAD = """
+import sys
+from trifuse.harness import RunConfig, run_grid
+
+def without_timing(reports):
+    return [{**r.to_dict(), "forward_ms": None} for r in reports]
+
+base = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
+sweep = {"mechanism": ["cssa", "mage_bite"]}
+assert "scipy" not in sys.modules
+parallel = without_timing(run_grid(base, sweep, workers=2))
+assert "scipy.special" in sys.modules
+serial = without_timing(run_grid(base, sweep))
+assert parallel == serial
+assert all(r["error"] is None for r in serial)
+"""
+
+
+def test_scipy_first_loaded_under_workers(tmp_path):
+    # the grid's worker threads, not the main thread, run the first gelu
+    _run_fresh(SCIPY_FIRST_LOADED_IN_A_POOL_THREAD, tmp_path)

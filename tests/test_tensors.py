@@ -147,7 +147,7 @@ class TestConv2d:
 
     def test_banded_dense_equals_one_shot_im2col(self, rng):
         # the FPN stride-8 3x3 conv: 40 output rows of 2304 x 52 columns
-        # take three bands
+        # take five bands of 8 rows with 8 MB bands
         cin, cout, h, wid = 256, 256, 40, 52
         assert 40 * 2304 * 52 * 8 > 2 * tensors._COL_BAND_BYTES
         x = rng.standard_normal((1, cin, h, wid)).astype(np.float32)
