@@ -292,12 +292,6 @@ def forward_single(x, cfg, params, p="a"):
     return feats
 
 
-def encode_step(streams, stage, cfg, params):
-    """Both streams through one stage: the (stream A, stream B) maps."""
-    xa, xb = streams
-    return encode_stage(xa, stage, cfg, params, "a"), encode_stage(xb, stage, cfg, params, "b")
-
-
 def merge_step(encoded, stage, cfg, fusion, params, diag=None):
     """One stage's emitted StageFeature and the next stage's two inputs.
 
@@ -317,13 +311,13 @@ def merge_step(encoded, stage, cfg, fusion, params, diag=None):
 
 
 def forward_dual(x, cfg, fusion, params, modalities="RTE", diag=None):
-    """Dual-stream pass with fusion hooks: the four StageFeatures of
-    ``merge_step`` folded over ``encode_step``, stage by stage."""
+    """Dual-stream pass with fusion hooks: stage by stage, each stream
+    through ``encode_stage``, then ``merge_step``; the four StageFeatures."""
     split = split_streams(x, modalities)
     streams = split.stream_a, split.stream_b
     feats = []
     for stage in range(1, 5):
-        encoded = encode_step(streams, stage, cfg, params)
+        encoded = [encode_stage(s, stage, cfg, params, p) for s, p in zip(streams, "ab")]
         feat, streams = merge_step(encoded, stage, cfg, fusion, params, diag)
         feats.append(feat)
     return feats

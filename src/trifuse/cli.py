@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -137,7 +138,8 @@ def cmd_bin_events(args):
     if args.sensor_size:
         size = tuple(args.sensor_size)
     else:
-        size = (max(y, default=0) + 1, max(x, default=0) + 1)
+        # at least 1x1, so a negative coordinate is reported as one
+        size = (max([0, *y]) + 1, max([0, *x]) + 1)
     stream = EventStream(t, x, y, p, size)
     stamps = []
     for where, line in text_lines(args.timestamps):
@@ -145,6 +147,8 @@ def cmd_bin_events(args):
             stamps.append(float(line))
         except ValueError as e:
             raise FormatError(f"{where}: non-numeric timestamp") from e
+        if not math.isfinite(stamps[-1]):
+            raise FormatError(f"{where}: non-finite timestamp")
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, ts in enumerate(stamps):

@@ -27,7 +27,8 @@ class EventStream:
 
     t is in microseconds (int64), x is the column, y the row, p in {+1, -1}.
     Every component must hold integers within the int64 range; any other
-    value is a :class:`ValidationError`, never truncated or wrapped.
+    value is a :class:`ValidationError`, never truncated or wrapped.  So is
+    a ``sensor_size`` that is not two positive integers.
     """
 
     t: np.ndarray
@@ -37,6 +38,9 @@ class EventStream:
     sensor_size: tuple  # (H, W)
 
     def __post_init__(self):
+        if len(self.sensor_size) != 2 or not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in self.sensor_size):
+            raise ValidationError(f"sensor_size must be two positive integers (H, W), got {self.sensor_size!r}")
         self.t, self.x, self.y, self.p = (
             _exact_int64(name, getattr(self, name)) for name in ("t", "x", "y", "p")
         )

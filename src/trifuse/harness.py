@@ -4,14 +4,15 @@ Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for a
 single configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.  The cells of one grid call share one memo.  A node
-(the input, a stream input, one stream's stage encode, a stage merge, the
-FPN) is keyed by what it reads, so it runs once per call: nested variants
-share their common stages and modality sets share a stream up to its first
-fused stage.  Each parameter array, bitwise equal to a fresh
-``init_params``, is drawn just before the first node that reads it and
-dropped after the last.  The pyramid's shapes depend only on the input and
-the widths, so one FPN runs per input and widths, after every stage node.
+so it can be replayed.  The cells of one grid call share one memo, one
+table of nodes and parameter arrays, each computed once per call and
+dropped after its last user.  A node (the input, a stream input, one
+stream's stage encode, a stage merge, the FPN) is keyed by what it reads:
+nested variants share their common stages and modality sets share a
+stream up to its first fused stage.  An array, keyed by (ParamSpec, seed)
+and bitwise equal to a fresh ``init_params``, is drawn just before its
+first reader.  The pyramid's shapes depend only on the input and the
+widths, so one FPN runs per input and widths, after every stage node.
 Reports match per-cell ``run_single`` runs, except that a grid
 ``forward_ms`` is composed: the sum of the median times of the shared nodes
 on the cell's path plus the median time of that one FPN run, where
@@ -233,12 +234,11 @@ def _timed(reps, fn, *args):
     return out, statistics.median(times)
 
 
-def run_single(run_cfg, params=None):
+def run_single(run_cfg):
     """Execute one configuration end to end and report shapes/params/timing."""
     run_cfg.validate()
     specs = build_param_specs(run_cfg)
-    if params is None:
-        params = init_params(specs, run_cfg.seed)
+    params = init_params(specs, run_cfg.seed)
     cfg = run_cfg.backbone_config()
     fus = run_cfg.fusion_config()
     x, _ = make_input(run_cfg)
@@ -331,14 +331,14 @@ def _path(cfg):
 class _Memo:
     """What the cells of one ``_run_cells`` call share.
 
-    ``paths`` holds each cell's ``_path``.  ``nodes`` holds one Future per
-    node key, created by the first cell to need it, and ``users`` counts the
-    cells still to pass each node, so a node is dropped as soon as its last
-    user has it.  ``arrays`` holds one Future per (ParamSpec, seed), drawn
-    just before the first node that reads it runs, and ``readers`` counts
-    the nodes still to read it, so an array is dropped once the last of them
-    has run.  ``feats`` keeps each FPN node's first user's stage features
-    until the FPNs run.
+    ``paths`` holds each cell's ``_path``.  ``values`` is one table of
+    Futures: a node keyed by its node key, a parameter array by (ParamSpec,
+    seed), each created by the first to need it.  ``users`` counts who
+    still needs each value, the cells still to pass a node and the nodes
+    still to read an array, so a value is dropped after its last user: an
+    array lives from just before the first node that reads it runs until
+    the last has run.  ``feats`` keeps each FPN node's first user's stage
+    features until the FPNs run.
     """
 
     def __init__(self, cells):
@@ -346,71 +346,54 @@ class _Memo:
         self.paths = {repr(cfg): _path(cfg) for cfg in cells}
         self.reads = {key: arrays for path in self.paths.values() for key, arrays in path}
         self.users = Counter(key for path in self.paths.values() for key, _ in path)
-        self.readers = Counter(a for arrays in self.reads.values() for a in arrays)
-        self.nodes, self.arrays, self.feats = {}, {}, {}
+        self.users.update(a for arrays in self.reads.values() for a in arrays)
+        self.values, self.feats = {}, {}
 
     def node(self, key, fn, *args):
-        """The node's value: ``fn(params, *args)`` run by the first cell to
-        ask, with the arrays the node reads, its outcome, a raised error
-        included, shared with every later one."""
-        with self.lock:
-            future = self.nodes.get(key)
-            mine = future is None
-            if mine:
-                future = self.nodes[key] = Future()
-        if mine:
+        """The node's value: ``fn(params, *args)`` run with the arrays the
+        node reads, each drawn by ``init_params`` if no node has drawn it."""
+        def run():
+            reads = self.reads[key]
             try:
-                future.set_result(fn(self._params(key), *args))
-            except BaseException as e:  # re-raised by result() below
-                future.set_exception(e)
+                arrays = {s.name: self._get((s, seed), init_params, [s], seed)[s.name] for s, seed in reads}
+                return fn(ParamStore(arrays), *args)
             finally:
-                self._read(key)
+                self.leave(reads)
+
         try:
-            return future.result()
+            return self._get(key, run)
         finally:
             self.leave([key])
 
-    def _params(self, key):
-        """The arrays node ``key`` reads; those no node has drawn yet are
-        drawn here, outside the lock, in one ``init_params`` call."""
-        reads = self.reads[key]
+    def _get(self, key, fn, *args):
+        """Value ``key``: ``fn(*args)`` run, outside the lock, by the first
+        caller, its outcome, a raised error included, shared with every
+        later one."""
         with self.lock:
-            mine = [a for a in reads if a not in self.arrays]
-            for a in mine:
-                self.arrays[a] = Future()
-            futures = [self.arrays[a] for a in reads]
+            future = self.values.get(key)
+            mine = future is None
+            if mine:
+                future = self.values[key] = Future()
         if mine:
             try:
-                store = init_params([spec for spec, _ in mine], mine[0][1])
-                for spec, seed in mine:
-                    self.arrays[spec, seed].set_result(store[spec.name])
-            except BaseException as e:
-                for a in mine:
-                    self.arrays[a].set_exception(e)
-                raise
-        return ParamStore({spec.name: f.result() for (spec, _), f in zip(reads, futures)})
-
-    def _read(self, key):
-        """Node ``key`` has run, or never will: each array it reads loses a
-        reader, and one left with none is dropped."""
-        with self.lock:
-            for a in self.reads[key]:
-                self.readers[a] -= 1
-                if not self.readers[a]:
-                    self.arrays.pop(a, None)
+                future.set_result(fn(*args))
+            except BaseException as e:  # re-raised by result() below
+                future.set_exception(e)
+        return future.result()
 
     def leave(self, keys):
-        """A cell is done with ``keys``: passed, or never to be reached.  A
-        node left by its last user is dropped, and one that never ran
+        """One user is done with each of ``keys``: a cell has passed the node
+        or will never reach it, or a node has read the array or never will.
+        A value left by its last user is dropped, and a node that never ran
         releases its arrays."""
         for key in keys:
             with self.lock:
                 self.users[key] -= 1
                 if self.users[key]:
                     continue
-                ran = self.nodes.pop(key, None) is not None
+                ran = self.values.pop(key, None) is not None
             if not ran:
-                self._read(key)
+                self.leave(self.reads.get(key, ()))
 
 
 def _input(params, cfg):
@@ -422,7 +405,7 @@ def _stream(params, x, channels):
 
 
 def _encode(params, reps, x, stage, cfg, p):
-    # looked up in ``backbone`` at call time, as ``encode_step`` does
+    # looked up in ``backbone`` at call time, as ``forward_dual`` does
     return _timed(reps, backbone.encode_stage, x, stage, cfg, params, p)
 
 
@@ -503,9 +486,9 @@ def _run_cells(configs, workers=1):
     """The grid engine: run ``configs`` and return their reports in order.
 
     Each distinct config runs once and its repeats get the same report.
-    All cells share one ``_Memo``, so each node and each parameter array is
-    computed once per call.  Per-name seeding makes a shared array bitwise
-    equal to the one a fresh ``init_params`` would build, so a shared node
+    All cells share one ``_Memo``, one table of nodes and parameter arrays,
+    so each is computed once per call.  Per-name seeding makes a shared
+    array bitwise equal to the cell's own ``init_params``, so a shared node
     computes what the cell's own forward would.  Cells run grouped by
     (seed, variant, modalities), ``workers`` threads at a time within a
     group, with a variant's modality sets and the variants next to each

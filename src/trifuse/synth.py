@@ -14,10 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest, ManifestEntry, save_manifest, write_npy
+from .errors import ConfigError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events
 
 DEFAULT_HEIGHT = 301
 DEFAULT_WIDTH = 391
+MIN_SIDE = 13  # boxes are at least 12 px, placed at an offset in [0, side - 12)
 
 
 def _edge_pixels(x1, y1, x2, y2):
@@ -78,6 +80,11 @@ def make_frame(rng, height=DEFAULT_HEIGHT, width=DEFAULT_WIDTH, n_boxes=None,
 def generate_corpus(out_dir, n_frames, height=DEFAULT_HEIGHT, width=DEFAULT_WIDTH, seed=0):
     """Write ``n_frames`` samples plus labels and manifest; returns the
     manifest path."""
+    if n_frames < 0:
+        raise ConfigError(f"frame count must be >= 0, got {n_frames}")
+    if min(height, width) < MIN_SIDE:
+        raise ConfigError(f"frame size {height}x{width}: height and width must be >= {MIN_SIDE}, "
+                          "the smallest that fits a 12 px box")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -99,6 +99,21 @@ class TestSynthAndEval:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["stage_shapes"][0] == [1, 32, 16, 16]
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--n", "-2"], "frame count must be >= 0, got -2"),
+        (["--height", "10", "--width", "10"], "frame size 10x10: height and width must be >= 13"),
+        (["--width", "12"], "frame size 301x12: height and width must be >= 13"),
+    ], ids=["n-2", "10x10", "width-12"])
+    def test_synth_bad_size_exits_one(self, tmp_path, capsys, flags, error):
+        code = main(["--out", str(tmp_path / "data"), "synth", *flags])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        assert not (tmp_path / "data").exists()
+
+    def test_synth_smallest_frame(self, tmp_path):
+        assert main(["--out", str(tmp_path / "data"), "synth", "--n", "1", "--height", "13", "--width", "13"]) == EXIT_OK
+
     def test_eval_perfect_detector(self, tmp_path):
         boxes = [[0, 0, 10, 10], [20, 0, 30, 10]]
         dpath, gpath = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
@@ -214,10 +229,12 @@ class TestBinEvents:
         assert code == EXIT_VALIDATION
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["events", "timestamps"])
+    @pytest.mark.parametrize("bad", ["events", "timestamps", "nan", "inf"])
     def test_non_numeric_field_names_file_and_line(self, tmp_path, capsys, bad):
-        files = {"events": "100000 2 1 1\n\nabc 1 2 1\n", "timestamps": "0.1\n\nx\n"}
-        if bad == "timestamps":
+        # nan and inf parse as floats, so they are refused as timestamps
+        # before any frame is written
+        files = {"events": "100000 2 1 1\n\nabc 1 2 1\n", "timestamps": f"0.1\n\n{bad}\n"}
+        if bad != "events":
             files["events"] = "100000 2 1 1\n"
         paths = {}
         for name, text in files.items():
@@ -227,8 +244,32 @@ class TestBinEvents:
                      "--events", str(paths["events"]), "--timestamps", str(paths["timestamps"])])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert f"error: {paths[bad]}:3: non-numeric" in err
-        assert "Traceback" not in err
+        where = paths["events" if bad == "events" else "timestamps"]
+        what = "non-finite timestamp" if bad in ("nan", "inf") else "non-numeric"
+        assert err.startswith(f"error: {where}:3: {what}") and err.count("\n") == 1
+        assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("size, events", [
+        (["-1", "5"], ""), (["0", "5"], ""), (["4", "0"], "100000 2 1 1\n"),
+    ], ids=["-1x5", "0x5", "4x0"])
+    def test_sensor_size_not_positive_exits_one(self, tmp_path, capsys, size, events):
+        (tmp_path / "events.txt").write_text(events)
+        (tmp_path / "stamps.txt").write_text("0.1\n")
+        code = main(["--out", str(tmp_path / "frames"), "bin-events", "--events", str(tmp_path / "events.txt"),
+                     "--timestamps", str(tmp_path / "stamps.txt"), "--sensor-size", *size])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err == f"error: sensor_size must be two positive integers (H, W), got ({size[0]}, {size[1]})\n"
+        assert not (tmp_path / "frames").exists()
+
+    def test_negative_coordinate_without_sensor_size_exits_one(self, tmp_path, capsys):
+        # the inferred size is at least 1x1, so the coordinate is what is reported
+        (tmp_path / "events.txt").write_text("100000 -3 1 1\n")
+        (tmp_path / "stamps.txt").write_text("0.1\n")
+        code = main(["--out", str(tmp_path / "frames"), "bin-events", "--events", str(tmp_path / "events.txt"),
+                     "--timestamps", str(tmp_path / "stamps.txt")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: x coordinate outside [0, 1)\n"
 
     def test_timestamp_beyond_int64_exits_one(self, tmp_path, capsys):
         events = tmp_path / "events.txt"

@@ -39,6 +39,14 @@ class TestEventStream:
         with pytest.raises(ValidationError, match="y coordinate"):
             EventStream([1], [0], [-1], [1], (4, 4))
 
+    @pytest.mark.parametrize("size", [(-3, 4), (2.5, 4), (4, 0), (4.0, 4), (True, 4), (4,), (4, 4, 1)])
+    def test_sensor_size_not_two_positive_integers_rejected(self, size):
+        with pytest.raises(ValidationError, match=r"^sensor_size must be two positive integers \(H, W\)"):
+            EventStream([], [], [], [], size)
+
+    def test_sensor_size_of_numpy_integers_accepted(self):
+        assert len(EventStream([1], [2], [0], [1], (np.int64(1), np.int32(3)))) == 1
+
     def test_bad_polarity(self):
         for bad in (0, 2, -2, 2**63 - 1, -2**63):
             with pytest.raises(ValidationError, match="polarity"):

@@ -125,11 +125,6 @@ class TestRunSingle:
         assert a.diagnostics == b.diagnostics
         assert a.param_count == b.param_count
 
-    def test_shared_params_accepted(self):
-        params = init_params(build_param_specs(FAST), FAST.seed)
-        rep = run_single(FAST, params=params)
-        assert rep.ok
-
     def test_manifest_source(self, tmp_path):
         manifest = generate_corpus(tmp_path, 1, height=64, width=64, seed=0)
         cfg = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1,
@@ -253,11 +248,12 @@ class TestGridEngine:
         assert_reports_equal_per_cell_runs(reports)
 
     def _count_encodes(self, monkeypatch, by_stream=False):
-        calls = Counter()
+        calls, lock = Counter(), threading.Lock()
         real = backbone.encode_stage
 
         def counting(x, stage, cfg, params, p):
-            calls[(stage, p) if by_stream else stage] += 1
+            with lock:  # += on a Counter loses counts when two workers interleave
+                calls[(stage, p) if by_stream else stage] += 1
             return real(x, stage, cfg, params, p)
 
         monkeypatch.setattr(backbone, "encode_stage", counting)
@@ -431,7 +427,7 @@ class TestGridEngine:
         assert {n for n in live_at["fpn"][1] if n.startswith("fpn.out")} == {
             f"fpn.out{i}.{w}" for i in range(1, 5) for w in "wb"}
         assert not live() and len(memos) == 1
-        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
+        assert not memos[0].values and not memos[0].feats
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch, workers):
@@ -450,11 +446,28 @@ class TestGridEngine:
                            workers=workers)
         assert len(raised) == 1  # one node, two cells
         # the nodes the failed cells never reached released their arrays
-        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
+        assert not memos[0].values and not memos[0].feats
         failed = [r for r in reports if not r.ok]
         assert [(r.config["stages"], r.error) for r in failed] == [
             ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
         ]
+        assert_reports_equal_per_cell_runs(reports)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_draw_fails_each_cell_that_reads_the_array(self, monkeypatch, workers):
+        def refusing(specs, seed):
+            if any(s.name.startswith("fuse.s4.") for s in specs):
+                raise ConfigError("fuse.s4 draw refused")
+            return init_params(specs, seed)
+
+        monkeypatch.setattr(harness, "init_params", refusing)
+        memos = self._record_memos(monkeypatch)
+        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]}, workers=workers)
+        assert [(r.config["mechanism"], r.config["stages"]) for r in reports if not r.ok] == [
+            ("cssa", [3, 4]), ("cssa", [4]), ("gaff", [3, 4]), ("gaff", [4]),
+        ]
+        assert {r.error for r in reports if not r.ok} == {"ConfigError: fuse.s4 draw refused"}
+        assert not memos[0].values and not memos[0].feats
         assert_reports_equal_per_cell_runs(reports)
 
     def test_failing_shared_input_fails_every_cell(self, tmp_path):
@@ -488,7 +501,7 @@ class TestGridEngine:
             sys.setswitchinterval(interval)
         # once per grid call, although the two modality sets are two groups
         assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
-        assert not memos[0].nodes and not memos[0].arrays and not memos[0].feats
+        assert not memos[0].values and not memos[0].feats
 
     def test_ablation_reports_keep_inventory_order(self, monkeypatch):
         ran = []
