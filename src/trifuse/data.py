@@ -25,6 +25,11 @@ log = logging.getLogger(__name__)
 
 STD_EPS = 1e-6
 
+# the most pixels one frame may hold, checked before anything is allocated:
+# 31x the default 320x416 padded frame, room for a 1280x720 event sensor,
+# and 168 MB as a five-channel float64 frame
+MAX_FRAME_PIXELS = 2**22
+
 # ImageNet RGB statistics for inputs in [0, 1]
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)

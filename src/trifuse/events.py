@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_lines
+from .data import MAX_FRAME_PIXELS, text_lines
 from .errors import ConfigError, FormatError, ValidationError
 
 # 30 FPS frame interval
@@ -28,7 +28,8 @@ class EventStream:
     t is in microseconds (int64), x is the column, y the row, p in {+1, -1}.
     Every component must hold integers within the int64 range; any other
     value is a :class:`ValidationError`, never truncated or wrapped.  So is
-    a ``sensor_size`` that is not two positive integers.
+    a ``sensor_size`` that is not two positive integers, or that holds more
+    than ``MAX_FRAME_PIXELS`` pixels.
     """
 
     t: np.ndarray
@@ -41,6 +42,9 @@ class EventStream:
         if len(self.sensor_size) != 2 or not all(
                 isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in self.sensor_size):
             raise ValidationError(f"sensor_size must be two positive integers (H, W), got {self.sensor_size!r}")
+        h, w = map(int, self.sensor_size)  # a numpy integer product could wrap
+        if h * w > MAX_FRAME_PIXELS:
+            raise ValidationError(f"sensor_size {h}x{w} = {h * w} pixels, above the bound of {MAX_FRAME_PIXELS}")
         self.t, self.x, self.y, self.p = (
             _exact_int64(name, getattr(self, name)) for name in ("t", "x", "y", "p")
         )
@@ -51,7 +55,6 @@ class EventStream:
         down = self.t[1:] < self.t[:-1]
         if down.any():
             raise ValidationError(f"timestamps decrease at event index {int(down.argmax()) + 1}")
-        h, w = self.sensor_size
         if n:
             if self.x.min() < 0 or self.x.max() >= w:
                 raise ValidationError(f"x coordinate outside [0, {w})")

@@ -1,23 +1,22 @@
 """Config-driven experiment harness.
 
-Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for a
-single configuration, and enumerates ablation grids over placement,
+Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for
+each configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.  The cells of one grid call share one memo, one
-table of nodes and parameter arrays, each computed once per call and
-dropped after its last user.  A node (the input, a stream input, one
-stream's stage encode, a stage merge, the FPN) is keyed by what it reads:
-nested variants share their common stages and modality sets share a
-stream up to its first fused stage.  An array, keyed by (ParamSpec, seed)
-and bitwise equal to a fresh ``init_params``, is drawn just before its
-first reader.  The pyramid's shapes depend only on the input and the
-widths, so one FPN runs per input and widths, after every stage node.
-Reports match per-cell ``run_single`` runs, except that a grid
-``forward_ms`` is composed: the sum of the median times of the shared nodes
-on the cell's path plus the median time of that one FPN run, where
-``run_single`` and ``inspect`` time whole forwards.  A config listed more
-than once runs once and every listing gets its report.
+so it can be replayed.  One engine runs every cell, and ``run_single``
+(behind ``inspect``) is a grid of one.  The cells of one grid call share
+one memo, one table of nodes and parameter arrays, each computed once per
+call and dropped after its last user.  A node (the input, a stream input,
+one stream's stage encode, a stage merge, the FPN) is keyed by what it
+reads: nested variants share their common stages and modality sets share
+a stream up to its first fused stage.  An array, keyed by (ParamSpec,
+seed) and bitwise equal to a fresh ``init_params``, is drawn just before
+its first reader.  One FPN runs per input and widths, after every stage
+node.  A report equals what one whole ``forward_dual`` and ``fpn`` give,
+except that ``forward_ms`` is composed: the median times of the nodes on
+the cell's path plus that of its FPN run.  A config listed more than once
+runs once and every listing gets its report.
 """
 
 from __future__ import annotations
@@ -40,11 +39,10 @@ from .backbone import (
     STREAM_SLICES,
     BackboneConfig,
     backbone_param_specs,
-    forward_dual,
     merge_step,
     normalize_modalities,
 )
-from .data import default_stats, load_frame, load_manifest, normalize, pad_to_stride
+from .data import MAX_FRAME_PIXELS, default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError, ValidationError
 from .fusion import FusionConfig
 from .neck import fpn, fpn_param_specs
@@ -102,6 +100,10 @@ class RunConfig:
         for name in ("stages", "input_size"):
             if not all(map(_is_int, getattr(self, name))):
                 raise ConfigError(f"{name}: expected a list of integers, got {getattr(self, name)!r}")
+        if len(set(self.stages)) < len(self.stages):
+            raise ConfigError(f"stages: a stage is listed more than once in {list(self.stages)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         try:
             cfg = self.backbone_config()
         except ConfigError as e:
@@ -128,6 +130,9 @@ class RunConfig:
             raise ConfigError(f"input_size: {h}x{w} too small for the stride schedule")
         if self.batch < 1:
             raise ConfigError(f"batch: must be >= 1, got {self.batch}")
+        if self.batch * h * w > MAX_FRAME_PIXELS:
+            raise ConfigError(f"input_size: {h}x{w} x batch {self.batch} = {self.batch * h * w} pixels, "
+                              f"above the bound of {MAX_FRAME_PIXELS}")
         if self.timing_reps < 1:
             raise ConfigError(f"timing_reps: must be >= 1, got {self.timing_reps}")
         return self
@@ -235,28 +240,12 @@ def _timed(reps, fn, *args):
 
 
 def run_single(run_cfg):
-    """Execute one configuration end to end and report shapes/params/timing."""
-    run_cfg.validate()
-    specs = build_param_specs(run_cfg)
-    params = init_params(specs, run_cfg.seed)
-    cfg = run_cfg.backbone_config()
-    fus = run_cfg.fusion_config()
-    x, _ = make_input(run_cfg)
-
-    def forward():
-        diag = {}
-        feats = forward_dual(x, cfg, fus, params, run_cfg.modalities, diag=diag)
-        return feats, fpn(feats, params), diag
-
-    (feats, pyramid, diag), ms = _timed(run_cfg.timing_reps, forward)
-    return RunReport(
-        config=run_cfg.to_dict(),
-        stage_shapes=[f.map.shape for f in feats],
-        pyramid_shapes=pyramid.shapes(),
-        param_count=param_count(specs),
-        forward_ms=ms,
-        diagnostics=diag,
-    )
+    """Execute one configuration end to end and report shapes/params/timing:
+    a one-cell grid, which raises the error that fails the cell."""
+    (outcome,) = _run_cells([run_cfg.validate()])
+    if isinstance(outcome, TrifuseError):
+        raise outcome
+    return outcome
 
 
 def expand_sweep(base, sweep):
@@ -423,17 +412,13 @@ def _pyramid_shapes(params, reps, feats):
     return pyramid.shapes(), ms
 
 
-def _error_report(cfg, e):
-    return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}")
-
-
 def _run_cell(cfg, memo):
-    """One grid cell's stage nodes: ``run_single``'s report without the
-    pyramid, from the memo's shared input, stream inputs, stream encodes and
-    merges, with ``forward_ms`` the sum of those nodes' median times.  The
-    first cell of its FPN node leaves its stage features in the memo for
-    ``_add_pyramid``.  A TrifuseError is recorded in the report, not raised,
-    and the nodes the cell will not reach lose it as a user."""
+    """One grid cell's stage nodes: its report without the pyramid, from the
+    memo's shared input, stream inputs, stream encodes and merges, with
+    ``forward_ms`` the sum of those nodes' median times.  The first cell of
+    its FPN node leaves its stage features in the memo for ``_add_pyramid``.
+    A TrifuseError is returned, not raised, and the nodes the cell will not
+    reach lose it as a user."""
     path = iter(key for key, _ in memo.paths[repr(cfg)])
 
     def node(fn, *args):
@@ -464,28 +449,30 @@ def _run_cell(cfg, memo):
         )
     except TrifuseError as e:
         memo.leave(path)
-        return _error_report(cfg, e)
+        return e
 
 
 def _add_pyramid(report, cfg, memo):
     """A cell's report completed by its FPN node.  No report field reads a
     pyramid value, only its shapes, so the node runs once, on the stage
-    features of its first user, and every user adds its median time."""
-    if not report.ok:
+    features of its first user, and every user adds its median time.  An
+    error, the cell's or the node's, is returned."""
+    if isinstance(report, TrifuseError):
         return report
     key, _ = memo.paths[repr(cfg)][-1]
     try:
         # only the first user finds the features, and the node runs for it
         shapes, ms = memo.node(key, _pyramid_shapes, cfg.timing_reps, memo.feats.pop(key, None))
     except TrifuseError as e:
-        return _error_report(cfg, e)
+        return e
     return replace(report, pyramid_shapes=shapes, forward_ms=report.forward_ms + ms)
 
 
 def _run_cells(configs, workers=1):
-    """The grid engine: run ``configs`` and return their reports in order.
+    """The grid engine: run ``configs`` and return, in order, each one's
+    report or the TrifuseError that failed it.
 
-    Each distinct config runs once and its repeats get the same report.
+    Each distinct config runs once and its repeats get the same outcome.
     All cells share one ``_Memo``, one table of nodes and parameter arrays,
     so each is computed once per call.  Per-name seeding makes a shared
     array bitwise equal to the cell's own ``init_params``, so a shared node
@@ -514,13 +501,21 @@ def _run_cells(configs, workers=1):
     return [reports[repr(cfg)] for cfg in configs]
 
 
+def _recorded(cfg, outcome):
+    """A cell's report, or the error that failed it recorded in one."""
+    if isinstance(outcome, TrifuseError):
+        return RunReport(config=cfg.to_dict(), error=f"{type(outcome).__name__}: {outcome}")
+    return outcome
+
+
 def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
     Returns reports sorted by config key.
     """
     configs = expand_sweep(base, sweep)
-    keyed = sorted(zip(configs, _run_cells(configs, workers)), key=lambda cr: cr[0].key())
+    reports = map(_recorded, configs, _run_cells(configs, workers))
+    keyed = sorted(zip(configs, reports), key=lambda cr: cr[0].key())
     return [r for _, r in keyed]
 
 
@@ -588,7 +583,8 @@ _INVENTORY = (
 
 def run_ablation_grid(base, workers=1):
     """Run the whole ablation inventory over ``base``; returns {group: [RunReport]}."""
-    reports = _run_cells([replace(base, **o) for _, o in _INVENTORY], workers)
+    configs = [replace(base, **o) for _, o in _INVENTORY]
+    reports = map(_recorded, configs, _run_cells(configs, workers))
     results = {}
     for (group, _), report in zip(_INVENTORY, reports):
         results.setdefault(group, []).append(report)

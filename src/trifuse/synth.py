@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetManifest, ManifestEntry, save_manifest, write_npy
+from .data import MAX_FRAME_PIXELS, DatasetManifest, ManifestEntry, save_manifest, write_npy
 from .errors import ConfigError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events
 
@@ -85,6 +85,11 @@ def generate_corpus(out_dir, n_frames, height=DEFAULT_HEIGHT, width=DEFAULT_WIDT
     if min(height, width) < MIN_SIDE:
         raise ConfigError(f"frame size {height}x{width}: height and width must be >= {MIN_SIDE}, "
                           "the smallest that fits a 12 px box")
+    if height * width > MAX_FRAME_PIXELS:
+        raise ConfigError(f"frame size {height}x{width} = {height * width} pixels, "
+                          f"above the bound of {MAX_FRAME_PIXELS}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ import numpy as np
 from . import fusion
 from .backbone import BackboneConfig, backbone_param_specs, forward_dual, forward_single, split_streams
 from .data import NormStats, denormalize, normalize, pad_to_stride
+from .errors import ConfigError
 from .events import EventStream, bin_events
 from .fusion import FusionConfig, cssa_switch, channel_scores, fusion_param_specs
 from .metrics import Detection, GroundTruth, average_precision, evaluate
@@ -297,8 +298,10 @@ def run_verification(n_seeds=20, base_seed=0):
     """Run every property over ``n_seeds`` seeds.
 
     Returns {property: {"passed": int, "failed": [seeds]}}; deterministic
-    for fixed arguments.
+    for fixed arguments.  The seeds must be >= 0, as numpy's generators ask.
     """
+    if base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {base_seed}")
     summary = {}
     for name, prop in PROPERTIES:
         passed, failed = 0, []

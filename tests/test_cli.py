@@ -180,6 +180,42 @@ class TestInputErrors:
         errors = [r["error"] for r in json.loads((out / "grid.json").read_text())]
         assert errors == [f"ValidationError: {manifest}: manifest has no entries"] * 2
 
+    @pytest.mark.parametrize("argv, error", [
+        (["inspect"], "seed: must be >= 0, got -1"),
+        (["grid"], "seed: must be >= 0, got -1"),
+        (["synth", "--n", "1"], "seed must be >= 0, got -1"),
+        (["verify", "--seeds", "1"], "seed must be >= 0, got -1"),
+    ], ids=["inspect", "grid", "synth", "verify"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, argv, error):
+        out = tmp_path / "out"
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "--seed", "-1", "--out", str(out), *argv])
+        assert err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_repeated_stage_exits_one(self, tmp_path, capsys):
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--stages", "1", "1"])
+        assert err == "error: stages: a stage is listed more than once in [1, 1]\n"
+
+    @pytest.mark.parametrize("verb", ["inspect", "synth", "bin-events", "bin-events-inferred"])
+    def test_frame_of_200000_squared_exits_one(self, tmp_path, capsys, verb):
+        # refused before the frame is allocated: 200000 x 200000 float32 x 5 is 745 GiB
+        size = "200000x200000 = 40000000000 pixels"
+        (tmp_path / "events.txt").write_text("5 4611686018427387904 0 1\n")
+        (tmp_path / "stamps.txt").write_text("0.1\n")
+        bin_events = ["bin-events", "--events", str(tmp_path / "events.txt"), "--timestamps", str(tmp_path / "stamps.txt")]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"input_size": [200000, 200000]}')
+        argv, error = {
+            "inspect": (["--config", str(cfg), "inspect"], "input_size: 200000x200000 x batch 1 = 40000000000 pixels"),
+            "synth": (["synth", "--height", "200000", "--width", "200000"], f"frame size {size}"),
+            "bin-events": (bin_events + ["--sensor-size", "200000", "200000"], f"sensor_size {size}"),
+            "bin-events-inferred": (bin_events, f"sensor_size 1x{2**62 + 1} = {2**62 + 1} pixels"),
+        }[verb]
+        out = tmp_path / "out"
+        err = self._fails(capsys, ["--out", str(out), *argv])
+        assert err == f"error: {error}, above the bound of 4194304\n"
+        assert not out.exists()
+
     def test_missing_detections_file(self, tmp_path, capsys):
         gts = tmp_path / "g.jsonl"
         gts.write_text("")

@@ -47,6 +47,14 @@ class TestEventStream:
     def test_sensor_size_of_numpy_integers_accepted(self):
         assert len(EventStream([1], [2], [0], [1], (np.int64(1), np.int32(3)))) == 1
 
+    def test_sensor_pixels_bounded(self):
+        assert len(EventStream([], [], [], [], (2048, 2048))) == 0
+        with pytest.raises(ValidationError, match=r"^sensor_size 2048x2049 = 4196352 pixels, above the bound of 4194304$"):
+            EventStream([], [], [], [], (2048, 2049))
+        # an int64 product would wrap to 0
+        with pytest.raises(ValidationError, match=r"^sensor_size 4294967296x4294967296 = "):
+            EventStream([], [], [], [], (np.int64(2**32), np.int64(2**32)))
+
     def test_bad_polarity(self):
         for bad in (0, 2, -2, 2**63 - 1, -2**63):
             with pytest.raises(ValidationError, match="polarity"):

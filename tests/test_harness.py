@@ -50,6 +50,20 @@ class TestRunConfig:
             RunConfig(batch=0).validate()
         with pytest.raises(ConfigError, match="timing_reps"):
             RunConfig(timing_reps=0).validate()
+        with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
+            RunConfig(seed=-1).validate()
+        with pytest.raises(ConfigError, match=r"^stages: a stage is listed more than once in \[1, 2, 1\]$"):
+            RunConfig(stages=(1, 2, 1)).validate()
+
+    def test_frame_pixels_bounded(self):
+        # batch x H x W up to 2**22 is accepted, one row more is not
+        RunConfig(input_size=(2048, 2048)).validate()
+        RunConfig(input_size=(1024, 2048), batch=2).validate()
+        with pytest.raises(ConfigError, match=r"^input_size: 2048x2049 x batch 1 = 4196352 pixels, "
+                                              r"above the bound of 4194304$"):
+            RunConfig(input_size=(2048, 2049)).validate()
+        with pytest.raises(ConfigError, match=r"^input_size: 1024x2048 x batch 3 = 6291456 pixels"):
+            RunConfig(input_size=(1024, 2048), batch=3).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("tau", "x"), ("modalities", 3), ("batch", "2"), ("timing_reps", None),
@@ -133,6 +147,26 @@ class TestRunSingle:
         assert rep.ok
         assert rep.stage_shapes[0] == (1, 32, 16, 16)
 
+    @pytest.mark.parametrize("cfg", [
+        FAST, replace(FAST, mechanism="cssa", stages=(2, 4), modalities="RT", timing_reps=2),
+        replace(FAST, mechanism="gaff", stages=(), batch=2, seed=3),
+    ], ids=["mage_bite", "cssa-RT", "unfused-batch2"])
+    def test_equals_one_whole_forward(self, cfg):
+        assert_reports_equal_per_cell_runs([run_single(cfg)])
+
+    def test_failure_raises_the_cells_error(self, monkeypatch):
+        refused = ConfigError("fuse.s4 draw refused")
+
+        def refusing(specs, seed):
+            if any(s.name.startswith("fuse.s4.") for s in specs):
+                raise refused
+            return init_params(specs, seed)
+
+        monkeypatch.setattr(harness, "init_params", refusing)
+        with pytest.raises(ConfigError) as info:
+            run_single(FAST)
+        assert info.value is refused
+
 
 class TestMakeInput:
     def test_synthetic_padded_to_stride(self):
@@ -213,11 +247,23 @@ def tiled_params(specs, seed):
 
 
 def single_report(cfg):
-    """``run_single``'s report, or the error report a grid cell records."""
+    """The cell's report from one whole forward, without the grid engine:
+    one ``init_params`` draw of every array, then ``forward_dual`` and
+    ``fpn``, or the error report a grid cell records.  ``init_params`` and
+    ``fpn`` are looked up on ``harness`` at call time, so a test's
+    monkeypatch applies here too."""
     try:
-        return run_single(cfg).to_dict()
+        specs = build_param_specs(cfg.validate())
+        params = harness.init_params(specs, cfg.seed)
+        diag = {}
+        feats = backbone.forward_dual(make_input(cfg)[0], cfg.backbone_config(), cfg.fusion_config(),
+                                      params, cfg.modalities, diag=diag)
+        pyramid = harness.fpn(feats, params)
     except TrifuseError as e:
         return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}").to_dict()
+    return RunReport(config=cfg.to_dict(), stage_shapes=[f.map.shape for f in feats],
+                     pyramid_shapes=pyramid.shapes(), param_count=param_count(specs),
+                     diagnostics=diag).to_dict()
 
 
 def assert_reports_equal_per_cell_runs(reports):
@@ -508,7 +554,7 @@ class TestGridEngine:
 
         def fake_run_cell(cfg, memo):
             ran.append(cfg)
-            return RunReport(config=cfg.to_dict(), error="not run")
+            return ConfigError("not run")
 
         monkeypatch.setattr(harness, "_run_cell", fake_run_cell)
         groups = run_ablation_grid(RunConfig())

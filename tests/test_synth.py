@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from trifuse.data import load_frame, load_manifest, read_npy
+from trifuse.errors import ConfigError
 from trifuse.synth import generate_corpus, make_frame
 
 
@@ -82,3 +84,12 @@ class TestGenerateCorpus:
         records = json.loads(path.read_text())
         assert records[0]["image"] == "frame_0000.npy"
         assert records[0]["labels"] == "frame_0000.txt"
+
+    @pytest.mark.parametrize("kwargs, error", [
+        (dict(height=2048, width=2049), "frame size 2048x2049 = 4196352 pixels, above the bound of 4194304"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["pixels", "seed"])
+    def test_refused_before_anything_is_written(self, tmp_path, kwargs, error):
+        with pytest.raises(ConfigError, match=f"^{error}$"):
+            generate_corpus(tmp_path / "f", 1, **{"height": 40, "width": 40, **kwargs})
+        assert not (tmp_path / "f").exists()
