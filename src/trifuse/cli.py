@@ -54,8 +54,6 @@ def _add_shared_flags(p, default=None):
     p.add_argument("--config", default=default, help="JSON file of run-config fields")
     p.add_argument("--seed", type=int, default=default, help="global RNG seed")
     p.add_argument("--out", default=default, help="output file or directory")
-    p.add_argument("--workers", type=int, default=1 if default is None else default,
-                   help="parallel grid cells")
 
 
 def _add_run_flags(p):
@@ -90,14 +88,14 @@ def cmd_grid(args):
     cfg = _load_run_config(args)
     out_dir = args.out or "grid_out"
     if args.ablation_grid:
-        groups = run_ablation_grid(cfg, workers=args.workers)
+        groups = run_ablation_grid(cfg)
         reports = [r for rs in groups.values() for r in rs]
         for name, rs in groups.items():
             bad = sum(1 for r in rs if not r.ok)
             print(f"{name}: {len(rs)} runs, {bad} failed")
     else:
         sweep = read_json(args.sweep) if args.sweep else {}
-        reports = run_grid(cfg, sweep, workers=args.workers)
+        reports = run_grid(cfg, sweep)
     write_grid_outputs(reports, out_dir)
     failed = sum(1 for r in reports if not r.ok)
     print(f"grid: {len(reports)} runs, {failed} failed -> {out_dir}")

@@ -16,7 +16,9 @@ its first reader.  One FPN runs per input and widths, after every stage
 node.  A report equals what one whole ``forward_dual`` and ``fpn`` give,
 except that ``forward_ms`` is composed: the median times of the nodes on
 the cell's path plus that of its FPN run.  A config listed more than once
-runs once and every listing gets its report.
+runs once and every listing gets its report.  Cells run one at a time, in
+(seed, variant, modalities) order, on the calling thread: the benchmark
+pins BLAS to one thread, so a report times single-core work.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ import csv
 import itertools
 import json
 import statistics
-import threading
 import time
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -251,17 +251,19 @@ def run_single(run_cfg):
 def expand_sweep(base, sweep):
     """Cartesian product of sweep axes applied over a base config.
 
-    ``sweep`` maps axis name -> list of values; an empty spec yields the
-    base config alone.  Axis order is fixed (sorted) so enumeration is
-    deterministic.
+    ``sweep`` maps axis name -> non-empty list of values; an empty spec
+    yields the base config alone.  Axis order is fixed (sorted) so
+    enumeration is deterministic.
     """
     if not isinstance(sweep, dict) or not all(isinstance(v, (list, tuple)) for v in sweep.values()):
         raise ConfigError(f"sweep must map each axis to a list of values, got {sweep!r}")
     if not sweep:
         return [base]
-    for axis in sweep:
+    for axis, values in sweep.items():
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; valid: {sorted(SWEEP_AXES)}")
+        if not values:
+            raise ConfigError(f"sweep axis {axis!r} has no values")
     axes = sorted(sweep)
     configs = []
     for combo in itertools.product(*(sweep[a] for a in axes)):
@@ -321,17 +323,17 @@ class _Memo:
     """What the cells of one ``_run_cells`` call share.
 
     ``paths`` holds each cell's ``_path``.  ``values`` is one table of
-    Futures: a node keyed by its node key, a parameter array by (ParamSpec,
-    seed), each created by the first to need it.  ``users`` counts who
-    still needs each value, the cells still to pass a node and the nodes
-    still to read an array, so a value is dropped after its last user: an
-    array lives from just before the first node that reads it runs until
-    the last has run.  ``feats`` keeps each FPN node's first user's stage
-    features until the FPNs run.
+    outcomes, a value or the error that computing it raised: a node keyed
+    by its node key, a parameter array by (ParamSpec, seed), each computed
+    by the first to need it.  The cells run one at a time, so no entry is
+    ever awaited.  ``users`` counts who still needs each value, the cells
+    still to pass a node and the nodes still to read an array, so a value
+    is dropped after its last user: an array lives from just before the
+    first node that reads it runs until the last has run.  ``feats`` keeps
+    each FPN node's first user's stage features until the FPNs run.
     """
 
     def __init__(self, cells):
-        self.lock = threading.Lock()
         self.paths = {repr(cfg): _path(cfg) for cfg in cells}
         self.reads = {key: arrays for path in self.paths.values() for key, arrays in path}
         self.users = Counter(key for path in self.paths.values() for key, _ in path)
@@ -355,20 +357,17 @@ class _Memo:
             self.leave([key])
 
     def _get(self, key, fn, *args):
-        """Value ``key``: ``fn(*args)`` run, outside the lock, by the first
-        caller, its outcome, a raised error included, shared with every
-        later one."""
-        with self.lock:
-            future = self.values.get(key)
-            mine = future is None
-            if mine:
-                future = self.values[key] = Future()
-        if mine:
+        """Value ``key``: ``fn(*args)`` run by the first caller, its outcome,
+        a raised error included, shared with every later one."""
+        if key not in self.values:
             try:
-                future.set_result(fn(*args))
-            except BaseException as e:  # re-raised by result() below
-                future.set_exception(e)
-        return future.result()
+                self.values[key] = (fn(*args), None)
+            except BaseException as e:  # raised again below, and to every later caller
+                self.values[key] = (None, e)
+        value, error = self.values[key]
+        if error is not None:
+            raise error
+        return value
 
     def leave(self, keys):
         """One user is done with each of ``keys``: a cell has passed the node
@@ -376,12 +375,8 @@ class _Memo:
         A value left by its last user is dropped, and a node that never ran
         releases its arrays."""
         for key in keys:
-            with self.lock:
-                self.users[key] -= 1
-                if self.users[key]:
-                    continue
-                ran = self.values.pop(key, None) is not None
-            if not ran:
+            self.users[key] -= 1
+            if not self.users[key] and self.values.pop(key, None) is None:
                 self.leave(self.reads.get(key, ()))
 
 
@@ -438,8 +433,7 @@ def _run_cell(cfg, memo):
             forward_ms += sum(ms for _, ms in encoded) + merge_ms
             for name, values in part.items():
                 diag.setdefault(name, []).extend(values)
-        with memo.lock:
-            memo.feats.setdefault(next(path), feats)
+        memo.feats.setdefault(next(path), feats)
         return RunReport(
             config=cfg.to_dict(),
             stage_shapes=[f.map.shape for f in feats],
@@ -468,7 +462,7 @@ def _add_pyramid(report, cfg, memo):
     return replace(report, pyramid_shapes=shapes, forward_ms=report.forward_ms + ms)
 
 
-def _run_cells(configs, workers=1):
+def _run_cells(configs):
     """The grid engine: run ``configs`` and return, in order, each one's
     report or the TrifuseError that failed it.
 
@@ -476,27 +470,17 @@ def _run_cells(configs, workers=1):
     All cells share one ``_Memo``, one table of nodes and parameter arrays,
     so each is computed once per call.  Per-name seeding makes a shared
     array bitwise equal to the cell's own ``init_params``, so a shared node
-    computes what the cell's own forward would.  Cells run grouped by
-    (seed, variant, modalities), ``workers`` threads at a time within a
-    group, with a variant's modality sets and the variants next to each
-    other.  The FPN nodes run after every stage node, when the stage arrays
-    are gone, and then each report gets its pyramid.
+    computes what the cell's own forward would.  Cells run one at a time,
+    sorted by (seed, variant, modalities) and otherwise in listing order,
+    so a variant's modality sets and the variants run next to each other.
+    The FPN nodes run after every stage node, when the stage arrays are
+    gone, and then each report gets its pyramid.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
-    groups = {}
-    for key, cfg in distinct.items():
-        groups.setdefault(tuple(map(str, (cfg.seed, cfg.variant, cfg.modalities))), []).append(key)
     memo = _Memo(distinct.values())
-    reports = {}
-    for _, keys in sorted(groups.items()):
-        cells = [distinct[k] for k in keys]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_run_cell, cells, [memo] * len(cells)))
-        else:
-            done = [_run_cell(c, memo) for c in cells]
-        reports.update(zip(keys, done))
+    ordered = sorted(distinct.values(), key=lambda c: tuple(map(str, (c.seed, c.variant, c.modalities))))
+    reports = {repr(cfg): _run_cell(cfg, memo) for cfg in ordered}
     reports = {k: _add_pyramid(reports[k], cfg, memo) for k, cfg in distinct.items()}
     return [reports[repr(cfg)] for cfg in configs]
 
@@ -511,10 +495,15 @@ def _recorded(cfg, outcome):
 def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
-    Returns reports sorted by config key.
+    Returns reports sorted by config key.  Cells run one at a time, in
+    (seed, variant, modalities) order.  ``workers`` is kept, and only 1 is
+    accepted, because the benchmark's grid-light workload still passes
+    ``workers=1``; any other value is a ConfigError.
     """
+    if workers != 1:
+        raise ConfigError(f"workers: grid cells run one at a time, got {workers!r}")
     configs = expand_sweep(base, sweep)
-    reports = map(_recorded, configs, _run_cells(configs, workers))
+    reports = map(_recorded, configs, _run_cells(configs))
     keyed = sorted(zip(configs, reports), key=lambda cr: cr[0].key())
     return [r for _, r in keyed]
 
@@ -581,10 +570,10 @@ _INVENTORY = (
 )
 
 
-def run_ablation_grid(base, workers=1):
+def run_ablation_grid(base):
     """Run the whole ablation inventory over ``base``; returns {group: [RunReport]}."""
     configs = [replace(base, **o) for _, o in _INVENTORY]
-    reports = map(_recorded, configs, _run_cells(configs, workers))
+    reports = map(_recorded, configs, _run_cells(configs))
     results = {}
     for (group, _), report in zip(_INVENTORY, reports):
         results.setdefault(group, []).append(report)

@@ -298,10 +298,13 @@ def run_verification(n_seeds=20, base_seed=0):
     """Run every property over ``n_seeds`` seeds.
 
     Returns {property: {"passed": int, "failed": [seeds]}}; deterministic
-    for fixed arguments.  The seeds must be >= 0, as numpy's generators ask.
+    for fixed arguments.  The seeds must be >= 0, as numpy's generators ask,
+    and at least one must run, so that a pass has checked something.
     """
     if base_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {base_seed}")
+    if n_seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {n_seeds}")
     summary = {}
     for name, prop in PROPERTIES:
         passed, failed = 0, []

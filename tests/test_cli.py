@@ -192,6 +192,22 @@ class TestInputErrors:
         assert err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_verify_without_seeds_exits_one(self, tmp_path, capsys, seeds):
+        out = tmp_path / "verify.json"
+        err = self._fails(capsys, ["--out", str(out), "verify", "--seeds", seeds])
+        assert err == f"error: seeds must be >= 1, got {seeds}\n"
+        assert not out.exists()
+
+    def test_empty_sweep_axis_exits_one(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"mechanism": []}')
+        out = tmp_path / "g"
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "--out", str(out),
+                                   "grid", "--sweep", str(sweep)])
+        assert err == "error: sweep axis 'mechanism' has no values\n"
+        assert not out.exists()
+
     def test_repeated_stage_exits_one(self, tmp_path, capsys):
         err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--stages", "1", "1"])
         assert err == "error: stages: a stage is listed more than once in [1, 1]\n"
@@ -385,7 +401,7 @@ class TestParser:
 
     def test_shared_flags_after_the_verb(self):
         parse = build_parser().parse_args
-        args = parse(["--seed", "3", "--out", "a", "grid", "--workers", "2"])
-        assert (args.seed, args.out, args.workers, args.config) == (3, "a", 2, None)
+        args = parse(["--seed", "3", "--out", "a", "grid", "--config", "c.json"])
+        assert (args.seed, args.out, args.config) == (3, "a", "c.json")
         args = parse(["--seed", "3", "synth", "--seed", "4", "--out", "b"])
-        assert (args.seed, args.out, args.workers) == (4, "b", 1)
+        assert (args.seed, args.out, args.config) == (4, "b", None)

@@ -2,8 +2,6 @@ import gc
 import hashlib
 import json
 import re
-import sys
-import threading
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -200,6 +198,11 @@ class TestSweeps:
     def test_empty_sweep_is_base(self):
         assert expand_sweep(FAST, {}) == [FAST]
 
+    def test_empty_axis_is_a_config_error(self):
+        # an axis of no values would run no cell, and an empty grid reads as a pass
+        with pytest.raises(ConfigError, match="^sweep axis 'mechanism' has no values$"):
+            expand_sweep(FAST, {"mechanism": [], "tau": [0.3]})
+
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="sweep axis"):
             expand_sweep(FAST, {"depth": [1, 2]})
@@ -237,6 +240,12 @@ class TestRunGrid:
         rows = cpath.read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 cells
         assert "ConfigError" in rows[1] + rows[2]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cells_run_on_one_thread(self, workers):
+        # the keyword stays for callers that pass workers=1, and takes no other value
+        with pytest.raises(ConfigError, match=f"^workers: grid cells run one at a time, got {workers}$"):
+            run_grid(FAST, {"variant": ["B0", "B9"]}, workers=workers)
 
 
 def tiled_params(specs, seed):
@@ -285,21 +294,19 @@ class TestGridEngine:
     # 6 cells: stages 1-3 shared by all, stage 4 on four distinct prefixes
     PREFIXES = {"mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reports_equal_per_cell_runs(self, workers):
+    def test_reports_equal_per_cell_runs(self):
         # two timing reps: a node's reruns only time it, its first output stays
-        reports = run_grid(replace(FAST, timing_reps=2), self.SWEEP, workers=workers)
+        reports = run_grid(replace(FAST, timing_reps=2), self.SWEEP)
         assert len(reports) == 32
         assert sum(r.ok for r in reports) == 16
         assert_reports_equal_per_cell_runs(reports)
 
     def _count_encodes(self, monkeypatch, by_stream=False):
-        calls, lock = Counter(), threading.Lock()
+        calls = Counter()
         real = backbone.encode_stage
 
         def counting(x, stage, cfg, params, p):
-            with lock:  # += on a Counter loses counts when two workers interleave
-                calls[(stage, p) if by_stream else stage] += 1
+            calls[(stage, p) if by_stream else stage] += 1
             return real(x, stage, cfg, params, p)
 
         monkeypatch.setattr(backbone, "encode_stage", counting)
@@ -335,17 +342,6 @@ class TestGridEngine:
         assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
         # the pyramid's shapes depend on the input and widths; one FPN per cell made 6
         assert len(fpns) == 1
-
-    def test_each_stage_encoded_once_per_prefix_with_workers(self, monkeypatch):
-        calls, fpns = self._count_encodes(monkeypatch), self._count_fpns(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            reports = run_grid(FAST, self.PREFIXES, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sum(calls.values()) == 14 and len(fpns) == 1
-        assert_reports_equal_per_cell_runs(reports)
 
     def test_fpn_runs_once_per_input_and_widths(self, monkeypatch):
         calls = self._count_fpns(monkeypatch)
@@ -475,8 +471,7 @@ class TestGridEngine:
         assert not live() and len(memos) == 1
         assert not memos[0].values and not memos[0].feats
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch, workers):
+    def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch):
         raised = []
         real = backbone.apply_fusion
 
@@ -488,8 +483,7 @@ class TestGridEngine:
 
         monkeypatch.setattr(backbone, "apply_fusion", failing)
         memos = self._record_memos(monkeypatch)
-        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]},
-                           workers=workers)
+        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]})
         assert len(raised) == 1  # one node, two cells
         # the nodes the failed cells never reached released their arrays
         assert not memos[0].values and not memos[0].feats
@@ -499,8 +493,7 @@ class TestGridEngine:
         ]
         assert_reports_equal_per_cell_runs(reports)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_draw_fails_each_cell_that_reads_the_array(self, monkeypatch, workers):
+    def test_failing_draw_fails_each_cell_that_reads_the_array(self, monkeypatch):
         def refusing(specs, seed):
             if any(s.name.startswith("fuse.s4.") for s in specs):
                 raise ConfigError("fuse.s4 draw refused")
@@ -508,7 +501,7 @@ class TestGridEngine:
 
         monkeypatch.setattr(harness, "init_params", refusing)
         memos = self._record_memos(monkeypatch)
-        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]}, workers=workers)
+        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]})
         assert [(r.config["mechanism"], r.config["stages"]) for r in reports if not r.ok] == [
             ("cssa", [3, 4]), ("cssa", [4]), ("gaff", [3, 4]), ("gaff", [4]),
         ]
@@ -520,7 +513,7 @@ class TestGridEngine:
         manifest = generate_corpus(tmp_path, 1, height=64, width=64, seed=0)
         frame = tmp_path / "frame_0000.npy"
         frame.write_bytes(frame.read_bytes()[:100])
-        reports = run_grid(replace(FAST, source=str(manifest)), self.PREFIXES, workers=2)
+        reports = run_grid(replace(FAST, source=str(manifest)), self.PREFIXES)
         assert len({r.error for r in reports}) == 1
         assert reports[0].error.startswith("FormatError: ")
         assert_reports_equal_per_cell_runs(reports)
@@ -536,15 +529,7 @@ class TestGridEngine:
         memos = self._record_memos(monkeypatch)
         sweep = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
                  "modalities": ["RT", "RTE"]}
-        # more threads than cores and frequent switches: a cell that missed
-        # another's arrays would build them a second time, and a lost count
-        # would leave a node or an array in the memo
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_grid(FAST, sweep, workers=4)
-        finally:
-            sys.setswitchinterval(interval)
+        run_grid(FAST, sweep)
         # once per grid call, although the two modality sets are two groups
         assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
         assert not memos[0].values and not memos[0].feats
@@ -584,7 +569,7 @@ class TestAblationGridEngine:
         real = harness._run_cell
 
         def watched(cfg, group):
-            calls.append((cfg, threading.current_thread()))
+            calls.append(cfg)
             return real(cfg, group)
 
         monkeypatch.setattr(harness, "_run_cell", watched)
@@ -596,25 +581,10 @@ class TestAblationGridEngine:
         reports = [r for rs in groups.values() for r in rs]
         assert len(reports) == 52
         assert len(calls) == 50
-        assert len({cfg for cfg, _ in calls}) == 50
+        assert len(set(calls)) == 50
         default = self.BASE.to_dict()
         repeats = [r for r in reports if r.config == default]
         assert len(repeats) == 3 and all(r is repeats[0] for r in repeats)
-
-    def test_workers_agree_with_serial(self, monkeypatch):
-        calls = self._watch_cells(monkeypatch)
-
-        def without_timing(groups):
-            return {g: [{**r.to_dict(), "forward_ms": None} for r in rs] for g, rs in groups.items()}
-
-        serial = without_timing(run_ablation_grid(self.BASE))
-        assert {t for _, t in calls} == {threading.main_thread()}
-        calls.clear()
-        parallel = without_timing(run_ablation_grid(self.BASE, workers=2))
-        assert threading.main_thread() not in {t for _, t in calls}
-        assert len({t for _, t in calls}) > 1
-        assert parallel == serial
-        assert all(r["error"] is None for rs in serial.values() for r in rs)
 
 
 class TestAblationGridInventory:

@@ -45,6 +45,21 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def test_no_threads_or_processes():
+    # cells and kernels run on the calling thread: the benchmark pins BLAS to
+    # one thread, so every report times single-core work
+    banned = {"threading", "concurrent", "multiprocessing"}
+    found = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name.partition(".")[0] in banned
+    ]
+    assert not found, "thread or process imports:\n" + "\n".join(found)
+
+
 def _mentions(node):
     """The identifiers, attribute names and string constants under ``node``."""
     return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.value
@@ -135,26 +150,3 @@ def test_scipy_loads_on_the_first_gelu_or_sigmoid(tmp_path):
     # synth, eval and bin-events never load scipy; the kernels that need it
     # load it on their first call and compute what the module-level import did
     _run_fresh(SCIPY_ON_FIRST_KERNEL_CALL, tmp_path)
-
-
-SCIPY_FIRST_LOADED_IN_A_POOL_THREAD = """
-import sys
-from trifuse.harness import RunConfig, run_grid
-
-def without_timing(reports):
-    return [{**r.to_dict(), "forward_ms": None} for r in reports]
-
-base = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
-sweep = {"mechanism": ["cssa", "mage_bite"]}
-assert "scipy" not in sys.modules
-parallel = without_timing(run_grid(base, sweep, workers=2))
-assert "scipy.special" in sys.modules
-serial = without_timing(run_grid(base, sweep))
-assert parallel == serial
-assert all(r["error"] is None for r in serial)
-"""
-
-
-def test_scipy_first_loaded_under_workers(tmp_path):
-    # the grid's worker threads, not the main thread, run the first gelu
-    _run_fresh(SCIPY_FIRST_LOADED_IN_A_POOL_THREAD, tmp_path)

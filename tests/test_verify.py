@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 import trifuse.fusion
+from trifuse.errors import ConfigError
 from trifuse.verify import PROPERTIES, run_verification
 
 
@@ -16,6 +18,12 @@ class TestProperties:
         a = run_verification(n_seeds=2, base_seed=5)
         b = run_verification(n_seeds=2, base_seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_no_seeds_is_a_config_error(self, n_seeds):
+        # a run of no seed would report every property as passed
+        with pytest.raises(ConfigError, match=f"^seeds must be >= 1, got {n_seeds}$"):
+            run_verification(n_seeds=n_seeds)
 
     def test_property_names_unique(self):
         names = [n for n, _ in PROPERTIES]
