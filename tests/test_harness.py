@@ -242,7 +242,7 @@ class TestRunGrid:
         assert "ConfigError" in rows[1] + rows[2]
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_cells_run_on_one_thread(self, workers):
+    def test_workers_other_than_one_is_a_config_error(self, workers):
         # the keyword stays for callers that pass workers=1, and takes no other value
         with pytest.raises(ConfigError, match=f"^workers: grid cells run one at a time, got {workers}$"):
             run_grid(FAST, {"variant": ["B0", "B9"]}, workers=workers)
@@ -530,7 +530,7 @@ class TestGridEngine:
         sweep = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
                  "modalities": ["RT", "RTE"]}
         run_grid(FAST, sweep)
-        # once per grid call, although the two modality sets are two groups
+        # once per grid call, across both modality sets
         assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
         assert not memos[0].values and not memos[0].feats
 
