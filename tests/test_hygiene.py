@@ -48,15 +48,17 @@ def test_no_unused_imports():
 def test_no_threads_or_processes():
     # cells and kernels run on the calling thread: the benchmark pins BLAS to
     # one thread, so every report times single-core work
-    banned = {"threading", "concurrent", "multiprocessing"}
-    found = [
-        f"{path.name}:{node.lineno}: {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-        if name.partition(".")[0] in banned
-    ]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] in ("threading", "concurrent", "multiprocessing")]
     assert not found, "thread or process imports:\n" + "\n".join(found)
 
 
