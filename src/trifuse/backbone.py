@@ -7,6 +7,9 @@ At stages selected by the fusion config, the two stream outputs are
 replaced by a single fused map that also feeds both next-stage streams;
 unselected stages emit the element-wise mean of the streams for the neck
 while the streams keep propagating separately.
+
+Layers are named ``<stream>.s<stage>.embed``, ``….blk<j>.attn.q`` and so
+on; ``tensors`` names and reads each layer's parameters.
 """
 
 from __future__ import annotations
@@ -17,17 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .fusion import apply_fusion, fusion_param_specs
-from .tensors import (
-    ParamSpec,
-    attention,
-    conv2d,
-    gelu,
-    layer_norm,
-    linear,
-    param_count,
-    to_map,
-    to_tokens,
-)
+from .tensors import (attention, conv, conv_specs, dense, dense_specs, gelu, norm, norm_specs, param_count,
+                      to_map, to_tokens)
 
 STAGE_STRIDES = (4, 8, 16, 32)
 HEADS = (1, 2, 5, 8)
@@ -137,46 +131,17 @@ def _stage_specs(cfg, stage, in_ch, p):
     k, _, _ = _embed_geometry(stage)
     sr = cfg.sr_ratios[i]
     e = cfg.expansion
-    specs = [
-        ParamSpec(f"{p}.s{stage}.embed.w", (c, in_ch, k, k), "weight"),
-        ParamSpec(f"{p}.s{stage}.embed.b", (c,), "bias"),
-        ParamSpec(f"{p}.s{stage}.embed.norm.g", (c,), "scale"),
-        ParamSpec(f"{p}.s{stage}.embed.norm.b", (c,), "bias"),
-    ]
+    specs = conv_specs(f"{p}.s{stage}.embed", in_ch, c, k) + norm_specs(f"{p}.s{stage}.embed.norm", c)
     for j in range(cfg.depths[i]):
         q = f"{p}.s{stage}.blk{j}"
-        specs += [
-            ParamSpec(f"{q}.norm1.g", (c,), "scale"),
-            ParamSpec(f"{q}.norm1.b", (c,), "bias"),
-            ParamSpec(f"{q}.attn.q.w", (c, c), "weight"),
-            ParamSpec(f"{q}.attn.q.b", (c,), "bias"),
-            ParamSpec(f"{q}.attn.k.w", (c, c), "weight"),
-            ParamSpec(f"{q}.attn.k.b", (c,), "bias"),
-            ParamSpec(f"{q}.attn.v.w", (c, c), "weight"),
-            ParamSpec(f"{q}.attn.v.b", (c,), "bias"),
-            ParamSpec(f"{q}.attn.proj.w", (c, c), "weight"),
-            ParamSpec(f"{q}.attn.proj.b", (c,), "bias"),
-            ParamSpec(f"{q}.norm2.g", (c,), "scale"),
-            ParamSpec(f"{q}.norm2.b", (c,), "bias"),
-            ParamSpec(f"{q}.ffn.fc1.w", (c, e * c), "weight"),
-            ParamSpec(f"{q}.ffn.fc1.b", (e * c,), "bias"),
-            ParamSpec(f"{q}.ffn.dw.w", (e * c, 1, 3, 3), "weight"),
-            ParamSpec(f"{q}.ffn.dw.b", (e * c,), "bias"),
-            ParamSpec(f"{q}.ffn.fc2.w", (e * c, c), "weight"),
-            ParamSpec(f"{q}.ffn.fc2.b", (c,), "bias"),
-        ]
+        specs += norm_specs(f"{q}.norm1", c)
+        for proj in ("q", "k", "v", "proj"):
+            specs += dense_specs(f"{q}.attn.{proj}", c, c)
+        specs += (norm_specs(f"{q}.norm2", c) + dense_specs(f"{q}.ffn.fc1", c, e * c)
+                  + conv_specs(f"{q}.ffn.dw", 1, e * c, 3) + dense_specs(f"{q}.ffn.fc2", e * c, c))
         if sr > 1:
-            specs += [
-                ParamSpec(f"{q}.attn.sr.w", (c, c, sr, sr), "weight"),
-                ParamSpec(f"{q}.attn.sr.b", (c,), "bias"),
-                ParamSpec(f"{q}.attn.sr_norm.g", (c,), "scale"),
-                ParamSpec(f"{q}.attn.sr_norm.b", (c,), "bias"),
-            ]
-    specs += [
-        ParamSpec(f"{p}.s{stage}.norm.g", (c,), "scale"),
-        ParamSpec(f"{p}.s{stage}.norm.b", (c,), "bias"),
-    ]
-    return specs
+            specs += conv_specs(f"{q}.attn.sr", c, c, sr) + norm_specs(f"{q}.attn.sr_norm", c)
+    return specs + norm_specs(f"{p}.s{stage}.norm", c)
 
 
 def backbone_param_specs(cfg, fusion, modalities="RTE"):
@@ -208,9 +173,9 @@ def count_params(cfg, fusion, modalities="RTE", neck_specs=None):
 def patch_embed(x, stage, params, p):
     """Overlapping strided conv embedding followed by token layer norm."""
     k, stride, pad = _embed_geometry(stage)
-    z = conv2d(x, params[f"{p}.s{stage}.embed.w"], params[f"{p}.s{stage}.embed.b"], stride=stride, pad=pad)
+    z = conv(x, params, f"{p}.s{stage}.embed", stride=stride, pad=pad)
     _, _, h, w = z.shape
-    t = layer_norm(to_tokens(z), params[f"{p}.s{stage}.embed.norm.g"], params[f"{p}.s{stage}.embed.norm.b"])
+    t = norm(to_tokens(z), params, f"{p}.s{stage}.embed.norm")
     return t, h, w
 
 
@@ -224,8 +189,8 @@ def sra_attention(t, h, w, heads, sr, params, q):
     b, n, c = t.shape
     if n != h * w:
         raise ShapeError(f"token count {n} != {h}x{w}")
-    tn = layer_norm(t, params[f"{q}.norm1.g"], params[f"{q}.norm1.b"])
-    query = linear(tn, params[f"{q}.attn.q.w"], params[f"{q}.attn.q.b"])
+    tn = norm(t, params, f"{q}.norm1")
+    query = dense(tn, params, f"{q}.attn.q")
     if sr > 1:
         m = to_map(tn, h, w)
         # ceil-mode: pad bottom/right so sr divides both dims
@@ -233,12 +198,12 @@ def sra_attention(t, h, w, heads, sr, params, q):
         pw = (sr - w % sr) % sr
         if ph or pw:
             m = np.pad(m, ((0, 0), (0, 0), (0, ph), (0, pw)))
-        red = conv2d(m, params[f"{q}.attn.sr.w"], params[f"{q}.attn.sr.b"], stride=sr, pad=0)
-        kv_t = layer_norm(to_tokens(red), params[f"{q}.attn.sr_norm.g"], params[f"{q}.attn.sr_norm.b"])
+        red = conv(m, params, f"{q}.attn.sr", stride=sr, pad=0)
+        kv_t = norm(to_tokens(red), params, f"{q}.attn.sr_norm")
     else:
         kv_t = tn
-    key = linear(kv_t, params[f"{q}.attn.k.w"], params[f"{q}.attn.k.b"])
-    val = linear(kv_t, params[f"{q}.attn.v.w"], params[f"{q}.attn.v.b"])
+    key = dense(kv_t, params, f"{q}.attn.k")
+    val = dense(kv_t, params, f"{q}.attn.v")
 
     d = c // heads
 
@@ -248,7 +213,7 @@ def sra_attention(t, h, w, heads, sr, params, q):
 
     att = attention(split_heads(query), split_heads(key), split_heads(val), 1.0 / np.sqrt(d))
     merged = att.reshape(b, heads, n, d).transpose(0, 2, 1, 3).reshape(b, n, c)
-    out = linear(merged, params[f"{q}.attn.proj.w"], params[f"{q}.attn.proj.b"])
+    out = dense(merged, params, f"{q}.attn.proj")
     return t + out
 
 
@@ -256,17 +221,17 @@ def mix_ffn(t, h, w, expansion, params, q):
     """Pre-norm FFN with a depthwise 3x3 conv between the linears, residual
     included."""
     b, n, c = t.shape
-    tn = layer_norm(t, params[f"{q}.norm2.g"], params[f"{q}.norm2.b"])
-    hid = linear(tn, params[f"{q}.ffn.fc1.w"], params[f"{q}.ffn.fc1.b"])
+    tn = norm(t, params, f"{q}.norm2")
+    hid = dense(tn, params, f"{q}.ffn.fc1")
     # the token matrix viewed as a map: the depthwise conv reads it and
     # writes its result channels-last, so neither side copies.  Each
     # token-sized buffer is dropped after its last reader
     m = hid.transpose(0, 2, 1).reshape(b, -1, h, w)
     del tn, hid
-    m = conv2d(m, params[f"{q}.ffn.dw.w"], params[f"{q}.ffn.dw.b"], stride=1, pad=1, groups=expansion * c)
+    m = conv(m, params, f"{q}.ffn.dw", stride=1, pad=1, groups=expansion * c)
     hid = gelu(to_tokens(m))
     del m
-    out = linear(hid, params[f"{q}.ffn.fc2.w"], params[f"{q}.ffn.fc2.b"])
+    out = dense(hid, params, f"{q}.ffn.fc2")
     return t + out
 
 
@@ -278,7 +243,7 @@ def encode_stage(x, stage, cfg, params, p):
         q = f"{p}.s{stage}.blk{j}"
         t = sra_attention(t, h, w, cfg.heads[i], cfg.sr_ratios[i], params, q)
         t = mix_ffn(t, h, w, cfg.expansion, params, q)
-    t = layer_norm(t, params[f"{p}.s{stage}.norm.g"], params[f"{p}.s{stage}.norm.b"])
+    t = norm(t, params, f"{p}.s{stage}.norm")
     return to_map(t, h, w)
 
 

@@ -19,7 +19,7 @@ from .data import read_json, text_lines, write_npy
 from .errors import FormatError, TrifuseError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
 from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
-from .harness import RunConfig, run_grid, run_ablation_grid, run_single, write_grid_outputs
+from .harness import RunConfig, expand_sweep, run_grid, run_ablation_grid, run_single, write_grid_outputs
 from .metrics import evaluate, read_detections_jsonl, read_ground_truth_jsonl
 from .synth import generate_corpus
 from .verify import run_verification
@@ -87,6 +87,10 @@ def cmd_inspect(args):
 def cmd_grid(args):
     cfg = _load_run_config(args)
     out_dir = args.out or "grid_out"
+    sweep = read_json(args.sweep) if args.sweep and not args.ablation_grid else {}
+    expand_sweep(cfg, sweep)  # a bad sweep fails before --out is made
+    # before any cell runs, so an --out that cannot be a directory fails at once
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     if args.ablation_grid:
         groups = run_ablation_grid(cfg)
         reports = [r for rs in groups.values() for r in rs]
@@ -94,7 +98,6 @@ def cmd_grid(args):
             bad = sum(1 for r in rs if not r.ok)
             print(f"{name}: {len(rs)} runs, {bad} failed")
     else:
-        sweep = read_json(args.sweep) if args.sweep else {}
         reports = run_grid(cfg, sweep)
     write_grid_outputs(reports, out_dir)
     failed = sum(1 for r in reports if not r.ok)

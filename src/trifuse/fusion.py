@@ -13,6 +13,10 @@ the neck or head:
 * ``gaff``      - squeeze-excitation recalibration, directional guidance
   maps with residual injection, then a direct or bottlenecked merge.
 * ``none``      - no fusion (streams forwarded independently).
+
+Layers are named under the block's prefix, as ``fuse.s3.mage.ch.fc1``;
+``tensors`` names and reads each layer's parameters, all but CSSA's 3-tap
+channel-score conv.
 """
 
 from __future__ import annotations
@@ -22,19 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensors import (
-    ParamSpec,
-    attention,
-    conv2d,
-    gelu,
-    global_avg_pool,
-    global_max_pool,
-    linear,
-    relu,
-    sigmoid,
-    to_map,
-    to_tokens,
-)
+from .tensors import (ParamSpec, attention, conv, conv_specs, dense, dense_specs, gelu, global_avg_pool,
+                      global_max_pool, relu, sigmoid, to_map, to_tokens)
 
 GAFF_SE_RATIOS = (4, 8)
 GAFF_GUIDANCE = ("shared", "separate")
@@ -102,19 +95,9 @@ def _hidden(c):
 
 def mage_specs(c, p):
     h = _hidden(2 * c)
-    hs = _hidden(2 * c)
-    return [
-        ParamSpec(f"{p}.mage.ch.fc1.w", (2 * c, h), "weight"),
-        ParamSpec(f"{p}.mage.ch.fc1.b", (h,), "bias"),
-        ParamSpec(f"{p}.mage.ch.to_a.w", (h, c), "weight"),
-        ParamSpec(f"{p}.mage.ch.to_a.b", (c,), "bias"),
-        ParamSpec(f"{p}.mage.ch.to_b.w", (h, c), "weight"),
-        ParamSpec(f"{p}.mage.ch.to_b.b", (c,), "bias"),
-        ParamSpec(f"{p}.mage.sp.fc1.w", (2 * c, hs), "weight"),
-        ParamSpec(f"{p}.mage.sp.fc1.b", (hs,), "bias"),
-        ParamSpec(f"{p}.mage.sp.out.w", (hs, 2), "weight"),
-        ParamSpec(f"{p}.mage.sp.out.b", (2,), "bias"),
-    ]
+    return (dense_specs(f"{p}.mage.ch.fc1", 2 * c, h) + dense_specs(f"{p}.mage.ch.to_a", h, c)
+            + dense_specs(f"{p}.mage.ch.to_b", h, c) + dense_specs(f"{p}.mage.sp.fc1", 2 * c, h)
+            + dense_specs(f"{p}.mage.sp.out", h, 2))
 
 
 def mage(xa, xb, params, p, force_spatial=None, force_channel=None):
@@ -132,21 +115,19 @@ def mage(xa, xb, params, p, force_spatial=None, force_channel=None):
     z = np.concatenate([xa, xb], axis=1)
 
     if force_channel is None:
-        trunk_avg = gelu(linear(global_avg_pool(z), params[f"{p}.mage.ch.fc1.w"], params[f"{p}.mage.ch.fc1.b"]))
-        trunk_max = gelu(linear(global_max_pool(z), params[f"{p}.mage.ch.fc1.w"], params[f"{p}.mage.ch.fc1.b"]))
+        trunk_avg = gelu(dense(global_avg_pool(z), params, f"{p}.mage.ch.fc1"))
+        trunk_max = gelu(dense(global_max_pool(z), params, f"{p}.mage.ch.fc1"))
         summary = trunk_avg.astype(np.float64) + trunk_max.astype(np.float64)
-        ch_b_to_a = sigmoid(linear(summary, params[f"{p}.mage.ch.to_a.w"], params[f"{p}.mage.ch.to_a.b"]))
-        ch_a_to_b = sigmoid(linear(summary, params[f"{p}.mage.ch.to_b.w"], params[f"{p}.mage.ch.to_b.b"]))
-        ch_b_to_a = ch_b_to_a.reshape(b, c, 1, 1)
-        ch_a_to_b = ch_a_to_b.reshape(b, c, 1, 1)
+        ch_b_to_a = sigmoid(dense(summary, params, f"{p}.mage.ch.to_a")).reshape(b, c, 1, 1)
+        ch_a_to_b = sigmoid(dense(summary, params, f"{p}.mage.ch.to_b")).reshape(b, c, 1, 1)
     else:
         ch_b_to_a = np.full((b, c, 1, 1), force_channel, np.float32)
         ch_a_to_b = ch_b_to_a.copy()
 
     if force_spatial is None:
         tz = to_tokens(z)
-        hid = gelu(linear(tz, params[f"{p}.mage.sp.fc1.w"], params[f"{p}.mage.sp.fc1.b"]))
-        masks = sigmoid(linear(hid, params[f"{p}.mage.sp.out.w"], params[f"{p}.mage.sp.out.b"]))
+        hid = gelu(dense(tz, params, f"{p}.mage.sp.fc1"))
+        masks = sigmoid(dense(hid, params, f"{p}.mage.sp.out"))
         sp_b_to_a = masks[:, :, 0].reshape(b, 1, h, w)
         sp_a_to_b = masks[:, :, 1].reshape(b, 1, h, w)
     else:
@@ -174,18 +155,8 @@ def mage(xa, xb, params, p, force_spatial=None, force_channel=None):
 
 
 def bite_specs(c, p):
-    specs = []
-    for s in ("a", "b"):
-        for proj in ("q", "k", "v"):
-            specs.append(ParamSpec(f"{p}.bite.{s}.{proj}.w", (c, c), "weight"))
-            specs.append(ParamSpec(f"{p}.bite.{s}.{proj}.b", (c,), "bias"))
-    specs += [
-        ParamSpec(f"{p}.bite.dw.w", (2 * c, 1, 3, 3), "weight"),
-        ParamSpec(f"{p}.bite.dw.b", (2 * c,), "bias"),
-        ParamSpec(f"{p}.bite.proj.w", (2 * c, c), "weight"),
-        ParamSpec(f"{p}.bite.proj.b", (c,), "bias"),
-    ]
-    return specs
+    specs = [s for st in "ab" for proj in "qkv" for s in dense_specs(f"{p}.bite.{st}.{proj}", c, c)]
+    return specs + conv_specs(f"{p}.bite.dw", 1, 2 * c, 3) + dense_specs(f"{p}.bite.proj", 2 * c, c)
 
 
 def bite(xa, xb, params, p):
@@ -197,7 +168,7 @@ def bite(xa, xb, params, p):
     scale = 1.0 / np.sqrt(c)
 
     def proj(t, s, n):
-        return linear(t, params[f"{p}.bite.{s}.{n}.w"], params[f"{p}.bite.{s}.{n}.b"])
+        return dense(t, params, f"{p}.bite.{s}.{n}")
 
     # the two updated streams side by side, each stored as its attention
     # returns.  A direction's queries, keys and values are projected just
@@ -212,8 +183,8 @@ def bite(xa, xb, params, p):
 
     # tokens viewed as a map, as in backbone.mix_ffn: no copy either side
     z = zt.transpose(0, 2, 1).reshape(-1, 2 * c, h, w)
-    z = conv2d(z, params[f"{p}.bite.dw.w"], params[f"{p}.bite.dw.b"], stride=1, pad=1, groups=2 * c)
-    return to_map(linear(to_tokens(z), params[f"{p}.bite.proj.w"], params[f"{p}.bite.proj.b"]), h, w)
+    z = conv(z, params, f"{p}.bite.dw", stride=1, pad=1, groups=2 * c)
+    return to_map(dense(to_tokens(z), params, f"{p}.bite.proj"), h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +199,7 @@ def mage_bite(xa, xb, params, p, diag=None):
 
 
 def mage_only_specs(c, p):
-    return mage_specs(c, p) + [
-        ParamSpec(f"{p}.monly.merge.w", (2 * c, c), "weight"),
-        ParamSpec(f"{p}.monly.merge.b", (c,), "bias"),
-    ]
+    return mage_specs(c, p) + dense_specs(f"{p}.monly.merge", 2 * c, c)
 
 
 def mage_only(xa, xb, params, p, diag=None):
@@ -240,7 +208,7 @@ def mage_only(xa, xb, params, p, diag=None):
         _gate_diag(diag, gates)
     _, _, h, w = xa.shape
     z = to_tokens(np.concatenate([ra, rb], axis=1))
-    return to_map(linear(z, params[f"{p}.monly.merge.w"], params[f"{p}.monly.merge.b"]), h, w)
+    return to_map(dense(z, params, f"{p}.monly.merge"), h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +216,13 @@ def mage_only(xa, xb, params, p, diag=None):
 
 
 def cssa_specs(c, p):
-    hs = _hidden(2 * c)
+    # each stream's channel score is a 3-tap 1-D conv over pooled channels
     specs = []
     for s in ("a", "b"):
         specs.append(ParamSpec(f"{p}.cssa.{s}.score.w", (3,), "weight"))
         specs.append(ParamSpec(f"{p}.cssa.{s}.score.b", (1,), "bias"))
-    specs += [
-        ParamSpec(f"{p}.cssa.sp.fc1.w", (2 * c, hs), "weight"),
-        ParamSpec(f"{p}.cssa.sp.fc1.b", (hs,), "bias"),
-        ParamSpec(f"{p}.cssa.sp.out.w", (hs, 1), "weight"),
-        ParamSpec(f"{p}.cssa.sp.out.b", (1,), "bias"),
-    ]
-    return specs
+    h = _hidden(2 * c)
+    return specs + dense_specs(f"{p}.cssa.sp.fc1", 2 * c, h) + dense_specs(f"{p}.cssa.sp.out", h, 1)
 
 
 def channel_scores(x, params, p, s):
@@ -268,10 +231,7 @@ def channel_scores(x, params, p, s):
     k = params[f"{p}.cssa.{s}.score.w"].astype(np.float64)
     bias = float(params[f"{p}.cssa.{s}.score.b"][0])
     padded = np.pad(pooled, ((0, 0), (1, 1)))
-    conv = (
-        padded[:, :-2] * k[0] + padded[:, 1:-1] * k[1] + padded[:, 2:] * k[2] + bias
-    )
-    return sigmoid(conv)
+    return sigmoid(padded[:, :-2] * k[0] + padded[:, 1:-1] * k[1] + padded[:, 2:] * k[2] + bias)
 
 
 def cssa_switch(xa, xb, score_a, score_b, tau):
@@ -290,8 +250,8 @@ def cssa(xa, xb, params, p, tau=0.5, diag=None):
     sw_a, sw_b, swap_a, swap_b = cssa_switch(xa, xb, score_a, score_b, tau)
 
     z = to_tokens(np.concatenate([sw_a, sw_b], axis=1))
-    hid = gelu(linear(z, params[f"{p}.cssa.sp.fc1.w"], params[f"{p}.cssa.sp.fc1.b"]))
-    m = sigmoid(linear(hid, params[f"{p}.cssa.sp.out.w"], params[f"{p}.cssa.sp.out.b"]))
+    hid = gelu(dense(z, params, f"{p}.cssa.sp.fc1"))
+    m = sigmoid(dense(hid, params, f"{p}.cssa.sp.out"))
     m = m.reshape(xa.shape[0], 1, h, w).astype(np.float64)
 
     if diag is not None:
@@ -306,58 +266,34 @@ def cssa(xa, xb, params, p, tau=0.5, diag=None):
 # GAFF: guided attentive feature fusion
 
 
+def _guide_name(p, source, guidance):
+    """The layer that maps stream ``source`` to its guidance map."""
+    return f"{p}.gaff.guide" if guidance == "shared" else f"{p}.gaff.guide_{source}"
+
+
 def gaff_specs(c, p, se_ratio=4, guidance="separate", merge="direct"):
     if c % se_ratio != 0:
         raise ConfigError(f"width {c} not divisible by se_ratio {se_ratio}")
+    r = c // se_ratio
     specs = []
     for s in ("a", "b"):
-        specs += [
-            ParamSpec(f"{p}.gaff.{s}.se.fc1.w", (c, c // se_ratio), "weight"),
-            ParamSpec(f"{p}.gaff.{s}.se.fc1.b", (c // se_ratio,), "bias"),
-            ParamSpec(f"{p}.gaff.{s}.se.fc2.w", (c // se_ratio, c), "weight"),
-            ParamSpec(f"{p}.gaff.{s}.se.fc2.b", (c,), "bias"),
-        ]
-    if guidance == "shared":
-        specs += [
-            ParamSpec(f"{p}.gaff.guide.w", (c, 1), "weight"),
-            ParamSpec(f"{p}.gaff.guide.b", (1,), "bias"),
-        ]
-    else:
-        for s in ("a", "b"):
-            specs += [
-                ParamSpec(f"{p}.gaff.guide_{s}.w", (c, 1), "weight"),
-                ParamSpec(f"{p}.gaff.guide_{s}.b", (1,), "bias"),
-            ]
+        specs += dense_specs(f"{p}.gaff.{s}.se.fc1", c, r) + dense_specs(f"{p}.gaff.{s}.se.fc2", r, c)
+    for s in ("a",) if guidance == "shared" else ("a", "b"):
+        specs += dense_specs(_guide_name(p, s, guidance), c, 1)
     if merge == "direct":
-        specs += [
-            ParamSpec(f"{p}.gaff.merge.w", (2 * c, c), "weight"),
-            ParamSpec(f"{p}.gaff.merge.b", (c,), "bias"),
-        ]
-    else:
-        specs += [
-            ParamSpec(f"{p}.gaff.merge.fc1.w", (2 * c, c // 2), "weight"),
-            ParamSpec(f"{p}.gaff.merge.fc1.b", (c // 2,), "bias"),
-            ParamSpec(f"{p}.gaff.merge.fc2.w", (c // 2, c), "weight"),
-            ParamSpec(f"{p}.gaff.merge.fc2.b", (c,), "bias"),
-        ]
-    return specs
+        return specs + dense_specs(f"{p}.gaff.merge", 2 * c, c)
+    return specs + dense_specs(f"{p}.gaff.merge.fc1", 2 * c, c // 2) + dense_specs(f"{p}.gaff.merge.fc2", c // 2, c)
 
 
 def _se(x, params, p, s):
-    exc = sigmoid(
-        linear(
-            relu(linear(global_avg_pool(x), params[f"{p}.gaff.{s}.se.fc1.w"], params[f"{p}.gaff.{s}.se.fc1.b"])),
-            params[f"{p}.gaff.{s}.se.fc2.w"],
-            params[f"{p}.gaff.{s}.se.fc2.b"],
-        )
-    )
+    hid = relu(dense(global_avg_pool(x), params, f"{p}.gaff.{s}.se.fc1"))
+    exc = sigmoid(dense(hid, params, f"{p}.gaff.{s}.se.fc2"))
     return (exc[:, :, None, None].astype(np.float64) * x.astype(np.float64)).astype(np.float32), exc
 
 
 def _guide(x, params, p, source, guidance):
-    name = f"{p}.gaff.guide" if guidance == "shared" else f"{p}.gaff.guide_{source}"
     b, _, h, w = x.shape
-    g = sigmoid(linear(to_tokens(x), params[f"{name}.w"], params[f"{name}.b"]))
+    g = sigmoid(dense(to_tokens(x), params, _guide_name(p, source, guidance)))
     return g.reshape(b, 1, h, w)
 
 
@@ -379,10 +315,9 @@ def gaff(xa, xb, params, p, se_ratio=4, guidance="separate", merge="direct", dia
 
     z = to_tokens(np.concatenate([ua, ub], axis=1))
     if merge == "direct":
-        out = linear(z, params[f"{p}.gaff.merge.w"], params[f"{p}.gaff.merge.b"])
+        out = dense(z, params, f"{p}.gaff.merge")
     else:
-        hid = relu(linear(z, params[f"{p}.gaff.merge.fc1.w"], params[f"{p}.gaff.merge.fc1.b"]))
-        out = linear(hid, params[f"{p}.gaff.merge.fc2.w"], params[f"{p}.gaff.merge.fc2.b"])
+        out = dense(relu(dense(z, params, f"{p}.gaff.merge.fc1")), params, f"{p}.gaff.merge.fc2")
     return to_map(out, h, w)
 
 

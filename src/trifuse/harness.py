@@ -49,6 +49,9 @@ from .neck import fpn, fpn_param_specs
 from .tensors import ParamStore, init_params, param_count
 
 DEFAULT_INPUT_SIZE = (301, 391)
+# what fails one grid cell and not the grid: a package error, or a source
+# file the cell cannot open
+_CELL_ERRORS = (TrifuseError, OSError)
 
 # the RunConfig fields a sweep may vary
 SWEEP_AXES = ("variant", "mechanism", "stages", "tau", "se_ratio", "guidance", "merge", "modalities")
@@ -243,7 +246,7 @@ def run_single(run_cfg):
     """Execute one configuration end to end and report shapes/params/timing:
     a one-cell grid, which raises the error that fails the cell."""
     (outcome,) = _run_cells([run_cfg.validate()])
-    if isinstance(outcome, TrifuseError):
+    if isinstance(outcome, _CELL_ERRORS):
         raise outcome
     return outcome
 
@@ -412,8 +415,8 @@ def _run_cell(cfg, memo):
     memo's shared input, stream inputs, stream encodes and merges, with
     ``forward_ms`` the sum of those nodes' median times.  The first cell of
     its FPN node leaves its stage features in the memo for ``_add_pyramid``.
-    A TrifuseError is returned, not raised, and the nodes the cell will not
-    reach lose it as a user."""
+    An error in ``_CELL_ERRORS`` is returned, not raised, and the nodes the
+    cell will not reach lose it as a user."""
     path = iter(key for key, _ in memo.paths[repr(cfg)])
 
     def node(fn, *args):
@@ -441,7 +444,7 @@ def _run_cell(cfg, memo):
             forward_ms=forward_ms,
             diagnostics=diag,
         )
-    except TrifuseError as e:
+    except _CELL_ERRORS as e:
         memo.leave(path)
         return e
 
@@ -451,20 +454,20 @@ def _add_pyramid(report, cfg, memo):
     pyramid value, only its shapes, so the node runs once, on the stage
     features of its first user, and every user adds its median time.  An
     error, the cell's or the node's, is returned."""
-    if isinstance(report, TrifuseError):
+    if isinstance(report, _CELL_ERRORS):
         return report
     key, _ = memo.paths[repr(cfg)][-1]
     try:
         # only the first user finds the features, and the node runs for it
         shapes, ms = memo.node(key, _pyramid_shapes, cfg.timing_reps, memo.feats.pop(key, None))
-    except TrifuseError as e:
+    except _CELL_ERRORS as e:
         return e
     return replace(report, pyramid_shapes=shapes, forward_ms=report.forward_ms + ms)
 
 
 def _run_cells(configs):
     """The grid engine: run ``configs`` and return, in order, each one's
-    report or the TrifuseError that failed it.
+    report or the error in ``_CELL_ERRORS`` that failed it.
 
     Each distinct config runs once and its repeats get the same outcome.
     All cells share one ``_Memo``, one table of nodes and parameter arrays,
@@ -487,7 +490,7 @@ def _run_cells(configs):
 
 def _recorded(cfg, outcome):
     """A cell's report, or the error that failed it recorded in one."""
-    if isinstance(outcome, TrifuseError):
+    if isinstance(outcome, _CELL_ERRORS):
         return RunReport(config=cfg.to_dict(), error=f"{type(outcome).__name__}: {outcome}")
     return outcome
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import ParamSpec, conv2d
+from .tensors import conv, conv_specs
 
 PYRAMID_WIDTH = 256
 PYRAMID_STRIDES = (4, 8, 16, 32, 64)
@@ -37,12 +37,8 @@ class Pyramid:
 def fpn_param_specs(stage_widths, p="fpn"):
     specs = []
     for i, c in enumerate(stage_widths, start=1):
-        specs += [
-            ParamSpec(f"{p}.lat{i}.w", (PYRAMID_WIDTH, c, 1, 1), "weight"),
-            ParamSpec(f"{p}.lat{i}.b", (PYRAMID_WIDTH,), "bias"),
-            ParamSpec(f"{p}.out{i}.w", (PYRAMID_WIDTH, PYRAMID_WIDTH, 3, 3), "weight"),
-            ParamSpec(f"{p}.out{i}.b", (PYRAMID_WIDTH,), "bias"),
-        ]
+        specs += conv_specs(f"{p}.lat{i}", c, PYRAMID_WIDTH, 1)
+        specs += conv_specs(f"{p}.out{i}", PYRAMID_WIDTH, PYRAMID_WIDTH, 3)
     return specs
 
 
@@ -80,10 +76,10 @@ def fpn(features, params, p="fpn"):
             raise ShapeError(f"stage {f.stage} has stride {f.stride}, expected {stride}")
 
     def lateral(f):
-        return conv2d(f.map, params[f"{p}.lat{f.stage}.w"], params[f"{p}.lat{f.stage}.b"])
+        return conv(f.map, params, f"{p}.lat{f.stage}")
 
     def smooth(stage, m):
-        return conv2d(m, params[f"{p}.out{stage}.w"], params[f"{p}.out{stage}.b"], stride=1, pad=1)
+        return conv(m, params, f"{p}.out{stage}", stride=1, pad=1)
 
     outs = [None] * 4
     top = lateral(features[3])

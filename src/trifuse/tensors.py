@@ -28,6 +28,12 @@ needs more.
 :func:`gelu` and :func:`sigmoid` take ``erf`` and ``expit`` from
 ``scipy.special``, imported on their first call, so a process that runs
 no forward (``synth``, ``eval``, ``bin-events``) never loads scipy.
+
+One rule names every layer's parameters: a dense layer is ``<layer>.w``
+of shape (Cin, Cout) plus ``<layer>.b``, a conv ``<layer>.w`` of (Cout,
+Cin/groups, k, k) plus ``<layer>.b``, a layer norm ``<layer>.g`` (a
+"scale") plus ``<layer>.b``.  ``dense_specs``, ``conv_specs`` and
+``norm_specs`` declare a layer; ``dense``, ``conv`` and ``norm`` run it.
 """
 
 from __future__ import annotations
@@ -386,6 +392,35 @@ class ParamSpec:
     @property
     def size(self):
         return int(np.prod(self.shape)) if self.shape else 1
+
+
+def dense_specs(name, cin, cout):
+    return [ParamSpec(f"{name}.w", (cin, cout), "weight"), ParamSpec(f"{name}.b", (cout,), "bias")]
+
+
+def conv_specs(name, cin, cout, k):
+    # cin counts the input channels of one group: 1 for a depthwise conv
+    return [ParamSpec(f"{name}.w", (cout, cin, k, k), "weight"), ParamSpec(f"{name}.b", (cout,), "bias")]
+
+
+def norm_specs(name, c):
+    return [ParamSpec(f"{name}.g", (c,), "scale"), ParamSpec(f"{name}.b", (c,), "bias")]
+
+
+# the layers' forwards look their kernel up in this module's globals at
+# call time, so a wrapped kernel sees every layer's call
+
+
+def dense(t, params, name):
+    return linear(t, params[f"{name}.w"], params[f"{name}.b"])
+
+
+def conv(x, params, name, stride=1, pad=0, groups=1):
+    return conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, pad=pad, groups=groups)
+
+
+def norm(t, params, name):
+    return layer_norm(t, params[f"{name}.g"], params[f"{name}.b"])
 
 
 class ParamStore:

@@ -1,9 +1,14 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 from trifuse.backbone import (
     BackboneConfig,
+    MODALITY_SETS,
     STAGE_STRIDES,
+    VARIANTS,
     backbone_param_specs,
     count_params,
     encode_stage,
@@ -17,7 +22,8 @@ from trifuse.backbone import (
     stream_channels,
 )
 from trifuse.errors import ConfigError, ShapeError
-from trifuse.fusion import FusionConfig
+from trifuse.fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS, FusionConfig, fusion_param_specs
+from trifuse.neck import fpn_param_specs
 from trifuse.tensors import ParamStore, attention, conv2d, gelu, init_params, layer_norm, linear, to_map, to_tokens
 
 from oracles import depthwise_nchw_taps
@@ -267,3 +273,28 @@ class TestCounts:
         four = count_params(tiny_cfg, FusionConfig(mechanism="cssa", stages=frozenset({4})))
         assert one > base and four > base
         assert four - base > one - base  # wider stage, bigger block
+
+
+def _layouts():
+    """Every distinct parameter layout, labelled: the two streams per
+    variant and modality set, one fusion block per mechanism, block
+    settings and stage width, and the FPN per width set."""
+    for variant, mods in itertools.product(sorted(VARIANTS), MODALITY_SETS):
+        yield ("streams", variant, mods), backbone_param_specs(BackboneConfig.variant_config(variant), NONE, mods)
+    blocks = {}
+    for mech, tau, r, g, m in itertools.product(MECHANISMS, (0.3, 0.5), GAFF_SE_RATIOS, GAFF_GUIDANCE, GAFF_MERGES):
+        fus = FusionConfig(mechanism=mech, tau=tau, se_ratio=r, guidance=g, merge=m)
+        blocks.setdefault((mech, fus.block_settings()), fus)
+    for (key, fus), c in itertools.product(blocks.items(), sorted({c for w, _ in VARIANTS.values() for c in w})):
+        yield ("fusion", *key, c), fusion_param_specs(fus, c, "fuse.s1")
+    for widths in sorted({w for w, _ in VARIANTS.values()}):
+        yield ("fpn", widths), fpn_param_specs(widths)
+
+
+def test_parameter_layout_is_pinned():
+    # names, shapes and kinds in declaration order, which is also the order
+    # build_param_specs lists them in
+    digest = hashlib.sha256()
+    for label, specs in _layouts():
+        digest.update(repr((label, [(s.name, s.shape, s.kind) for s in specs])).encode())
+    assert digest.hexdigest() == "8a6b6eb1039656dbaa4569b838b07a54764fbaf508a138c41b7c7e46c59d3d33"

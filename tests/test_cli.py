@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from trifuse import harness
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
 from trifuse.data import read_npy
 
@@ -73,6 +74,16 @@ class TestGrid:
         reports = json.loads((out / "grid.json").read_text())
         errors = [r["error"] for r in reports]
         assert any(errors) and not all(errors)
+
+    @pytest.mark.parametrize("flag", [[], ["--ablation-grid"]], ids=["sweep", "ablation"])
+    def test_out_that_is_a_file_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(harness, "_run_cells", lambda configs: calls.append(configs))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["--config", _fast_config(tmp_path), "--out", str(out), "grid", *flag])
+        assert code == EXIT_VALIDATION and calls == []
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
 
 
 class TestVerify:
@@ -167,18 +178,26 @@ class TestInputErrors:
         assert f"error: {field}: expected a list of integers" in err
 
     def test_empty_manifest(self, tmp_path, capsys):
+        # an empty manifest, a missing one and a directory: inspect exits 1,
+        # and in a grid each fails only its cells
         manifest = tmp_path / "manifest.json"
         manifest.write_text("[]")
-        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--source", str(manifest)])
-        assert err == f"error: {manifest}: manifest has no entries\n"
+        missing = tmp_path / "missing.json"
         sweep = tmp_path / "sweep.json"
         sweep.write_text('{"mechanism": ["cssa", "gaff"]}')
-        out = tmp_path / "grid"
-        code = main(["--config", _fast_config(tmp_path), "--out", str(out),
-                     "grid", "--sweep", str(sweep), "--source", str(manifest)])
-        assert code == EXIT_PARTIAL_GRID
-        errors = [r["error"] for r in json.loads((out / "grid.json").read_text())]
-        assert errors == [f"ValidationError: {manifest}: manifest has no entries"] * 2
+        for source, error in [
+            (manifest, f"ValidationError: {manifest}: manifest has no entries"),
+            (missing, f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"),
+            (tmp_path, f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'"),
+        ]:
+            err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--source", str(source)])
+            assert err == f"error: {error.split(': ', 1)[1]}\n"
+            out = tmp_path / f"grid-{source.name}"
+            code = main(["--config", _fast_config(tmp_path), "--out", str(out),
+                         "grid", "--sweep", str(sweep), "--source", str(source)])
+            assert code == EXIT_PARTIAL_GRID
+            errors = [r["error"] for r in json.loads((out / "grid.json").read_text())]
+            assert errors == [error] * 2
 
     @pytest.mark.parametrize("argv, error", [
         (["inspect"], "seed: must be >= 0, got -1"),

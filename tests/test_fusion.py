@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trifuse import fusion
+from trifuse import fusion, tensors
 from trifuse.errors import ConfigError, ShapeError
 from trifuse.fusion import (
     FusionConfig,
@@ -150,12 +150,12 @@ class TestBite:
         def attention(q, k, v, scale):
             return np.zeros(q.shape[:-1] + v.shape[-1:], np.float32)
 
-        for name, real in (("attention", attention), ("conv2d", fusion.conv2d)):
+        for module, name, real in ((fusion, "attention", attention), (tensors, "conv2d", tensors.conv2d)):
             def watched(*args, _real=real, **kwargs):
                 live.append(tracemalloc.get_traced_memory()[0])
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(fusion, name, watched)
+            monkeypatch.setattr(module, name, watched)
         tracemalloc.start()
         try:
             bite(xa, xb, params, "f")

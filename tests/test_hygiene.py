@@ -10,6 +10,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "trifuse"
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(path):
@@ -35,7 +36,7 @@ def test_unused_imports_finds_the_unused_name(tmp_path):
 
 def test_no_unused_imports():
     # the package's __init__.py imports only to re-export
-    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     found = [
         f"{path.parent.name}/{path.name}:{line}: {name}"
         for path in paths
@@ -96,7 +97,7 @@ def test_no_test_only_functions():
     init = SRC / "__init__.py"
     exported = {alias.name for node in ast.parse(init.read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    others = sorted((SRC.parents[1] / "demos").glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    others = sorted(DEMOS.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
     found = [
         f"{path.name}: {name}"
         for path, name in unreferenced_definitions(sorted(set(SRC.glob("*.py")) - {init}), others)
