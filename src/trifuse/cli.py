@@ -2,8 +2,8 @@
 
 Verbs: inspect, grid, verify, synth, eval, bin-events.  Run configuration
 comes from a JSON config file (--config) with individual flags overriding
-file values.  Exit codes: 0 success, 1 validation error, 2 property
-failure, 3 partial grid failure.
+file values.  Exit codes: 0 success, 1 usage or validation error (a parse
+error included), 2 property failure, 3 partial grid failure.
 """
 
 from __future__ import annotations
@@ -16,10 +16,18 @@ from pathlib import Path
 
 from .backbone import MODALITY_SETS, VARIANTS
 from .data import read_json, text_lines, write_npy
-from .errors import FormatError, TrifuseError
+from .errors import FormatError
 from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
 from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
-from .harness import RunConfig, expand_sweep, run_grid, run_ablation_grid, run_single, write_grid_outputs
+from .harness import (
+    _CELL_ERRORS,
+    RunConfig,
+    expand_sweep,
+    run_ablation_grid,
+    run_grid,
+    run_single,
+    write_grid_outputs,
+)
 from .metrics import evaluate, read_detections_jsonl, read_ground_truth_jsonl
 from .synth import generate_corpus
 from .verify import run_verification
@@ -87,7 +95,7 @@ def cmd_inspect(args):
 def cmd_grid(args):
     cfg = _load_run_config(args)
     out_dir = args.out or "grid_out"
-    sweep = read_json(args.sweep) if args.sweep and not args.ablation_grid else {}
+    sweep = read_json(args.sweep) if args.sweep else {}
     expand_sweep(cfg, sweep)  # a bad sweep fails before --out is made
     # before any cell runs, so an --out that cannot be a directory fails at once
     Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -159,8 +167,17 @@ def cmd_bin_events(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a parse error exiting 1, the usage/validation code,
+    where argparse exits 2, the code of a failed verification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trifuse",
         description="Tri-modal fusion backbone: inspection, ablation grids, "
                     "verification, synthetic data and detection metrics.",
@@ -179,9 +196,10 @@ def build_parser():
 
     p = sub.add_parser("grid", parents=[shared], help="run an ablation sweep")
     _add_run_flags(p)
-    p.add_argument("--sweep", help="JSON sweep spec: {axis: [values]}")
-    p.add_argument("--ablation-grid", action="store_true",
-                   help="run the full published ablation inventory")
+    cells = p.add_mutually_exclusive_group()
+    cells.add_argument("--sweep", help="JSON sweep spec: {axis: [values]}")
+    cells.add_argument("--ablation-grid", action="store_true",
+                       help="run the full published ablation inventory")
     p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("verify", parents=[shared], help="run randomized property suites")
@@ -214,7 +232,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (TrifuseError, OSError) as e:
+    except _CELL_ERRORS as e:  # what fails a grid cell fails a single command
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

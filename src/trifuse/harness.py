@@ -16,9 +16,13 @@ its first reader.  One FPN runs per input and widths, after every stage
 node.  A report equals what one whole ``forward_dual`` and ``fpn`` give,
 except that ``forward_ms`` is composed: the median times of the nodes on
 the cell's path plus that of its FPN run.  A config listed more than once
-runs once and every listing gets its report.  Cells run one at a time, in
-(seed, variant, modalities) order, on the calling thread: the benchmark
-pins BLAS to one thread, so a report times single-core work.
+runs once and every listing gets its report.  Cells are stepped stage by
+stage and stream by stream: every cell's stage-1 stream-A encode, then
+every stage-1 stream-B encode, and so on to stage 4, so the encodes that
+read one stream's stage arrays run back to back and only that stream's
+arrays for that stage are live.  Within a turn the cells go in (seed,
+variant, modalities) order, on the calling thread: the benchmark pins BLAS
+to one thread, so a report times single-core work.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from .neck import fpn, fpn_param_specs
 from .tensors import ParamStore, init_params, param_count
 
 DEFAULT_INPUT_SIZE = (301, 391)
-# what fails one grid cell and not the grid: a package error, or a source
-# file the cell cannot open
-_CELL_ERRORS = (TrifuseError, OSError)
+# what fails one grid cell and not the grid: a package error, a source file
+# the cell cannot open, or an allocation the host cannot make
+_CELL_ERRORS = (TrifuseError, OSError, MemoryError)
 
 # the RunConfig fields a sweep may vary
 SWEEP_AXES = ("variant", "mechanism", "stages", "tau", "se_ratio", "guidance", "merge", "modalities")
@@ -328,12 +332,15 @@ class _Memo:
     ``paths`` holds each cell's ``_path``.  ``values`` is one table of
     outcomes, a value or the error that computing it raised: a node keyed
     by its node key, a parameter array by (ParamSpec, seed), each computed
-    by the first to need it.  The cells run one at a time, so no entry is
+    by the first to need it.  The cells run on one thread, so no entry is
     ever awaited.  ``users`` counts who still needs each value, the cells
     still to pass a node and the nodes still to read an array, so a value
     is dropped after its last user: an array lives from just before the
-    first node that reads it runs until the last has run.  ``feats`` keeps
-    each FPN node's first user's stage features until the FPNs run.
+    first node that reads it runs until the last has run.  As the cells are
+    stepped stage by stage and stream by stream, those readers run back to
+    back, and the arrays of only one stream's stage are live at a time.
+    ``feats`` keeps each FPN node's first user's stage features until the
+    FPNs run.
     """
 
     def __init__(self, cells):
@@ -411,12 +418,15 @@ def _pyramid_shapes(params, reps, feats):
 
 
 def _run_cell(cfg, memo):
-    """One grid cell's stage nodes: its report without the pyramid, from the
-    memo's shared input, stream inputs, stream encodes and merges, with
-    ``forward_ms`` the sum of those nodes' median times.  The first cell of
-    its FPN node leaves its stage features in the memo for ``_add_pyramid``.
-    An error in ``_CELL_ERRORS`` is returned, not raised, and the nodes the
-    cell will not reach lose it as a user."""
+    """One grid cell's stage nodes, as a generator that yields ``(stage,
+    stream)`` just before each stream encode, so ``_run_cells`` can step
+    every cell to the same turn.  It returns the cell's report without the
+    pyramid, from the memo's shared input, stream inputs, stream encodes and
+    merges, with ``forward_ms`` the sum of those nodes' median times; between
+    turns the cell holds only its next stage inputs and its stage features.
+    The first cell of its FPN node leaves its stage features in the memo for
+    ``_add_pyramid``.  An error in ``_CELL_ERRORS`` is returned, not raised,
+    and the nodes the cell will not reach lose it as a user."""
     path = iter(key for key, _ in memo.paths[repr(cfg)])
 
     def node(fn, *args):
@@ -428,9 +438,13 @@ def _run_cell(cfg, memo):
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
         x = node(_input, cfg)
         streams = [node(_stream, x, sl) for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
+        del x  # not held while the cell waits for its turns
         feats, diag, forward_ms = [], {}, 0.0
         for stage in range(1, 5):
-            encoded = [node(_encode, reps, s, stage, bcfg, p) for p, s in zip("ab", streams)]
+            encoded = []
+            for p, s in zip("ab", streams):
+                yield stage, p
+                encoded.append(node(_encode, reps, s, stage, bcfg, p))
             (feat, streams, part), merge_ms = node(_merge, reps, [e for e, _ in encoded], stage, bcfg, fus)
             feats.append(feat)
             forward_ms += sum(ms for _, ms in encoded) + merge_ms
@@ -473,17 +487,32 @@ def _run_cells(configs):
     All cells share one ``_Memo``, one table of nodes and parameter arrays,
     so each is computed once per call.  Per-name seeding makes a shared
     array bitwise equal to the cell's own ``init_params``, so a shared node
-    computes what the cell's own forward would.  Cells run one at a time,
-    sorted by (seed, variant, modalities) and otherwise in listing order,
-    so a variant's modality sets and the variants run next to each other.
-    The FPN nodes run after every stage node, when the stage arrays are
-    gone, and then each report gets its pyramid.
+    computes what the cell's own forward would.  The cells are stepped stage
+    by stage and stream by stream: each runs up to its first encode, then
+    every cell takes turn (1, a), every cell turn (1, b), and so on to
+    (4, b), a turn being one stream encode and, after stream b, the merge.
+    So every encode that reads one stream's stage arrays runs back to back,
+    each array is still drawn once and dropped after its last reader, and
+    only one stream's stage arrays are live at a time, where running each
+    cell whole kept both streams' arrays live from the first cell to read
+    them to the last.  The price is what each waiting cell holds between
+    turns: its next stage inputs and its stage features.
+    Within a turn the cells go in (seed, variant, modalities) order and
+    otherwise in listing order.  The FPN nodes run after every stage node,
+    when the stage arrays are gone, and then each report gets its pyramid.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
     memo = _Memo(distinct.values())
     ordered = sorted(distinct.values(), key=lambda c: tuple(map(str, (c.seed, c.variant, c.modalities))))
-    reports = {repr(cfg): _run_cell(cfg, memo) for cfg in ordered}
+    pending, reports = {repr(cfg): _run_cell(cfg, memo) for cfg in ordered}, {}
+    while pending:  # one pass per turn: every cell yields the same turns in order
+        for k, cell in list(pending.items()):
+            try:
+                next(cell)
+            except StopIteration as done:
+                reports[k] = done.value
+                del pending[k]
     reports = {k: _add_pyramid(reports[k], cfg, memo) for k, cfg in distinct.items()}
     return [reports[repr(cfg)] for cfg in configs]
 
@@ -498,10 +527,10 @@ def _recorded(cfg, outcome):
 def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
-    Returns reports sorted by config key.  Cells run one at a time, in
-    (seed, variant, modalities) order.  ``workers`` is kept, and only 1 is
-    accepted, because the benchmark's grid-light workload still passes
-    ``workers=1``; any other value is a ConfigError.
+    Returns reports sorted by config key.  Cells run on the calling thread,
+    stepped stage by stage and stream by stream.  ``workers`` is kept, and
+    only 1 is accepted, because the benchmark's grid-light workload still
+    passes ``workers=1``; any other value is a ConfigError.
     """
     if workers != 1:
         raise ConfigError(f"workers: grid cells run one at a time, got {workers!r}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trifuse import harness
+from trifuse import backbone, harness
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
 from trifuse.data import read_npy
 
@@ -84,6 +84,31 @@ class TestGrid:
         code = main(["--config", _fast_config(tmp_path), "--out", str(out), "grid", *flag])
         assert code == EXIT_VALIDATION and calls == []
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+
+
+    def test_out_of_memory_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
+        # numpy raises a MemoryError subclass for an allocation the host
+        # cannot make; here RTE's stream B, the only two-channel input, does
+        real = backbone.encode_stage
+        error = "Unable to allocate 80.0 GiB for an array with shape (1, 64, 80000, 2000)"
+
+        def encode(x, stage, cfg, params, p):
+            if x.shape[1] == 2:
+                raise MemoryError(error)
+            return real(x, stage, cfg, params, p)
+
+        monkeypatch.setattr(backbone, "encode_stage", encode)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"modalities": ["RT", "RTE"]}')
+        out = tmp_path / "grid"
+        code = main(["--config", _fast_config(tmp_path), "--out", str(out), "grid", "--sweep", str(sweep)])
+        assert code == EXIT_PARTIAL_GRID
+        reports = json.loads((out / "grid.json").read_text())
+        assert {r["config"]["modalities"]: r["error"] for r in reports} == {"RT": None, "RTE": f"MemoryError: {error}"}
+        capsys.readouterr()
+        code = main(["--config", _fast_config(tmp_path), "inspect", "--modalities", "RTE"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestVerify:
@@ -382,7 +407,21 @@ class TestParser:
         lines = _readme_command_lines()
         assert len(lines) == 7
         for line in lines:
-            build_parser().parse_args(shlex.split(line)[1:])  # exits 2 on a parse error
+            build_parser().parse_args(shlex.split(line)[1:])  # exits 1 on a parse error
+
+    @pytest.mark.parametrize("argv, error", [
+        (["grid", "--ablation-grid", "--sweep", "s.json"],
+         "trifuse grid: error: argument --sweep: not allowed with argument --ablation-grid"),
+        (["grid", "--bogus"], "trifuse: error: unrecognized arguments: --bogus"),
+    ], ids=["ablation-grid-and-sweep", "unknown-flag"])
+    def test_parse_error_exits_one(self, tmp_path, capsys, argv, error):
+        # 1 is the usage/validation code; argparse's own 2 is a failed verification's
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["--out", str(out), *argv])
+        assert exited.value.code == EXIT_VALIDATION
+        assert [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln] == [error]
+        assert not out.exists()
 
     def test_readme_command_lines_run(self, tmp_path, monkeypatch):
         # each line as written, in a directory holding the files it names,

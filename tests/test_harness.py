@@ -383,8 +383,8 @@ class TestGridEngine:
             maps.append(weakref.ref(out))
             return out
 
-        def cell(cfg, group):
-            report = real_cell(cfg, group)
+        def cell(cfg, memo):
+            report = yield from real_cell(cfg, memo)
             gc.collect()
             live_after_cell.append(sum(r() is not None for r in maps))
             return report
@@ -394,11 +394,13 @@ class TestGridEngine:
         run_grid(FAST, self.PREFIXES)
         gc.collect()
         assert len(maps) == 14
-        # sampled after each cell, since the one FPN run sees only the first
-        # cell: a cell's own pair is dropped once it returns, so what stays
-        # live is the pairs later cells still read, none after the last cell
-        # and none once the grid is done
-        assert live_after_cell == [8, 8, 8, 8, 6, 0]
+        # sampled as each cell returns, all in the last turn, since the one
+        # FPN run sees only the first cell.  Stages 1-3 are gone by then; a
+        # cell's own pair is dropped once it returns, so what stays live is
+        # what later cells still read: the stage-4 pair the three [4] cells
+        # share and the stage-3 pair they wait on, and each waiting [3, 4]
+        # cell's own stage-4 stream-A encode.  None stays once the grid is done
+        assert live_after_cell == [7, 6, 6, 5, 1, 0]
         assert all(r() is None for r in maps)
 
     def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch):
@@ -471,6 +473,36 @@ class TestGridEngine:
         assert not live() and len(memos) == 1
         assert not memos[0].values and not memos[0].feats
 
+    @pytest.mark.parametrize("sweep, stage, encodes", [
+        ({"variant": ["B2", "B3", "B4"]}, 3, 6),
+        # the grid-light workload's sweep
+        ({"variant": ["B0", "B1"], "mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}, 4, 16),
+    ], ids=["nested-chain-stage-3", "grid-light-stage-4"])
+    def test_one_streams_stage_arrays_live_at_each_encode(self, monkeypatch, sweep, stage, encodes):
+        # B3's stage-3 blocks are B4's first 18 and the B1 cells share their
+        # stage-4 encoders: run cell by cell, both streams' arrays stayed live
+        # from the first cell's encodes to the last one's
+        arrays, live_at = [], []
+        real_encode = backbone.encode_stage
+
+        def recording(specs, seed):
+            store = tiled_params(specs, seed)
+            arrays.extend((s.name, weakref.ref(store[s.name])) for s in specs)
+            return store
+
+        def encode(x, s, cfg, params, p):
+            if s == stage:
+                live = {name[0] for name, ref in arrays if ref() is not None and name[1:4] == f".s{stage}"}
+                live_at.append((p, live))
+            return real_encode(x, s, cfg, params, p)
+
+        monkeypatch.setattr(harness, "init_params", recording)
+        monkeypatch.setattr(backbone, "encode_stage", encode)
+        reports = run_grid(replace(FAST, input_size=(32, 32)), sweep)
+        assert all(r.ok for r in reports)
+        assert len(live_at) == encodes
+        assert all(live == {p} for p, live in live_at), live_at
+
     def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch):
         raised = []
         real = backbone.apply_fusion
@@ -539,6 +571,7 @@ class TestGridEngine:
 
         def fake_run_cell(cfg, memo):
             ran.append(cfg)
+            yield from ()  # a cell that fails before its first turn
             return ConfigError("not run")
 
         monkeypatch.setattr(harness, "_run_cell", fake_run_cell)
@@ -574,6 +607,21 @@ class TestAblationGridEngine:
 
         monkeypatch.setattr(harness, "_run_cell", watched)
         return calls
+
+    def test_encodes_run_stage_by_stage_and_stream_by_stream(self, monkeypatch):
+        calls = []
+        real = backbone.encode_stage
+
+        def recording(x, stage, cfg, params, p):
+            calls.append((stage, p))
+            return real(x, stage, cfg, params, p)
+
+        monkeypatch.setattr(backbone, "encode_stage", recording)
+        run_ablation_grid(self.BASE)
+        # every cell's stage-1 stream-A encode, then every stage-1 stream-B
+        # one, and so on to stage 4's stream-B encodes
+        assert len(set(calls)) == 8
+        assert calls == sorted(calls)
 
     def test_each_distinct_config_runs_once(self, monkeypatch):
         calls = self._watch_cells(monkeypatch)
