@@ -85,7 +85,6 @@ class TestGrid:
         assert code == EXIT_VALIDATION and calls == []
         assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
 
-
     def test_out_of_memory_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
         # numpy raises a MemoryError subclass for an allocation the host
         # cannot make; here RTE's stream B, the only two-channel input, does

@@ -479,9 +479,9 @@ class TestGridEngine:
         ({"variant": ["B0", "B1"], "mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}, 4, 16),
     ], ids=["nested-chain-stage-3", "grid-light-stage-4"])
     def test_one_streams_stage_arrays_live_at_each_encode(self, monkeypatch, sweep, stage, encodes):
-        # B3's stage-3 blocks are B4's first 18 and the B1 cells share their
-        # stage-4 encoders: run cell by cell, both streams' arrays stayed live
-        # from the first cell's encodes to the last one's
+        # B3's stage-3 blocks are B4's first 18, and the grid-light cells of
+        # one variant read the same stage-4 encoder arrays: run cell by cell,
+        # both streams' arrays stayed live from the first reader to the last
         arrays, live_at = [], []
         real_encode = backbone.encode_stage
 
