@@ -12,12 +12,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .backbone import MODALITY_SETS, VARIANTS
 from .data import read_json, text_lines, write_npy
-from .errors import FormatError
-from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file
+from .errors import ConfigError, FormatError
+from .events import DEFAULT_WINDOW_S, EventStream, bin_events, read_event_file, window_us
 from .fusion import GAFF_GUIDANCE, GAFF_MERGES, GAFF_SE_RATIOS, MECHANISMS
 from .harness import (
     _CELL_ERRORS,
@@ -39,22 +40,12 @@ EXIT_PARTIAL_GRID = 3
 
 
 def _load_run_config(args):
+    """The config file's fields, each overridden by its flag when given; a
+    file that is not a JSON object is left for ``from_dict`` to refuse."""
     d = read_json(args.config) if args.config else {}
-    overrides = {
-        "variant": args.variant,
-        "mechanism": args.mechanism,
-        "stages": tuple(args.stages) if args.stages is not None else None,
-        "tau": args.tau,
-        "se_ratio": args.se_ratio,
-        "guidance": args.guidance,
-        "merge": args.merge,
-        "modalities": args.modalities,
-        "seed": args.seed,
-        "source": args.source,
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            d[k] = v
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    if isinstance(d, dict):
+        d.update({k: v for k, v in flags.items() if v is not None})
     return RunConfig.from_dict(d).validate()
 
 
@@ -143,6 +134,9 @@ def cmd_eval(args):
 
 
 def cmd_bin_events(args):
+    # --dt and every stamp are checked before --out is made
+    if not 0 < args.dt < math.inf:
+        raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
     t, x, y, p = read_event_file(args.events)
     if args.sensor_size:
         size = tuple(args.sensor_size)
@@ -158,6 +152,10 @@ def cmd_bin_events(args):
             raise FormatError(f"{where}: non-numeric timestamp") from e
         if not math.isfinite(stamps[-1]):
             raise FormatError(f"{where}: non-finite timestamp")
+        try:
+            window_us(stamps[-1], args.dt)
+        except ConfigError as e:
+            raise FormatError(f"{where}: {e}") from e
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, ts in enumerate(stamps):

@@ -29,6 +29,7 @@ STD_EPS = 1e-6
 # 31x the default 320x416 padded frame, room for a 1280x720 event sensor,
 # and 168 MB as a five-channel float64 frame
 MAX_FRAME_PIXELS = 2**22
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 # ImageNet RGB statistics for inputs in [0, 1]
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -110,6 +111,39 @@ def read_json(path):
         raise FormatError(f"{path}:{e.lineno}: malformed JSON: {e.msg}") from e
     except RecursionError as e:
         raise FormatError(f"{path}: JSON nested too deeply") from e
+
+
+def is_int64(v):
+    """Whether ``v`` is an integer within the int64 range, the one rule for
+    an outside integer: an integral float counts as one, a boolean, a
+    string or any other type does not."""
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        v = int(v)
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and INT64_MIN <= v <= INT64_MAX
+
+
+def exact_int64(name, values):
+    """``values`` as int64, or :class:`ValidationError` naming the first
+    entry of ``name`` that ``is_int64`` refuses, so nothing is truncated or
+    wrapped.  An int64 array is returned as it is, without a pass over it."""
+    a = np.asarray(values)
+    if a.dtype == np.int64:
+        return a
+    if a.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # a sequence mixing floats with ints beyond 2**53 was rounded
+        a = np.array(values, object)
+    if a.dtype.kind == "O":
+        ok = np.frompyfunc(is_int64, 1, 1)(a).astype(bool)
+    elif a.dtype.kind == "f":
+        ok = (a == np.trunc(a)) & (a >= INT64_MIN) & (a < 2.0**63)
+    elif a.dtype.kind in "iu":
+        ok = a <= INT64_MAX
+    else:
+        ok = np.zeros(a.shape, bool)
+    if not ok.all():
+        i = int(np.argmin(ok.reshape(-1)))
+        raise ValidationError(f"{name}[{i}] = {a.item(i)!r} is not an integer within the int64 range")
+    return a.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +356,14 @@ def load_manifest(path, check_files=True):
     base = Path(path).parent
     entries = []
     for i, rec in enumerate(records):
-        try:
-            img = str(base / rec["image"])
-            lbl = str(base / rec["labels"])
-            flag = rec["day_night"]
-        except (TypeError, KeyError) as e:
-            raise FormatError(f"{path}: record {i} missing field {e}") from e
+        if not isinstance(rec, dict):
+            raise FormatError(f"{path}: record {i} is not a JSON object, got {type(rec).__name__}")
+        for name in ("image", "labels", "day_night"):
+            if name not in rec:
+                raise FormatError(f"{path}: record {i} missing field {name!r}")
+            if not isinstance(rec[name], str):
+                raise FormatError(f"{path}: record {i} field {name!r} is not a string, got {rec[name]!r}")
+        img, lbl, flag = str(base / rec["image"]), str(base / rec["labels"]), rec["day_night"]
         if flag not in ("day", "night"):
             raise ValidationError(f"{path}: record {i} day_night flag {flag!r} invalid")
         if check_files:

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MAX_FRAME_PIXELS, text_lines
+from .data import INT64_MAX, INT64_MIN, MAX_FRAME_PIXELS, exact_int64, text_lines
 from .errors import ConfigError, FormatError, ValidationError
 
 # 30 FPS frame interval
 DEFAULT_WINDOW_S = 1.0 / 30.0
-INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass
@@ -46,7 +45,7 @@ class EventStream:
         if h * w > MAX_FRAME_PIXELS:
             raise ValidationError(f"sensor_size {h}x{w} = {h * w} pixels, above the bound of {MAX_FRAME_PIXELS}")
         self.t, self.x, self.y, self.p = (
-            _exact_int64(name, getattr(self, name)) for name in ("t", "x", "y", "p")
+            exact_int64(f"event {name}", getattr(self, name)) for name in ("t", "x", "y", "p")
         )
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
@@ -67,56 +66,32 @@ class EventStream:
         return len(self.t)
 
 
-def _exact_int64(name, values):
-    """``values`` as int64, or :class:`ValidationError` naming the first
-    entry that is not an integer within the int64 range, so nothing is
-    truncated or wrapped.  As for JSONL class ids, an integral float counts
-    as an integer; a boolean or a string does not.  An int64 array is
-    returned as it is, without a pass over it."""
-    a = np.asarray(values)
-    if a.dtype == np.int64:
-        return a
-    if a.dtype.kind == "f" and not isinstance(values, np.ndarray):
-        # a sequence mixing floats with ints beyond 2**53 was rounded
-        a = np.array(values, object)
-    if a.dtype.kind == "O":
-        ok = np.frompyfunc(_is_int64, 1, 1)(a).astype(bool)
-    elif a.dtype.kind == "f":
-        ok = (a == np.trunc(a)) & (a >= INT64_MIN) & (a < 2.0**63)
-    elif a.dtype.kind in "iu":
-        ok = a <= INT64_MAX
-    else:
-        ok = np.zeros(a.shape, bool)
-    if not ok.all():
-        i = int(np.argmin(ok.reshape(-1)))
-        raise ValidationError(f"event {name}[{i}] = {a.item(i)!r} is not an integer within the int64 range")
-    return a.astype(np.int64)
-
-
-def _is_int64(v):
-    if isinstance(v, (float, np.floating)) and float(v).is_integer():
-        v = int(v)
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and INT64_MIN <= v <= INT64_MAX
+def window_us(center_t, delta_t=DEFAULT_WINDOW_S):
+    """The window edges center_t - delta_t/2 and center_t + delta_t/2
+    (seconds), each rounded to the nearest whole microsecond; a ConfigError
+    if delta_t is not positive and finite, or center_t or an edge in
+    microseconds is not finite."""
+    if not 0 < delta_t < math.inf:
+        raise ConfigError(f"delta_t must be positive and finite, got {delta_t}")
+    if not math.isfinite(center_t):
+        raise ConfigError(f"center_t must be finite, got {center_t}")
+    edges = (center_t - delta_t / 2.0) * 1e6, (center_t + delta_t / 2.0) * 1e6
+    if not all(map(math.isfinite, edges)):
+        raise ConfigError(f"window {center_t} +/- {delta_t / 2.0} s is not finite in microseconds")
+    return round(edges[0]), round(edges[1])
 
 
 def bin_events(stream, center_t, delta_t=DEFAULT_WINDOW_S):
     """Accumulate one event frame around ``center_t`` (seconds).
 
-    The window edges center_t - delta_t/2 and center_t + delta_t/2 are
-    rounded to the nearest whole microsecond, lo_us and hi_us, and events
-    with t in [lo_us, hi_us) contribute their polarity to the pixel count
-    (#ON - #OFF); a binary search on the sorted timestamps finds them.  The
-    count map is then scaled by its max absolute value into [-1, 1]; an
-    empty window yields a zero frame.
+    Events with t in ``window_us``' [lo_us, hi_us) contribute their polarity
+    to the pixel count (#ON - #OFF); a binary search on the sorted
+    timestamps finds them.  The count map is then scaled by its max absolute
+    value into [-1, 1]; an empty window yields a zero frame.
     """
-    if not 0 < delta_t < math.inf:
-        raise ConfigError(f"delta_t must be positive and finite, got {delta_t}")
-    if not math.isfinite(center_t):
-        raise ConfigError(f"center_t must be finite, got {center_t}")
+    lo_us, hi_us = window_us(center_t, delta_t)
     h, w = stream.sensor_size
     frame = np.zeros((h, w), np.float64)
-    lo_us = round((center_t - delta_t / 2.0) * 1e6)
-    hi_us = round((center_t + delta_t / 2.0) * 1e6)
     lo, hi = np.searchsorted(stream.t, [lo_us, hi_us])
     np.add.at(frame, (stream.y[lo:hi], stream.x[lo:hi]), stream.p[lo:hi])
     peak = np.abs(frame).max()

@@ -14,15 +14,15 @@ a stream up to its first fused stage.  An array, keyed by (ParamSpec,
 seed) and bitwise equal to a fresh ``init_params``, is drawn just before
 its first reader.  One FPN runs per input and widths, after every stage
 node.  A report equals what one whole ``forward_dual`` and ``fpn`` give,
-except that ``forward_ms`` is composed: the median times of the nodes on
-the cell's path plus that of its FPN run.  A config listed more than once
-runs once and every listing gets its report.  Cells are stepped stage by
-stage and stream by stream: every cell's stage-1 stream-A encode, then
-every stage-1 stream-B encode, and so on to stage 4, so the encodes that
-read one stream's stage arrays run back to back and only that stream's
-arrays for that stage are live.  Within a turn the cells go in (seed,
-variant, modalities) order, on the calling thread: the benchmark pins BLAS
-to one thread, so a report times single-core work.
+except that ``forward_ms`` is composed: the sum of the median times of the
+nodes on the cell's path, its FPN's included.  A config listed more than once
+runs once and every listing gets its report.  One loop steps the cells
+stage by stage and stream by stream: every cell's stage-1 stream-A encode,
+then every stage-1 stream-B encode, and so on to stage 4, and last every
+cell's FPN, so the encodes that read one stream's stage arrays run back to
+back and only that stream's arrays for that stage are live.  Within a turn
+the cells go in (seed, variant, modalities) order, on the calling thread:
+the benchmark pins BLAS to one thread, so a report times single-core work.
 """
 
 from __future__ import annotations
@@ -339,8 +339,8 @@ class _Memo:
     first node that reads it runs until the last has run.  As the cells are
     stepped stage by stage and stream by stream, those readers run back to
     back, and the arrays of only one stream's stage are live at a time.
-    ``feats`` keeps each FPN node's first user's stage features until the
-    FPNs run.
+    ``feats`` keeps each FPN node's first user's stage features from its
+    stage-4 merge until the node pops them.
     """
 
     def __init__(self, cells):
@@ -417,16 +417,37 @@ def _pyramid_shapes(params, reps, feats):
     return pyramid.shapes(), ms
 
 
+def _stage_nodes(cfg, node):
+    """A cell's input, stream input, encode and merge nodes, as a generator
+    that yields ``(stage, stream)`` just before each stream encode and
+    returns the stage features, the diagnostics and the nodes' summed
+    median ms; its locals go when it returns."""
+    bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
+    x = node(_input, cfg)
+    streams = [node(_stream, x, sl) for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
+    del x  # not held while the cell waits for its turns
+    feats, diag, forward_ms = [], {}, 0.0
+    for stage in range(1, 5):
+        encoded = []
+        for p, s in zip("ab", streams):
+            yield stage, p
+            encoded.append(node(_encode, reps, s, stage, bcfg, p))
+        (feat, streams, part), merge_ms = node(_merge, reps, [e for e, _ in encoded], stage, bcfg, fus)
+        feats.append(feat)
+        forward_ms += sum(ms for _, ms in encoded) + merge_ms
+        for name, values in part.items():
+            diag.setdefault(name, []).extend(values)
+    return feats, diag, forward_ms
+
+
 def _run_cell(cfg, memo):
-    """One grid cell's stage nodes, as a generator that yields ``(stage,
-    stream)`` just before each stream encode, so ``_run_cells`` can step
-    every cell to the same turn.  It returns the cell's report without the
-    pyramid, from the memo's shared input, stream inputs, stream encodes and
-    merges, with ``forward_ms`` the sum of those nodes' median times; between
-    turns the cell holds only its next stage inputs and its stage features.
-    The first cell of its FPN node leaves its stage features in the memo for
-    ``_add_pyramid``.  An error in ``_CELL_ERRORS`` is returned, not raised,
-    and the nodes the cell will not reach lose it as a user."""
+    """One grid cell, as a generator that yields ``(stage, stream)`` just
+    before each stream encode and ``"fpn"`` after its stage-4 merge, and
+    returns the cell's report, ``forward_ms`` summing the median times of
+    every node on its path.  It waits for its FPN turn with only its stage
+    shapes: the FPN node's first user leaves its features in ``memo.feats``
+    for the node to pop.  An error in ``_CELL_ERRORS`` is returned, not
+    raised, and the nodes the cell will not reach lose it as a user."""
     path = iter(key for key, _ in memo.paths[repr(cfg)])
 
     def node(fn, *args):
@@ -434,49 +455,19 @@ def _run_cell(cfg, memo):
 
     try:
         cfg.validate()
-        specs = build_param_specs(cfg)
-        bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
-        x = node(_input, cfg)
-        streams = [node(_stream, x, sl) for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
-        del x  # not held while the cell waits for its turns
-        feats, diag, forward_ms = [], {}, 0.0
-        for stage in range(1, 5):
-            encoded = []
-            for p, s in zip("ab", streams):
-                yield stage, p
-                encoded.append(node(_encode, reps, s, stage, bcfg, p))
-            (feat, streams, part), merge_ms = node(_merge, reps, [e for e, _ in encoded], stage, bcfg, fus)
-            feats.append(feat)
-            forward_ms += sum(ms for _, ms in encoded) + merge_ms
-            for name, values in part.items():
-                diag.setdefault(name, []).extend(values)
-        memo.feats.setdefault(next(path), feats)
-        return RunReport(
-            config=cfg.to_dict(),
-            stage_shapes=[f.map.shape for f in feats],
-            param_count=param_count(specs),
-            forward_ms=forward_ms,
-            diagnostics=diag,
-        )
+        n_params = param_count(build_param_specs(cfg))
+        feats, diag, forward_ms = yield from _stage_nodes(cfg, node)
+        stage_shapes = [f.map.shape for f in feats]
+        fpn_key, _ = memo.paths[repr(cfg)][-1]
+        memo.feats.setdefault(fpn_key, feats)
+        del feats
+        yield "fpn"
+        # only the first user finds the features, and the node runs for it
+        pyramid_shapes, fpn_ms = node(_pyramid_shapes, cfg.timing_reps, memo.feats.pop(fpn_key, None))
+        return RunReport(cfg.to_dict(), stage_shapes, pyramid_shapes, n_params, forward_ms + fpn_ms, diag)
     except _CELL_ERRORS as e:
         memo.leave(path)
         return e
-
-
-def _add_pyramid(report, cfg, memo):
-    """A cell's report completed by its FPN node.  No report field reads a
-    pyramid value, only its shapes, so the node runs once, on the stage
-    features of its first user, and every user adds its median time.  An
-    error, the cell's or the node's, is returned."""
-    if isinstance(report, _CELL_ERRORS):
-        return report
-    key, _ = memo.paths[repr(cfg)][-1]
-    try:
-        # only the first user finds the features, and the node runs for it
-        shapes, ms = memo.node(key, _pyramid_shapes, cfg.timing_reps, memo.feats.pop(key, None))
-    except _CELL_ERRORS as e:
-        return e
-    return replace(report, pyramid_shapes=shapes, forward_ms=report.forward_ms + ms)
 
 
 def _run_cells(configs):
@@ -487,19 +478,18 @@ def _run_cells(configs):
     All cells share one ``_Memo``, one table of nodes and parameter arrays,
     so each is computed once per call.  Per-name seeding makes a shared
     array bitwise equal to the cell's own ``init_params``, so a shared node
-    computes what the cell's own forward would.  The cells are stepped stage
-    by stage and stream by stream: each runs up to its first encode, then
-    every cell takes turn (1, a), every cell turn (1, b), and so on to
-    (4, b), a turn being one stream encode and, after stream b, the merge.
-    So every encode that reads one stream's stage arrays runs back to back,
+    computes what the cell's own forward would.  One loop steps the cells
+    through the same turns, (1, a), (1, b), ... (4, b), a turn being one
+    stream encode and, after stream b, the merge, and last each cell's FPN.
+    So the encodes that read one stream's stage arrays run back to back,
     each array is still drawn once and dropped after its last reader, and
     only one stream's stage arrays are live at a time, where running each
     cell whole kept both streams' arrays live from the first cell to read
-    them to the last.  The price is what each waiting cell holds between
-    turns: its next stage inputs and its stage features.
+    them to the last; the FPNs run after every stage node, when the stage
+    arrays are gone.  Between turns a cell holds its next stage inputs and
+    its stage features, and from its stage-4 merge only their shapes.
     Within a turn the cells go in (seed, variant, modalities) order and
-    otherwise in listing order.  The FPN nodes run after every stage node,
-    when the stage arrays are gone, and then each report gets its pyramid.
+    otherwise in listing order.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
@@ -513,7 +503,6 @@ def _run_cells(configs):
             except StopIteration as done:
                 reports[k] = done.value
                 del pending[k]
-    reports = {k: _add_pyramid(reports[k], cfg, memo) for k, cfg in distinct.items()}
     return [reports[repr(cfg)] for cfg in configs]
 
 

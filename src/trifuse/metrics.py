@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_lines
+from .data import is_int64, text_lines
 from .errors import FormatError, ValidationError
 
 COCO_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
@@ -268,10 +268,10 @@ def _read_jsonl(path, kind, make):
 
 
 def _class_id(rec):
-    """The record's class as an exact integer, never a boolean or a fraction."""
+    """The record's class as an exact integer within the int64 range."""
     c = rec.get("class", 0)
-    if isinstance(c, bool) or (isinstance(c, float) and not c.is_integer()):
-        raise ValueError(f"class {c!r} is not an integer")
+    if not is_int64(c):
+        raise ValueError(f"class {c!r} is not an integer within the int64 range")
     return int(c)
 
 

@@ -186,6 +186,18 @@ class TestInputErrors:
         cfg.write_text('{"stages": 4}')
         assert "error: stages: " in self._fails(capsys, ["--config", str(cfg), "inspect"])
 
+    @pytest.mark.parametrize("data, argv, kind", [
+        ("[1, 2]", ["inspect", "--variant", "B0"], "list"),
+        ('"abc"', ["--seed", "3", "grid"], "str"),
+    ], ids=["list-inspect-variant", "str-seed-grid"])
+    def test_config_not_an_object_with_a_flag_exits_one(self, tmp_path, capsys, data, argv, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(data)
+        out = tmp_path / "out"
+        err = self._fails(capsys, ["--config", str(cfg), "--out", str(out), *argv])
+        assert err == f"error: config must be a JSON object, got {kind}\n"
+        assert not out.exists()
+
     def test_non_list_stages_in_sweep(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.json"
         sweep.write_text('{"stages": [4, 3]}')
@@ -365,6 +377,24 @@ class TestBinEvents:
                      "--timestamps", str(tmp_path / "stamps.txt")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: x coordinate outside [0, 1)\n"
+
+    @pytest.mark.parametrize("stamp, dt, error", [
+        ("1e303", "0.1", ":2: window 1e+303 +/- 0.05 s is not finite in microseconds"),
+        ("0.2", "1e305", ":1: window 0.1 +/- 5e+304 s is not finite in microseconds"),
+        ("0.2", "0", "--dt must be positive and finite, got 0.0"),
+        ("0.2", "inf", "--dt must be positive and finite, got inf"),
+    ], ids=["stamp-1e303", "dt-1e305", "dt-0", "dt-inf"])
+    def test_bad_window_exits_one_before_any_frame(self, tmp_path, capsys, stamp, dt, error):
+        (tmp_path / "events.txt").write_text("100000 2 1 1\n")
+        stamps = tmp_path / "stamps.txt"
+        stamps.write_text(f"0.1\n{stamp}\n")
+        out = tmp_path / "frames"
+        code = main(["--out", str(out), "bin-events", "--events", str(tmp_path / "events.txt"),
+                     "--timestamps", str(stamps), "--dt", dt])
+        assert code == EXIT_VALIDATION
+        where = str(stamps) if error.startswith(":") else ""
+        assert capsys.readouterr().err == f"error: {where}{error}\n"
+        assert not out.exists()
 
     def test_timestamp_beyond_int64_exits_one(self, tmp_path, capsys):
         events = tmp_path / "events.txt"

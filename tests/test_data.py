@@ -269,6 +269,18 @@ class TestManifest:
         with pytest.raises(ValidationError, match="missing file"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("record, error", [
+        ({"image": "m.npy", "day_night": "day"}, "record 0 missing field 'labels'"),
+        ({"image": 5, "labels": "m.txt", "day_night": "day"}, "record 0 field 'image' is not a string, got 5"),
+        (["m.npy", "m.txt", "day"], "record 0 is not a JSON object, got list"),
+    ], ids=["missing", "not-a-string", "not-an-object"])
+    def test_bad_record_says_what_is_wrong(self, tmp_path, record, error):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps([record]))
+        with pytest.raises(FormatError) as e:
+            load_manifest(p, check_files=False)
+        assert str(e.value) == f"{p}: {error}"
+
     def test_save_load_roundtrip(self, tmp_path, rng):
         p = self._write(tmp_path, rng, ["day", "night"])
         m = load_manifest(p)

@@ -178,6 +178,10 @@ class TestBinEvents:
             bin_events(s, 1.0, float("nan"))
         with pytest.raises(ConfigError, match="center_t"):
             bin_events(s, float("inf"))
+        # finite in seconds, not in microseconds
+        for center_t, delta_t in ((1e303, 0.1), (0.0, 1e305)):
+            with pytest.raises(ConfigError, match="not finite in microseconds$"):
+                bin_events(s, center_t, delta_t)
 
 
 class TestReadEventFile:

@@ -374,34 +374,68 @@ class TestGridEngine:
         assert calls == {1: 2, 2: 2, 3: 2, 4: 14}
         assert_reports_equal_per_cell_runs(reports)
 
+    def _sample_at_fpn_turns(self, monkeypatch, sample):
+        """Call ``sample()`` as each cell yields its FPN turn, after a collection."""
+        real = harness._run_cell
+        samples = []
+
+        def cell(cfg, memo):
+            turns = real(cfg, memo)
+            while True:
+                try:
+                    turn = next(turns)
+                except StopIteration as done:
+                    return done.value
+                if turn == "fpn":
+                    gc.collect()
+                    samples.append(sample())
+                yield turn
+
+        monkeypatch.setattr(harness, "_run_cell", cell)
+        return samples
+
     def test_nodes_dropped_after_their_last_user(self, monkeypatch):
-        maps, live_after_cell = [], []
-        real_encode, real_cell = backbone.encode_stage, harness._run_cell
+        maps, real_encode = [], backbone.encode_stage
 
         def recording(*args):
             out = real_encode(*args)
             maps.append(weakref.ref(out))
             return out
 
-        def cell(cfg, memo):
-            report = yield from real_cell(cfg, memo)
-            gc.collect()
-            live_after_cell.append(sum(r() is not None for r in maps))
-            return report
-
         monkeypatch.setattr(backbone, "encode_stage", recording)
-        monkeypatch.setattr(harness, "_run_cell", cell)
+        live_at_fpn = self._sample_at_fpn_turns(monkeypatch, lambda: sum(r() is not None for r in maps))
         run_grid(FAST, self.PREFIXES)
         gc.collect()
         assert len(maps) == 14
-        # sampled as each cell returns, all in the last turn, since the one
-        # FPN run sees only the first cell.  Stages 1-3 are gone by then; a
-        # cell's own pair is dropped once it returns, so what stays live is
-        # what later cells still read: the stage-4 pair the three [4] cells
-        # share and the stage-3 pair they wait on, and each waiting [3, 4]
-        # cell's own stage-4 stream-A encode.  None stays once the grid is done
-        assert live_after_cell == [7, 6, 6, 5, 1, 0]
+        # sampled as each cell yields its FPN turn, all in turn (4, b), before
+        # any FPN runs.  Stages 1-3 are gone by then, and a cell at its FPN
+        # turn holds no encode, so what stays live is what later cells still
+        # read: the stage-4 pair the three [4] cells share and the stage-3
+        # pair they wait on, and each waiting [3, 4] cell's own stage-4
+        # stream-A encode.  None stays once the grid is done
+        assert live_at_fpn == [7, 6, 6, 5, 1, 0]
         assert all(r() is None for r in maps)
+
+    def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch):
+        maps, real_merge = [], harness.merge_step
+
+        def recording(*args):
+            feat, streams = real_merge(*args)
+            maps.append(weakref.ref(feat.map))
+            return feat, streams
+
+        monkeypatch.setattr(harness, "merge_step", recording)
+        live_at_fpn = self._sample_at_fpn_turns(monkeypatch, lambda: sum(r() is not None for r in maps))
+        memos = self._record_memos(monkeypatch)
+        run_grid(FAST, self.PREFIXES)
+        # 2 shared unfused merges, 4 at stage 3 and one per cell at stage 4.
+        # At each FPN turn the live ones are the first cell's four, kept for
+        # the one FPN node, and the fused stage-3 maps that the [3, 4] cells
+        # still to take turn (4, b) read as stage-4 inputs; every waiting
+        # cell holding its own features made the last sample 12
+        assert len(maps) == 12
+        assert live_at_fpn == [7, 6, 6, 5, 5, 4]
+        assert not memos[0].values and not memos[0].feats
 
     def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch):
         # B2-B4 have the same stage 1 (depth 3), B2 and B3 the same stage 2
@@ -610,18 +644,32 @@ class TestAblationGridEngine:
 
     def test_encodes_run_stage_by_stage_and_stream_by_stream(self, monkeypatch):
         calls = []
-        real = backbone.encode_stage
+        real_encode, real_merge, real_fpn = backbone.encode_stage, harness.merge_step, harness.fpn
 
-        def recording(x, stage, cfg, params, p):
+        def encode(x, stage, cfg, params, p):
             calls.append((stage, p))
-            return real(x, stage, cfg, params, p)
+            return real_encode(x, stage, cfg, params, p)
 
-        monkeypatch.setattr(backbone, "encode_stage", recording)
+        def merge(encoded, stage, *args):
+            calls.append((stage, "merge"))
+            return real_merge(encoded, stage, *args)
+
+        def fpn(feats, params):
+            calls.append((None, "fpn"))
+            return real_fpn(feats, params)
+
+        monkeypatch.setattr(backbone, "encode_stage", encode)
+        monkeypatch.setattr(harness, "merge_step", merge)
+        monkeypatch.setattr(harness, "fpn", fpn)
         run_ablation_grid(self.BASE)
         # every cell's stage-1 stream-A encode, then every stage-1 stream-B
         # one, and so on to stage 4's stream-B encodes
-        assert len(set(calls)) == 8
-        assert calls == sorted(calls)
+        encodes = [c for c in calls if c[1] in ("a", "b")]
+        assert len(set(encodes)) == 8
+        assert encodes == sorted(encodes)
+        # and the two FPNs (B0's widths and B1-B4's) after every encode and merge
+        fpns = [c[1] == "fpn" for c in calls]
+        assert sum(fpns) == 2 and fpns == sorted(fpns)
 
     def test_each_distinct_config_runs_once(self, monkeypatch):
         calls = self._watch_cells(monkeypatch)

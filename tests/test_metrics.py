@@ -393,9 +393,11 @@ class TestJsonl:
         with pytest.raises(FormatError, match="dets.jsonl:1"):
             read_detections_jsonl(p)
 
-    @pytest.mark.parametrize("cls", ["1.7", "true", "false", "-0.5", "Infinity"])
+    @pytest.mark.parametrize("cls", ["1.7", "true", "false", "-0.5", "Infinity", '"3"', "[1]", "1e30",
+                                     str(2**70)])
     def test_class_must_be_an_exact_integer(self, tmp_path, cls):
-        # int() would read 1.7 and true as class 1, so a wrong-class record could match
+        # int() would read 1.7 and true as class 1 and "3" as class 3, so a
+        # wrong-class record could match; 1e30 and 2**70 overflow int64
         p = tmp_path / "r.jsonl"
         for reader, score in ((read_detections_jsonl, '"score": 0.5, '), (read_ground_truth_jsonl, "")):
             p.write_text(f'{{"image_id": "a", "bbox": [0, 0, 5, 5], {score}"class": 1}}\n'
