@@ -235,16 +235,37 @@ def mix_ffn(t, h, w, expansion, params, q):
     return t + out
 
 
+def stage_parts(stage, cfg, p):
+    """One stream's stage as its parts, in order: the patch embed, each block
+    (attention, then Mix-FFN) and the final norm, as ``(name, part)`` pairs.
+    ``name`` prefixes every parameter the part reads.  ``part(x, params)``
+    maps the stage input to tokens ``(t, h, w)``, tokens to tokens, and the
+    last tokens to the stage's map."""
+    i, prefix = stage - 1, f"{p}.s{stage}"
+
+    def embed(x, params):
+        return patch_embed(x, stage, params, p)
+
+    def block(q):
+        def run(thw, params):
+            t, h, w = thw
+            t = sra_attention(t, h, w, cfg.heads[i], cfg.sr_ratios[i], params, q)
+            return mix_ffn(t, h, w, cfg.expansion, params, q), h, w
+        return run
+
+    def final(thw, params):
+        t, h, w = thw
+        return to_map(norm(t, params, f"{prefix}.norm"), h, w)
+
+    blocks = [(f"{prefix}.blk{j}", block(f"{prefix}.blk{j}")) for j in range(cfg.depths[i])]
+    return [(f"{prefix}.embed", embed), *blocks, (f"{prefix}.norm", final)]
+
+
 def encode_stage(x, stage, cfg, params, p):
     """Run one stream through one stage: embed, blocks, final norm, to map."""
-    i = stage - 1
-    t, h, w = patch_embed(x, stage, params, p)
-    for j in range(cfg.depths[i]):
-        q = f"{p}.s{stage}.blk{j}"
-        t = sra_attention(t, h, w, cfg.heads[i], cfg.sr_ratios[i], params, q)
-        t = mix_ffn(t, h, w, cfg.expansion, params, q)
-    t = norm(t, params, f"{p}.s{stage}.norm")
-    return to_map(t, h, w)
+    for _, part in stage_parts(stage, cfg, p):
+        x = part(x, params)
+    return x
 
 
 def forward_single(x, cfg, params, p="a"):

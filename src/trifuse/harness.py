@@ -5,24 +5,23 @@ each configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
 so it can be replayed.  One engine runs every cell, and ``run_single``
-(behind ``inspect``) is a grid of one.  The cells of one grid call share
-one memo, one table of nodes and parameter arrays, each computed once per
-call and dropped after its last user.  A node (the input, a stream input,
-one stream's stage encode, a stage merge, the FPN) is keyed by what it
-reads: nested variants share their common stages and modality sets share
-a stream up to its first fused stage.  An array, keyed by (ParamSpec,
-seed) and bitwise equal to a fresh ``init_params``, is drawn just before
-its first reader.  One FPN runs per input and widths, after every stage
-node.  A report equals what one whole ``forward_dual`` and ``fpn`` give,
-except that ``forward_ms`` is composed: the sum of the median times of the
-nodes on the cell's path, its FPN's included.  A config listed more than once
-runs once and every listing gets its report.  One loop steps the cells
-stage by stage and stream by stream: every cell's stage-1 stream-A encode,
-then every stage-1 stream-B encode, and so on to stage 4, and last every
-cell's FPN, so the encodes that read one stream's stage arrays run back to
-back and only that stream's arrays for that stage are live.  Within a turn
-the cells go in (seed, variant, modalities) order, on the calling thread:
-the benchmark pins BLAS to one thread, so a report times single-core work.
+(behind ``inspect``) is a grid of one.  Each cell's walk yields its nodes
+in order: the input, each stream's stage parts (the patch embed, each
+block and the final norm), each stage merge, and the FPN.  A node is keyed
+by what it reads, its input node and its arrays, so nested variants share
+their common parts and modality sets share a stream up to its first fused
+stage.  An array, keyed by (ParamSpec, seed) and bitwise equal to a fresh
+``init_params``, is drawn just before its first reader and dropped after
+its last.  One loop steps the cells by turn label (stage, stream, part),
+so the nodes that read one block's arrays run back to back, whatever the
+cells' depths, and only that block's arrays are live; last, one FPN runs
+per input and widths.  A report equals what one whole ``forward_dual`` and
+``fpn`` give, except that ``forward_ms`` is composed: the sum of the median
+times of the patch embed, block and final-norm nodes, the merges and the
+FPN on the cell's walk.  A config listed more than once runs once and
+every listing gets its report.  Within a turn the cells go in (seed,
+variant, modalities) order, on the calling thread: the benchmark pins BLAS
+to one thread, so a report times single-core work.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -282,89 +282,61 @@ def expand_sweep(base, sweep):
 
 
 def _reader(name):
-    """The nodes that read parameter ``name``: ``fpn`` for the FPN, else
-    ``<a|b|fuse>.s<stage>`` for that stream's encode or that stage's merge."""
-    head, rest = name.split(".", 1)
-    return head if head == "fpn" else f"{head}.{rest.split('.', 1)[0]}"
+    """The node that reads parameter ``name``, named by the prefix it shares
+    with it: ``fpn`` for the FPN, ``fuse.s<k>`` for stage k's merge, else
+    ``<a|b>.s<k>.<part>`` for that stream's stage part, the part being
+    ``embed``, ``blk<j>`` or ``norm`` as ``backbone.stage_parts`` names it."""
+    head = name.split(".")
+    return ".".join(head[:{"fpn": 1, "fuse": 2}.get(head[0], 3)])
 
 
-def _path(cfg):
-    """The nodes a cell's forward passes, in order, as (key, arrays) pairs,
-    ``arrays`` being the (ParamSpec, seed) pairs the node reads.  A key says
-    what the node reads, not which cell asks: the input is keyed by
-    (input_size, batch, source, seed); a stream input by the input and its
-    channel slice; a stream's stage encode by its stream, the stage geometry
-    and the node it reads; a merge by the stage, the fusion settings its
-    block reads (None if unfused) and its two encodes; and the FPN by the
-    input and the widths, which fix the stage shapes.  A fused stage feeds
-    its merge to both next encodes, an unfused one each encode to its own,
-    so variants share stages up to where their geometry differs and
-    modality sets share a stream up to its first fused stage.  An invalid
-    cell passes none."""
-    try:
-        fus = cfg.validate().fusion_config()
-    except ConfigError:
-        return []
-    bcfg, reps = cfg.backbone_config(), cfg.timing_reps
-    reads = {}
-    for spec in build_param_specs(cfg):
-        reads.setdefault(_reader(spec.name), []).append((spec, cfg.seed))
-    source = ("input", cfg.input_size, cfg.batch, cfg.source, cfg.seed)
-    slices = STREAM_SLICES[normalize_modalities(cfg.modalities)]
-    streams = [("stream", source, sl.start, sl.stop) for sl in slices]
-    path = [(key, []) for key in [source, *streams]]
-    for stage in range(1, 5):
-        i = stage - 1
-        geometry = (stage, bcfg.widths[i], bcfg.depths[i], bcfg.heads[i], bcfg.sr_ratios[i], bcfg.expansion)
-        encoded = [("encode", p, geometry, reps, up) for p, up in zip("ab", streams)]
-        fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
-        merge = ("merge", stage, fused, *encoded)
-        path += [(key, reads[f"{key[1]}.s{stage}"]) for key in encoded]
-        path.append((merge, reads.get(f"fuse.s{stage}", [])))
-        streams = [merge, merge] if fused else encoded
-    path.append((("fpn", source, bcfg.widths, reps), reads["fpn"]))
-    return path
+class _Step(NamedTuple):
+    """One node on a cell's walk: it runs ``fn(params, *args)`` in turn
+    ``turn``, ``params`` holding the ``arrays`` it reads, as (ParamSpec,
+    seed) pairs.  ``key`` says what the node reads, not which cell asks."""
+
+    turn: tuple
+    key: tuple
+    arrays: list
+    fn: object
+    args: tuple
 
 
 class _Memo:
-    """What the cells of one ``_run_cells`` call share.
+    """What the cells of one turn share: the nodes they pass and the arrays
+    those nodes read.
 
-    ``paths`` holds each cell's ``_path``.  ``values`` is one table of
-    outcomes, a value or the error that computing it raised: a node keyed
-    by its node key, a parameter array by (ParamSpec, seed), each computed
-    by the first to need it.  The cells run on one thread, so no entry is
-    ever awaited.  ``users`` counts who still needs each value, the cells
-    still to pass a node and the nodes still to read an array, so a value
-    is dropped after its last user: an array lives from just before the
-    first node that reads it runs until the last has run.  As the cells are
-    stepped stage by stage and stream by stream, those readers run back to
-    back, and the arrays of only one stream's stage are live at a time.
-    ``feats`` keeps each FPN node's first user's stage features from its
-    stage-4 merge until the node pops them.
+    ``values`` is one table of outcomes, a value or the error that
+    computing it raised: a node keyed by its node key, a parameter array by
+    (ParamSpec, seed), each computed by the first to need it.  ``users``
+    counts the turn's cells still to pass each node and the turn's nodes
+    still to read each array, so a value is dropped after its last user.  A
+    node's key names its stage, stream and part, and so do the names of
+    the arrays it reads, so every cell that passes a node passes it in the
+    same turn, and every node that reads an array reads it in the same
+    turn: each is computed once per grid call.
     """
 
-    def __init__(self, cells):
-        self.paths = {repr(cfg): _path(cfg) for cfg in cells}
-        self.reads = {key: arrays for path in self.paths.values() for key, arrays in path}
-        self.users = Counter(key for path in self.paths.values() for key, _ in path)
-        self.users.update(a for arrays in self.reads.values() for a in arrays)
-        self.values, self.feats = {}, {}
+    def __init__(self, steps):
+        reads = {step.key: step.arrays for step in steps}
+        self.users = Counter(step.key for step in steps)
+        self.users.update(a for arrays in reads.values() for a in arrays)
+        self.values = {}
 
-    def node(self, key, fn, *args):
-        """The node's value: ``fn(params, *args)`` run with the arrays the
-        node reads, each drawn by ``init_params`` if no node has drawn it."""
+    def node(self, step):
+        """The node's value: its call run with the arrays it reads, each
+        drawn by ``init_params`` if no node of the turn has drawn it."""
         def run():
-            reads = self.reads[key]
             try:
-                arrays = {s.name: self._get((s, seed), init_params, [s], seed)[s.name] for s, seed in reads}
-                return fn(ParamStore(arrays), *args)
+                arrays = {s.name: self._get((s, seed), init_params, [s], seed)[s.name] for s, seed in step.arrays}
+                return step.fn(ParamStore(arrays), *step.args)
             finally:
-                self.leave(reads)
+                self._leave(step.arrays)
 
         try:
-            return self._get(key, run)
+            return self._get(step.key, run)
         finally:
-            self.leave([key])
+            self._leave([step.key])
 
     def _get(self, key, fn, *args):
         """Value ``key``: ``fn(*args)`` run by the first caller, its outcome,
@@ -379,28 +351,21 @@ class _Memo:
             raise error
         return value
 
-    def leave(self, keys):
-        """One user is done with each of ``keys``: a cell has passed the node
-        or will never reach it, or a node has read the array or never will.
-        A value left by its last user is dropped, and a node that never ran
-        releases its arrays."""
+    def _leave(self, keys):
+        """One user is done with each of ``keys``: a value left by its last
+        user is dropped."""
         for key in keys:
             self.users[key] -= 1
-            if not self.users[key] and self.values.pop(key, None) is None:
-                self.leave(self.reads.get(key, ()))
+            if not self.users[key]:
+                self.values.pop(key, None)
 
 
 def _input(params, cfg):
     return make_input(cfg)[0]
 
 
-def _stream(params, x, channels):
-    return np.ascontiguousarray(x[:, channels])
-
-
-def _encode(params, reps, x, stage, cfg, p):
-    # looked up in ``backbone`` at call time, as ``forward_dual`` does
-    return _timed(reps, backbone.encode_stage, x, stage, cfg, params, p)
+def _part(params, reps, part, x):
+    return _timed(reps, part, x, params)
 
 
 def _merge(params, reps, encoded, stage, cfg, fusion):
@@ -411,63 +376,95 @@ def _merge(params, reps, encoded, stage, cfg, fusion):
     return _timed(reps, merge)
 
 
-def _pyramid_shapes(params, reps, feats):
-    """The pyramid's shapes and the FPN's median ms, without the pyramid."""
-    pyramid, ms = _timed(reps, fpn, feats, params)
+def _pyramid_shapes(params, reps, parked, key):
+    """The pyramid's shapes and the FPN's median ms, without the pyramid,
+    from the stage features parked under the FPN node's key."""
+    pyramid, ms = _timed(reps, fpn, parked.pop(key), params)
     return pyramid.shapes(), ms
 
 
-def _stage_nodes(cfg, node):
-    """A cell's input, stream input, encode and merge nodes, as a generator
-    that yields ``(stage, stream)`` just before each stream encode and
-    returns the stage features, the diagnostics and the nodes' summed
-    median ms; its locals go when it returns."""
-    bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
-    x = node(_input, cfg)
-    streams = [node(_stream, x, sl) for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
-    del x  # not held while the cell waits for its turns
-    feats, diag, forward_ms = [], {}, 0.0
-    for stage in range(1, 5):
-        encoded = []
-        for p, s in zip("ab", streams):
-            yield stage, p
-            encoded.append(node(_encode, reps, s, stage, bcfg, p))
-        (feat, streams, part), merge_ms = node(_merge, reps, [e for e, _ in encoded], stage, bcfg, fus)
-        feats.append(feat)
-        forward_ms += sum(ms for _, ms in encoded) + merge_ms
-        for name, values in part.items():
-            diag.setdefault(name, []).extend(values)
-    return feats, diag, forward_ms
+def _run_cell(cfg, parked):
+    """One grid cell's walk: a generator that yields each node the cell
+    passes, in order, as a ``_Step``, is sent the node's value or has the
+    error that computing it raised thrown in, and returns the cell's report.
 
-
-def _run_cell(cfg, memo):
-    """One grid cell, as a generator that yields ``(stage, stream)`` just
-    before each stream encode and ``"fpn"`` after its stage-4 merge, and
-    returns the cell's report, ``forward_ms`` summing the median times of
-    every node on its path.  It waits for its FPN turn with only its stage
-    shapes: the FPN node's first user leaves its features in ``memo.feats``
-    for the node to pop.  An error in ``_CELL_ERRORS`` is returned, not
-    raised, and the nodes the cell will not reach lose it as a user."""
-    path = iter(key for key, _ in memo.paths[repr(cfg)])
-
-    def node(fn, *args):
-        return memo.node(next(path), fn, *args)
-
+    The turns are labelled (stage, stream, part): (0, "input", ()) for the
+    input, then for each stage each stream's patch embed (0,), block j
+    (1, j) and final norm (2,), then (stage, "merge", ()) for the stage
+    merge, and (5, "fpn", ()) for the FPN.  A node's key says what it reads:
+    the input by (input_size, batch, source, seed); a stage part by its
+    name, which names the arrays it reads, the stage geometry, and its
+    input node, for a stage-1 embed the stream's channel slice of the
+    input; a merge by the stage, the fusion settings its block reads (None
+    if unfused) and its two final norms; and the FPN by the input and the
+    widths, which fix the stage shapes.  A fused stage feeds its merge to
+    both next embeds, an unfused one each stream's norm to its own, so
+    variants share parts up to where their input or arrays differ, and
+    modality sets share a stream up to its first fused stage.  The FPN
+    node's value, the pyramid's shapes and the FPN's time, depends on the
+    input and widths alone: the first of its cells to reach each merge
+    parks its stage feature in ``parked`` for the node to pop, and every
+    other cell keeps the feature's shape alone.  ``forward_ms`` sums the
+    median times of the patch embeds, blocks and final norms, the merges
+    and the FPN.  An error in ``_CELL_ERRORS`` is returned, not raised."""
     try:
         cfg.validate()
-        n_params = param_count(build_param_specs(cfg))
-        feats, diag, forward_ms = yield from _stage_nodes(cfg, node)
-        stage_shapes = [f.map.shape for f in feats]
-        fpn_key, _ = memo.paths[repr(cfg)][-1]
-        memo.feats.setdefault(fpn_key, feats)
-        del feats
-        yield "fpn"
-        # only the first user finds the features, and the node runs for it
-        pyramid_shapes, fpn_ms = node(_pyramid_shapes, cfg.timing_reps, memo.feats.pop(fpn_key, None))
-        return RunReport(cfg.to_dict(), stage_shapes, pyramid_shapes, n_params, forward_ms + fpn_ms, diag)
+        bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
+        specs = build_param_specs(cfg)
+        n_params, reads = param_count(specs), {}
+        for spec in specs:
+            reads.setdefault(_reader(spec.name), []).append((spec, cfg.seed))
+        del specs
+        source = ("input", cfg.input_size, cfg.batch, cfg.source, cfg.seed)
+        fpn_key = ("fpn", source, bcfg.widths, reps)
+        x = yield _Step((0, "input", ()), source, [], _input, (cfg,))
+        ups = [(("stream", source, sl.start, sl.stop), x[:, sl])
+               for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
+        shapes, diag, forward_ms = [], {}, 0.0
+        for stage in range(1, 5):
+            i = stage - 1
+            geometry = (bcfg.widths[i], bcfg.heads[i], bcfg.sr_ratios[i], bcfg.expansion)
+            labels = [(0,), *((1, j) for j in range(bcfg.depths[i])), (2,)]  # embed, blocks, norm
+            encoded = []
+            for p in "ab":
+                key, x = ups.pop(0)  # not held once its embed has run
+                for label, (name, part) in zip(labels, backbone.stage_parts(stage, bcfg, p)):
+                    key = (name, geometry, reps, key)
+                    x, ms = yield _Step((stage, p, label), key, reads.pop(name), _part, (reps, part, x))
+                    forward_ms += ms
+                encoded.append((key, x))
+            fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
+            merge = ("merge", stage, fused, *(norm for norm, _ in encoded))
+            (feat, streams, found), ms = yield _Step(
+                (stage, "merge", ()), merge, reads.pop(f"fuse.s{stage}", []), _merge,
+                (reps, [m for _, m in encoded], stage, bcfg, fus))
+            forward_ms += ms
+            shapes.append(feat.map.shape)
+            for name, values in found.items():
+                diag.setdefault(name, []).extend(values)
+            slot = parked.setdefault(fpn_key, [])
+            if len(slot) < stage:  # the first of the FPN node's cells to reach this merge
+                slot.append(feat)
+            ups = [(merge, s) for s in streams] if fused else encoded
+            del x, feat, streams, encoded  # held only through ``ups`` and ``parked``
+        del ups
+        pyramid_shapes, fpn_ms = yield _Step((5, "fpn", ()), fpn_key, reads.pop("fpn"), _pyramid_shapes,
+                                             (reps, parked, fpn_key))
+        return RunReport(cfg.to_dict(), shapes, pyramid_shapes, n_params, forward_ms + fpn_ms, diag)
     except _CELL_ERRORS as e:
-        memo.leave(path)
         return e
+
+
+def _advance(cell, memo, step):
+    """``cell``'s next step, once ``step`` has run through ``memo``: the
+    cell is sent the node's value, or has the error in ``_CELL_ERRORS``
+    that computing it raised thrown in.  StopIteration carries the cell's
+    outcome once it returns."""
+    try:
+        value = memo.node(step)
+    except _CELL_ERRORS as e:
+        return cell.throw(e)
+    return cell.send(value)
 
 
 def _run_cells(configs):
@@ -475,35 +472,44 @@ def _run_cells(configs):
     report or the error in ``_CELL_ERRORS`` that failed it.
 
     Each distinct config runs once and its repeats get the same outcome.
-    All cells share one ``_Memo``, one table of nodes and parameter arrays,
-    so each is computed once per call.  Per-name seeding makes a shared
-    array bitwise equal to the cell's own ``init_params``, so a shared node
-    computes what the cell's own forward would.  One loop steps the cells
-    through the same turns, (1, a), (1, b), ... (4, b), a turn being one
-    stream encode and, after stream b, the merge, and last each cell's FPN.
-    So the encodes that read one stream's stage arrays run back to back,
-    each array is still drawn once and dropped after its last reader, and
-    only one stream's stage arrays are live at a time, where running each
-    cell whole kept both streams' arrays live from the first cell to read
-    them to the last; the FPNs run after every stage node, when the stage
-    arrays are gone.  Between turns a cell holds its next stage inputs and
-    its stage features, and from its stage-4 merge only their shapes.
-    Within a turn the cells go in (seed, variant, modalities) order and
-    otherwise in listing order.
+    Per-name seeding makes an array shared by (ParamSpec, seed) bitwise
+    equal to the cell's own ``init_params``, so a shared node computes what
+    the cell's own forward would.  One loop steps the cells by turn label,
+    (stage, stream, part): each pass takes the lowest label any pending
+    cell waits at and runs that turn's node for every cell waiting there,
+    sharing one ``_Memo``.  So cells of different depths stay aligned block
+    by block: the nodes that read one block's arrays (B2's, B3's and B4's
+    stage-3 block j, say) run back to back, and each array is drawn once,
+    just before its first reader, and dropped after its last, before the
+    next block's are drawn.  The FPNs run last, when every stage array is
+    gone.  Between turns a cell holds its current stage input or tokens,
+    its stream-A map until the merge, and the stage shapes; only the
+    first cell of each FPN node holds stage features.  ``forward_ms`` is
+    the sum of node medians over the patch embed, block and final-norm
+    nodes, the merges and the FPN.  Within a turn the cells go in (seed,
+    variant, modalities) order and otherwise in listing order.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
-    memo = _Memo(distinct.values())
     ordered = sorted(distinct.values(), key=lambda c: tuple(map(str, (c.seed, c.variant, c.modalities))))
-    pending, reports = {repr(cfg): _run_cell(cfg, memo) for cfg in ordered}, {}
-    while pending:  # one pass per turn: every cell yields the same turns in order
-        for k, cell in list(pending.items()):
+    parked, pending, outcomes = {}, {}, {}
+    for cfg in ordered:
+        cell = _run_cell(cfg, parked)
+        try:
+            pending[repr(cfg)] = cell, next(cell)
+        except StopIteration as done:
+            outcomes[repr(cfg)] = done.value
+    while pending:
+        turn = min(step.turn for _, step in pending.values())
+        now = {k: waiting for k, waiting in pending.items() if waiting[1].turn == turn}
+        memo = _Memo([step for _, step in now.values()])
+        for k, (cell, step) in now.items():
             try:
-                next(cell)
+                pending[k] = cell, _advance(cell, memo, step)
             except StopIteration as done:
-                reports[k] = done.value
+                outcomes[k] = done.value
                 del pending[k]
-    return [reports[repr(cfg)] for cfg in configs]
+    return [outcomes[repr(cfg)] for cfg in configs]
 
 
 def _recorded(cfg, outcome):
@@ -517,9 +523,9 @@ def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
     Returns reports sorted by config key.  Cells run on the calling thread,
-    stepped stage by stage and stream by stream.  ``workers`` is kept, and
-    only 1 is accepted, because the benchmark's grid-light workload still
-    passes ``workers=1``; any other value is a ConfigError.
+    stepped block by block.  ``workers`` is kept, and only 1 is accepted,
+    because the benchmark's grid-light workload still passes ``workers=1``;
+    any other value is a ConfigError.
     """
     if workers != 1:
         raise ConfigError(f"workers: grid cells run one at a time, got {workers!r}")

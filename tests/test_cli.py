@@ -88,15 +88,15 @@ class TestGrid:
     def test_out_of_memory_fails_only_its_cell(self, tmp_path, capsys, monkeypatch):
         # numpy raises a MemoryError subclass for an allocation the host
         # cannot make; here RTE's stream B, the only two-channel input, does
-        real = backbone.encode_stage
+        real = backbone.patch_embed
         error = "Unable to allocate 80.0 GiB for an array with shape (1, 64, 80000, 2000)"
 
-        def encode(x, stage, cfg, params, p):
+        def embed(x, stage, params, p):
             if x.shape[1] == 2:
                 raise MemoryError(error)
-            return real(x, stage, cfg, params, p)
+            return real(x, stage, params, p)
 
-        monkeypatch.setattr(backbone, "encode_stage", encode)
+        monkeypatch.setattr(backbone, "patch_embed", embed)
         sweep = tmp_path / "sweep.json"
         sweep.write_text('{"modalities": ["RT", "RTE"]}')
         out = tmp_path / "grid"

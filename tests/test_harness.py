@@ -1,10 +1,10 @@
-import gc
 import hashlib
 import json
 import re
 import weakref
 from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from trifuse.harness import (
     write_grid_outputs,
 )
 from trifuse.synth import generate_corpus
-from trifuse.tensors import ParamStore, init_params, param_count
+from trifuse.tensors import ParamSpec, ParamStore, init_params, param_count
 
 # small-but-real probe config used throughout; keeps each forward cheap
 FAST = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
@@ -283,6 +283,59 @@ def assert_reports_equal_per_cell_runs(reports):
         assert got == want, cfg.key()
 
 
+class NodeCall(NamedTuple):
+    """One node the grid engine ran, as it started."""
+
+    turn: tuple  # (stage, stream, part)
+    key: tuple
+    reads: list  # the names of the arrays the node reads
+    live: list  # the names of the parameter arrays alive in the process
+    live_bytes: int  # their nbytes
+    in_memo: list  # the names of the parameter arrays in the turn's memo
+    values: list  # the turns of the earlier nodes whose output map is alive
+
+
+@pytest.fixture
+def node_calls(monkeypatch):
+    """Every node the grid engine runs, in order, as a ``NodeCall``: its
+    turn and key, and what is alive as it starts."""
+    calls, arrays, outputs = [], {}, []
+    real = harness._Memo.node
+
+    def node(memo, step):
+        def fn(params, *args):
+            for name in params.names():
+                arrays[id(params[name])] = name, weakref.ref(params[name])
+            live = [(name, a) for name, ref in arrays.values() if (a := ref()) is not None]
+            in_memo = [k[0].name for k, (v, _) in memo.values.items() if isinstance(k[0], ParamSpec) and v]
+            calls.append(NodeCall(step.turn, step.key, params.names(), sorted(n for n, _ in live),
+                                  sum(a.nbytes for _, a in live), sorted(in_memo),
+                                  [turn for turn, ref in outputs if ref() is not None]))
+            del live
+            out = step.fn(params, *args)
+            value = out[0] if isinstance(out, tuple) else out  # a timed node's value, or the input
+            value = value[0] if isinstance(value, tuple) else value
+            value = getattr(value, "map", value)
+            if isinstance(value, np.ndarray):  # tokens, a stage map or a merge's stage map
+                outputs.append((step.turn, weakref.ref(value)))
+            return out
+
+        return real(memo, step._replace(fn=fn))
+
+    monkeypatch.setattr(harness._Memo, "node", node)
+    return calls
+
+
+def ran(calls, stages=range(1, 5)):
+    """How many stage-part nodes ran in each turn (stage, stream, part)."""
+    return Counter(c.turn for c in calls if c.turn[0] in stages and c.turn[1] in "ab")
+
+
+def parts(depth):
+    """The part labels of a stage of ``depth`` blocks: embed, blocks, final norm."""
+    return [(0,), *((1, j) for j in range(depth)), (2,)]
+
+
 class TestGridEngine:
     """Grid cells share parameter arrays and nodes across one grid call."""
 
@@ -301,17 +354,6 @@ class TestGridEngine:
         assert sum(r.ok for r in reports) == 16
         assert_reports_equal_per_cell_runs(reports)
 
-    def _count_encodes(self, monkeypatch, by_stream=False):
-        calls = Counter()
-        real = backbone.encode_stage
-
-        def counting(x, stage, cfg, params, p):
-            calls[(stage, p) if by_stream else stage] += 1
-            return real(x, stage, cfg, params, p)
-
-        monkeypatch.setattr(backbone, "encode_stage", counting)
-        return calls
-
     def _count_fpns(self, monkeypatch):
         calls = []
         real = harness.fpn
@@ -327,19 +369,20 @@ class TestGridEngine:
         memos = []
         real = harness._Memo
 
-        def recording(cells):
-            memos.append(real(cells))
+        def recording(steps):
+            memos.append(real(steps))
             return memos[-1]
 
         monkeypatch.setattr(harness, "_Memo", recording)
         return memos
 
-    def test_each_stage_encoded_once_per_prefix(self, monkeypatch):
-        calls, fpns = self._count_encodes(monkeypatch), self._count_fpns(monkeypatch)
+    def test_each_stage_encoded_once_per_prefix(self, monkeypatch, node_calls):
+        fpns = self._count_fpns(monkeypatch)
         run_grid(FAST, self.PREFIXES)
-        # two streams per encode; one cell at a time recomputed all 48
-        assert sum(calls.values()) == 14
-        assert calls == {1: 2, 2: 2, 3: 2, 4: 8}
+        # each part of a stream's stage once per prefix: 56 part nodes, where
+        # one cell at a time ran 192
+        assert ran(node_calls) == {(s, p, part): 4 if s == 4 else 1
+                                   for s in range(1, 5) for p in "ab" for part in parts(2)}
         # the pyramid's shapes depend on the input and widths; one FPN per cell made 6
         assert len(fpns) == 1
 
@@ -361,86 +404,48 @@ class TestGridEngine:
         assert [shapes[0][2:] for shapes in calls] == [(16, 16), (16, 24)]
         assert_reports_equal_per_cell_runs(reports)
 
-    def test_fused_stages_keyed_by_the_settings_their_block_reads(self, monkeypatch):
+    def test_fused_stages_keyed_by_the_settings_their_block_reads(self, node_calls):
         # only cssa reads tau, so the other four mechanisms' fused stages are
         # shared across the two taus: stage 3 merges on 7 distinct prefixes
-        # (unfused, four mechanisms, cssa at each tau), so stage 4 encodes 7
-        # times, where keying every hyperparameter made it 11
-        calls = self._count_encodes(monkeypatch)
+        # (unfused, four mechanisms, cssa at each tau), so each stage-4 part
+        # runs 7 times per stream, where keying every hyperparameter made it 11
         sweep = {"mechanism": ["mage_bite", "mage_only", "bite_only", "cssa", "gaff"],
                  "stages": [[4], [3, 4]], "tau": [0.3, 0.7]}
         reports = run_grid(FAST, sweep)
         assert len(reports) == 20 and all(r.ok for r in reports)
-        assert calls == {1: 2, 2: 2, 3: 2, 4: 14}
+        assert ran(node_calls) == {(s, p, part): 7 if s == 4 else 1
+                                   for s in range(1, 5) for p in "ab" for part in parts(2)}
         assert_reports_equal_per_cell_runs(reports)
 
-    def _sample_at_fpn_turns(self, monkeypatch, sample):
-        """Call ``sample()`` as each cell yields its FPN turn, after a collection."""
-        real = harness._run_cell
-        samples = []
-
-        def cell(cfg, memo):
-            turns = real(cfg, memo)
-            while True:
-                try:
-                    turn = next(turns)
-                except StopIteration as done:
-                    return done.value
-                if turn == "fpn":
-                    gc.collect()
-                    samples.append(sample())
-                yield turn
-
-        monkeypatch.setattr(harness, "_run_cell", cell)
-        return samples
-
-    def test_nodes_dropped_after_their_last_user(self, monkeypatch):
-        maps, real_encode = [], backbone.encode_stage
-
-        def recording(*args):
-            out = real_encode(*args)
-            maps.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(backbone, "encode_stage", recording)
-        live_at_fpn = self._sample_at_fpn_turns(monkeypatch, lambda: sum(r() is not None for r in maps))
+    def test_nodes_dropped_after_their_last_user(self, node_calls):
         run_grid(FAST, self.PREFIXES)
-        gc.collect()
-        assert len(maps) == 14
-        # sampled as each cell yields its FPN turn, all in turn (4, b), before
-        # any FPN runs.  Stages 1-3 are gone by then, and a cell at its FPN
-        # turn holds no encode, so what stays live is what later cells still
-        # read: the stage-4 pair the three [4] cells share and the stage-3
-        # pair they wait on, and each waiting [3, 4] cell's own stage-4
-        # stream-A encode.  None stays once the grid is done
-        assert live_at_fpn == [7, 6, 6, 5, 1, 0]
-        assert all(r() is None for r in maps)
+        # the stage-part outputs (tokens or maps) alive as each stage-4 node
+        # and the FPN start.  Stream A's four embeds start from the stage-3
+        # norms the three [4] cells share (the [3, 4] cells start from their
+        # merges), and each part's four outputs replace its four inputs
+        # once the last cell to read an input has passed it.  Stream B's
+        # parts run while the four stream-A maps wait for the merges, and
+        # nothing is left when the FPN runs
+        alive = [sum(t[1] in "ab" for t in c.values) for c in node_calls if c.turn[0] >= 4]
+        assert alive == [2, 3, 4, 5] + [5, 6, 7, 8] * 3 + [5, 6, 7, 8] + [8, 9, 10, 11] * 3 + [8] * 6 + [0]
 
-    def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch):
-        maps, real_merge = [], harness.merge_step
-
-        def recording(*args):
-            feat, streams = real_merge(*args)
-            maps.append(weakref.ref(feat.map))
-            return feat, streams
-
-        monkeypatch.setattr(harness, "merge_step", recording)
-        live_at_fpn = self._sample_at_fpn_turns(monkeypatch, lambda: sum(r() is not None for r in maps))
+    def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch, node_calls):
         memos = self._record_memos(monkeypatch)
         run_grid(FAST, self.PREFIXES)
-        # 2 shared unfused merges, 4 at stage 3 and one per cell at stage 4.
-        # At each FPN turn the live ones are the first cell's four, kept for
-        # the one FPN node, and the fused stage-3 maps that the [3, 4] cells
-        # still to take turn (4, b) read as stage-4 inputs; every waiting
-        # cell holding its own features made the last sample 12
-        assert len(maps) == 12
-        assert live_at_fpn == [7, 6, 6, 5, 5, 4]
-        assert not memos[0].values and not memos[0].feats
+        # the merge maps alive as each merge and the FPN start.  The first
+        # cell (cssa at [4]) keeps its stage features for the one FPN node
+        # from each merge on: one at each of stages 1 and 2, the unfused
+        # stage-3 merge the [4] cells share, and its own stage-4 merge.  The
+        # three fused stage-3 maps live only until the [3, 4] cells' stage-4
+        # embeds have read them, and every other cell keeps only the shapes
+        # of its features, where keeping its stage-4 features until its FPN
+        # turn made 9 at the FPN, and keeping all of them to the end 12
+        alive = [sum(t[1] == "merge" for t in c.values) for c in node_calls if c.turn[1] in ("merge", "fpn")]
+        assert alive == [0, 1, 2, 3, 4, 5, 3, 4, 4, 4, 4, 4, 4]
+        assert not any(m.values for m in memos)
 
-    def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch):
-        # B2-B4 have the same stage 1 (depth 3), B2 and B3 the same stage 2
-        # (depth 4), and all three the same widths
-        calls, fpns = self._count_encodes(monkeypatch, by_stream=True), self._count_fpns(monkeypatch)
+    def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch, node_calls):
+        fpns = self._count_fpns(monkeypatch)
         drawn = Counter()
 
         def counting(specs, seed):
@@ -450,92 +455,103 @@ class TestGridEngine:
         monkeypatch.setattr(harness, "init_params", counting)
         reports = run_grid(replace(FAST, input_size=(32, 32)), {"variant": ["B2", "B3", "B4"]})
         assert all(r.ok for r in reports)
-        assert calls == {(1, "a"): 1, (1, "b"): 1, (2, "a"): 2, (2, "b"): 2,
-                         (3, "a"): 3, (3, "b"): 3, (4, "a"): 3, (4, "b"): 3}
+        # B2-B4 share stage 1 (depth 3) and stage-2 blocks 0-3; B2 and B3
+        # share the rest of stage 2 (depth 4) and stage-3 blocks 0-5 (B2's
+        # depth 6).  B3's stage-3 blocks read B4's first 18 blocks' arrays,
+        # but not B4's input, so each of those runs twice
+        want = {}
+        for p in "ab":
+            want.update({(1, p, part): 1 for part in parts(3)})
+            want.update({(2, p, part): 1 for part in parts(8)} | {(2, p, (2,)): 2})
+            want.update({(3, p, part): 2 for part in parts(27)} | {(3, p, (2,)): 3})
+            want.update({(3, p, (1, j)): 1 for j in range(18, 27)})
+            want.update({(4, p, part): 3 for part in parts(3)})
+        assert ran(node_calls) == want
         assert len(fpns) == 1
         want = {(s, 0) for r in reports for s in build_param_specs(RunConfig.from_dict(r.config))}
         assert drawn == Counter(want)
         assert_reports_equal_per_cell_runs(reports)
 
     @pytest.mark.parametrize("fused", [4, 2])
-    def test_modality_sets_share_a_stream_up_to_its_first_fused_stage(self, monkeypatch, fused):
-        calls = self._count_encodes(monkeypatch, by_stream=True)
+    def test_modality_sets_share_a_stream_up_to_its_first_fused_stage(self, node_calls, fused):
         reports = run_grid(replace(FAST, mechanism="cssa", stages=(fused,)),
                            {"modalities": ["RE", "RT", "RTE", "TE"]})
         # up to the fused stage, stream A reads RGB in RE, RT and RTE and
         # thermal in TE; stream B reads event in RE and TE, thermal in RT and
         # both in RTE.  After it, each modality set has its own streams
-        assert calls == {(s, p): (2 if p == "a" else 3) if s <= fused else 4
-                         for s in range(1, 5) for p in "ab"}
+        assert ran(node_calls) == {(s, p, part): (2 if p == "a" else 3) if s <= fused else 4
+                                   for s in range(1, 5) for p in "ab" for part in parts(2)}
         assert_reports_equal_per_cell_runs(reports)
 
-    def test_arrays_live_from_first_reader_to_last(self, monkeypatch):
-        arrays, live_at = [], {"encode": [], "fpn": []}
+    def test_arrays_live_from_first_reader_to_last(self, monkeypatch, node_calls):
         memos = self._record_memos(monkeypatch)
-        real_init, real_encode, real_fpn = harness.init_params, backbone.encode_stage, harness.fpn
-
-        def live():
-            return {name for name, ref in arrays if ref() is not None}
-
-        def recording(specs, seed):
-            store = real_init(specs, seed)
-            arrays.extend((s.name, weakref.ref(store[s.name])) for s in specs)
-            return store
-
-        def encode(x, stage, cfg, params, p):
-            if stage == 4:
-                live_at["encode"].append(live())
-            return real_encode(x, stage, cfg, params, p)
-
-        def fpn(feats, params):
-            live_at["fpn"].append(live())
-            return real_fpn(feats, params)
-
-        monkeypatch.setattr(harness, "init_params", recording)
-        monkeypatch.setattr(backbone, "encode_stage", encode)
-        monkeypatch.setattr(harness, "fpn", fpn)
         run_grid(FAST, {"variant": ["B0", "B1"], "mechanism": ["cssa"], "stages": [[4], [3, 4]]})
-        # a stream's stage arrays are gone before its next stage's encodes
-        # run (B1's cssa merges still read the width-free fuse.s3 arrays that
-        # B0's drew), and every encoder and fusion array before the first
-        # FPN; B1's FPN still reads the fpn.out arrays that B0's drew
-        assert len(live_at["encode"]) == 8 and len(live_at["fpn"]) == 2
-        assert not [n for names in live_at["encode"] for n in names if re.match(r"[ab]\.s[123]\.", n)]
-        assert all(n.startswith("fpn.") for names in live_at["fpn"] for n in names)
-        assert {n for n in live_at["fpn"][1] if n.startswith("fpn.out")} == {
-            f"fpn.out{i}.{w}" for i in range(1, 5) for w in "wb"}
-        assert not live() and len(memos) == 1
-        assert not memos[0].values and not memos[0].feats
+        # every stage part and FPN runs with its own arrays alive and no
+        # other: the last part's are gone, and of two variants' arrays of one
+        # name only its own.  B1's FPN still reads the fpn.out arrays that
+        # B0's drew, and B1's cssa merge the width-free fuse.s3 arrays, which
+        # wait for it through B1's unfused stage-3 merge
+        assert len(node_calls) == 95 and [c.turn[1] for c in node_calls].count("fpn") == 2
+        merges = [c for c in node_calls if c.turn[1] == "merge"]
+        assert all(c.live == c.reads for c in node_calls if c.turn[1] != "merge")
+        assert all(set(c.reads) <= set(c.live) for c in merges)
+        assert {n for c in merges for n in set(c.live) - set(c.reads)} == {
+            "fuse.s3.cssa.a.score.b", "fuse.s3.cssa.a.score.w", "fuse.s3.cssa.b.score.b",
+            "fuse.s3.cssa.b.score.w", "fuse.s3.cssa.sp.out.b"}
+        fpn = node_calls[-1]
+        assert {n for n in fpn.live if n.startswith("fpn.out")} == {f"fpn.out{i}.{w}" for i in range(1, 5) for w in "wb"}
+        assert len(memos) == len({c.turn for c in node_calls}) and not any(m.values for m in memos)
 
-    @pytest.mark.parametrize("sweep, stage, encodes", [
-        ({"variant": ["B2", "B3", "B4"]}, 3, 6),
+    @pytest.mark.parametrize("sweep, stage, calls", [
+        ({"variant": ["B2", "B3", "B4"]}, 3, 100),
         # the grid-light workload's sweep
-        ({"variant": ["B0", "B1"], "mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}, 4, 16),
+        ({"variant": ["B0", "B1"], "mechanism": ["cssa", "gaff", "mage_only"], "stages": [[4], [3, 4]]}, 4, 64),
     ], ids=["nested-chain-stage-3", "grid-light-stage-4"])
-    def test_one_streams_stage_arrays_live_at_each_encode(self, monkeypatch, sweep, stage, encodes):
+    def test_one_streams_stage_arrays_live_at_each_encode(self, monkeypatch, node_calls, sweep, stage, calls):
         # B3's stage-3 blocks are B4's first 18, and the grid-light cells of
         # one variant read the same stage-4 encoder arrays: run cell by cell,
-        # both streams' arrays stayed live from the first reader to the last
-        arrays, live_at = [], []
-        real_encode = backbone.encode_stage
+        # both streams' whole-stage arrays stayed live from the first reader
+        # to the last, and run stage by stage one stream's whole stage did
+        monkeypatch.setattr(harness, "init_params", tiled_params)
+        reports = run_grid(replace(FAST, input_size=(32, 32)), sweep)
+        assert all(r.ok for r in reports)
+        at_stage = [c for c in node_calls if c.turn[0] == stage and c.turn[1] in "ab"]
+        assert len(at_stage) == calls
+        assert all(c.live == c.reads for c in at_stage)
 
-        def recording(specs, seed):
+    def test_shared_blocks_drawn_once_and_dropped_before_the_next(self, monkeypatch, node_calls):
+        # B3's stage-3 blocks 0-17 read B4's arrays, by (ParamSpec, seed)
+        drawn, arrays, live_at_draw = Counter(), [], []
+
+        def drawing(specs, seed):
+            live_at_draw.append(([s.name for s in specs], [n for n, ref in arrays if ref() is not None]))
             store = tiled_params(specs, seed)
+            drawn.update((s, seed) for s in specs)
             arrays.extend((s.name, weakref.ref(store[s.name])) for s in specs)
             return store
 
-        def encode(x, s, cfg, params, p):
-            if s == stage:
-                live = {name[0] for name, ref in arrays if ref() is not None and name[1:4] == f".s{stage}"}
-                live_at.append((p, live))
-            return real_encode(x, s, cfg, params, p)
-
-        monkeypatch.setattr(harness, "init_params", recording)
-        monkeypatch.setattr(backbone, "encode_stage", encode)
-        reports = run_grid(replace(FAST, input_size=(32, 32)), sweep)
-        assert all(r.ok for r in reports)
-        assert len(live_at) == encodes
-        assert all(live == {p} for p, live in live_at), live_at
+        monkeypatch.setattr(harness, "init_params", drawing)
+        cells = [replace(FAST, input_size=(32, 32), variant=v) for v in ("B3", "B4")]
+        assert all(isinstance(r, RunReport) for r in harness._run_cells(cells))
+        assert set(drawn.values()) == {1}
+        # B3's and B4's block j run back to back, then block j + 1's
+        blocks = [c.turn for c in node_calls if c.turn[0] == 3 and c.turn[2][:1] == (1,)]
+        assert blocks == [(3, p, (1, j)) for p in "ab" for j in range(27) for _ in range(1 + (j < 18))]
+        # block j's arrays are gone before block j + 1's are drawn
+        for names, live in live_at_draw:
+            for block in {m[0] for n in names if (m := re.match(r"[ab]\.s3\.blk\d+\.", n))}:
+                assert all(n.startswith(block) for n in live if re.match(r"[ab]\.s3\.blk", n))
+        # at each part node, its own arrays and no other are in the turn's
+        # memo and alive: at a stage-3 block, one block's 3.2 MB of the
+        # stage's 86 MB
+        nbytes = {s.name: 4 * s.size for cfg in cells for s in build_param_specs(cfg)}
+        for c in node_calls:
+            if c.turn[1] in "ab":
+                assert c.in_memo == c.live == c.reads
+                assert c.live_bytes == sum(nbytes[n] for n in c.reads)
+        block = max(c.live_bytes for c in node_calls if c.turn[0] == 3)
+        assert block == sum(b for n, b in nbytes.items() if n.startswith("a.s3.blk0."))
+        assert 26 * block < sum(b for n, b in nbytes.items() if n.startswith("a.s3."))
 
     def test_failing_shared_node_fails_each_cell_that_needs_it(self, monkeypatch):
         raised = []
@@ -551,8 +567,9 @@ class TestGridEngine:
         memos = self._record_memos(monkeypatch)
         reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]})
         assert len(raised) == 1  # one node, two cells
-        # the nodes the failed cells never reached released their arrays
-        assert not memos[0].values and not memos[0].feats
+        # the turns' memos kept nothing, and the FPN still ran on the first
+        # cell's stage-1 and stage-2 features and cssa at [4]'s others
+        assert not any(m.values for m in memos)
         failed = [r for r in reports if not r.ok]
         assert [(r.config["stages"], r.error) for r in failed] == [
             ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
@@ -572,7 +589,7 @@ class TestGridEngine:
             ("cssa", [3, 4]), ("cssa", [4]), ("gaff", [3, 4]), ("gaff", [4]),
         ]
         assert {r.error for r in reports if not r.ok} == {"ConfigError: fuse.s4 draw refused"}
-        assert not memos[0].values and not memos[0].feats
+        assert not any(m.values for m in memos)
         assert_reports_equal_per_cell_runs(reports)
 
     def test_failing_shared_input_fails_every_cell(self, tmp_path):
@@ -598,12 +615,12 @@ class TestGridEngine:
         run_grid(FAST, sweep)
         # once per grid call, across both modality sets
         assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
-        assert not memos[0].values and not memos[0].feats
+        assert not any(m.values for m in memos)
 
     def test_ablation_reports_keep_inventory_order(self, monkeypatch):
         ran = []
 
-        def fake_run_cell(cfg, memo):
+        def fake_run_cell(cfg, parked):
             ran.append(cfg)
             yield from ()  # a cell that fails before its first turn
             return ConfigError("not run")
@@ -642,34 +659,16 @@ class TestAblationGridEngine:
         monkeypatch.setattr(harness, "_run_cell", watched)
         return calls
 
-    def test_encodes_run_stage_by_stage_and_stream_by_stream(self, monkeypatch):
-        calls = []
-        real_encode, real_merge, real_fpn = backbone.encode_stage, harness.merge_step, harness.fpn
-
-        def encode(x, stage, cfg, params, p):
-            calls.append((stage, p))
-            return real_encode(x, stage, cfg, params, p)
-
-        def merge(encoded, stage, *args):
-            calls.append((stage, "merge"))
-            return real_merge(encoded, stage, *args)
-
-        def fpn(feats, params):
-            calls.append((None, "fpn"))
-            return real_fpn(feats, params)
-
-        monkeypatch.setattr(backbone, "encode_stage", encode)
-        monkeypatch.setattr(harness, "merge_step", merge)
-        monkeypatch.setattr(harness, "fpn", fpn)
+    def test_encodes_run_stage_by_stage_and_stream_by_stream(self, node_calls):
         run_ablation_grid(self.BASE)
-        # every cell's stage-1 stream-A encode, then every stage-1 stream-B
-        # one, and so on to stage 4's stream-B encodes
-        encodes = [c for c in calls if c[1] in ("a", "b")]
-        assert len(set(encodes)) == 8
-        assert encodes == sorted(encodes)
-        # and the two FPNs (B0's widths and B1-B4's) after every encode and merge
-        fpns = [c[1] == "fpn" for c in calls]
-        assert sum(fpns) == 2 and fpns == sorted(fpns)
+        # by turn label: every cell's stage-1 stream-A embed, then its first
+        # block and so on to its final norm, then stream B's parts, the
+        # stage-1 merges, and so on to stage 4
+        turns = [c.turn for c in node_calls]
+        assert turns == sorted(turns)
+        assert {t[2] for t in turns if t[:2] == (3, "a")} == set(parts(27))
+        # and the two FPNs (B0's widths and B1-B4's) after every stage node
+        assert turns[-2:] == [(5, "fpn", ())] * 2 and turns.count((5, "fpn", ())) == 2
 
     def test_each_distinct_config_runs_once(self, monkeypatch):
         calls = self._watch_cells(monkeypatch)
