@@ -287,7 +287,6 @@ class NodeCall(NamedTuple):
     """One node the grid engine ran, as it started."""
 
     turn: tuple  # (stage, stream, part)
-    key: tuple
     reads: list  # the names of the arrays the node reads
     live: list  # the names of the parameter arrays alive in the process
     live_bytes: int  # their nbytes
@@ -298,7 +297,7 @@ class NodeCall(NamedTuple):
 @pytest.fixture
 def node_calls(monkeypatch):
     """Every node the grid engine runs, in order, as a ``NodeCall``: its
-    turn and key, and what is alive as it starts."""
+    turn label and what is alive as it starts."""
     calls, arrays, outputs = [], {}, []
     real = harness._Memo.node
 
@@ -308,7 +307,7 @@ def node_calls(monkeypatch):
                 arrays[id(params[name])] = name, weakref.ref(params[name])
             live = [(name, a) for name, ref in arrays.values() if (a := ref()) is not None]
             in_memo = [k[0].name for k, (v, _) in memo.values.items() if isinstance(k[0], ParamSpec) and v]
-            calls.append(NodeCall(step.turn, step.key, params.names(), sorted(n for n, _ in live),
+            calls.append(NodeCall(step.turn, params.names(), sorted(n for n, _ in live),
                                   sum(a.nbytes for _, a in live), sorted(in_memo),
                                   [turn for turn, ref in outputs if ref() is not None]))
             del live
@@ -326,9 +325,9 @@ def node_calls(monkeypatch):
     return calls
 
 
-def ran(calls, stages=range(1, 5)):
+def ran(calls):
     """How many stage-part nodes ran in each turn (stage, stream, part)."""
-    return Counter(c.turn for c in calls if c.turn[0] in stages and c.turn[1] in "ab")
+    return Counter(c.turn for c in calls if c.turn[1] in ("a", "b"))
 
 
 def parts(depth):
@@ -426,7 +425,7 @@ class TestGridEngine:
         # once the last cell to read an input has passed it.  Stream B's
         # parts run while the four stream-A maps wait for the merges, and
         # nothing is left when the FPN runs
-        alive = [sum(t[1] in "ab" for t in c.values) for c in node_calls if c.turn[0] >= 4]
+        alive = [sum(t[1] in ("a", "b") for t in c.values) for c in node_calls if c.turn[0] >= 4]
         assert alive == [2, 3, 4, 5] + [5, 6, 7, 8] * 3 + [5, 6, 7, 8] + [8, 9, 10, 11] * 3 + [8] * 6 + [0]
 
     def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch, node_calls):
@@ -515,7 +514,7 @@ class TestGridEngine:
         monkeypatch.setattr(harness, "init_params", tiled_params)
         reports = run_grid(replace(FAST, input_size=(32, 32)), sweep)
         assert all(r.ok for r in reports)
-        at_stage = [c for c in node_calls if c.turn[0] == stage and c.turn[1] in "ab"]
+        at_stage = [c for c in node_calls if c.turn[0] == stage and c.turn[1] in ("a", "b")]
         assert len(at_stage) == calls
         assert all(c.live == c.reads for c in at_stage)
 
@@ -542,11 +541,11 @@ class TestGridEngine:
             for block in {m[0] for n in names if (m := re.match(r"[ab]\.s3\.blk\d+\.", n))}:
                 assert all(n.startswith(block) for n in live if re.match(r"[ab]\.s3\.blk", n))
         # at each part node, its own arrays and no other are in the turn's
-        # memo and alive: at a stage-3 block, one block's 3.2 MB of the
-        # stage's 86 MB
+        # memo and alive: at a stage-3 block, one block's 6.6 MB of B4's
+        # 180.4 MB stage
         nbytes = {s.name: 4 * s.size for cfg in cells for s in build_param_specs(cfg)}
         for c in node_calls:
-            if c.turn[1] in "ab":
+            if c.turn[1] in ("a", "b"):
                 assert c.in_memo == c.live == c.reads
                 assert c.live_bytes == sum(nbytes[n] for n in c.reads)
         block = max(c.live_bytes for c in node_calls if c.turn[0] == 3)
