@@ -125,34 +125,13 @@ def _embed_geometry(stage):
     return (7, 4, 3) if stage == 1 else (3, 2, 1)
 
 
-def _stage_specs(cfg, stage, in_ch, p):
-    i = stage - 1
-    c = cfg.widths[i]
-    k, _, _ = _embed_geometry(stage)
-    sr = cfg.sr_ratios[i]
-    e = cfg.expansion
-    specs = conv_specs(f"{p}.s{stage}.embed", in_ch, c, k) + norm_specs(f"{p}.s{stage}.embed.norm", c)
-    for j in range(cfg.depths[i]):
-        q = f"{p}.s{stage}.blk{j}"
-        specs += norm_specs(f"{q}.norm1", c)
-        for proj in ("q", "k", "v", "proj"):
-            specs += dense_specs(f"{q}.attn.{proj}", c, c)
-        specs += (norm_specs(f"{q}.norm2", c) + dense_specs(f"{q}.ffn.fc1", c, e * c)
-                  + conv_specs(f"{q}.ffn.dw", 1, e * c, 3) + dense_specs(f"{q}.ffn.fc2", e * c, c))
-        if sr > 1:
-            specs += conv_specs(f"{q}.attn.sr", c, c, sr) + norm_specs(f"{q}.attn.sr_norm", c)
-    return specs + norm_specs(f"{p}.s{stage}.norm", c)
-
-
 def backbone_param_specs(cfg, fusion, modalities="RTE"):
     """Full dual-stream parameter layout including fusion blocks."""
-    ca, cb = stream_channels(modalities)
     specs = []
-    for stream, in_ch in (("a", ca), ("b", cb)):
-        prev = in_ch
+    for stream, in_ch in zip("ab", stream_channels(modalities)):
         for stage in range(1, 5):
-            specs += _stage_specs(cfg, stage, prev, stream)
-            prev = cfg.widths[stage - 1]
+            specs += [s for _, part_specs, _ in stage_parts(stage, cfg, stream, in_ch) for s in part_specs]
+            in_ch = cfg.widths[stage - 1]
     for stage in sorted(fusion.stages):
         specs += fusion_param_specs(fusion, cfg.widths[stage - 1], f"fuse.s{stage}")
     return specs
@@ -235,35 +214,47 @@ def mix_ffn(t, h, w, expansion, params, q):
     return t + out
 
 
-def stage_parts(stage, cfg, p):
+def stage_parts(stage, cfg, p, in_ch):
     """One stream's stage as its parts, in order: the patch embed, each block
-    (attention, then Mix-FFN) and the final norm, as ``(name, part)`` pairs.
-    ``name`` prefixes every parameter the part reads.  ``part(x, params)``
-    maps the stage input to tokens ``(t, h, w)``, tokens to tokens, and the
-    last tokens to the stage's map."""
+    (attention, then Mix-FFN) and the final norm, as ``(name, specs, part)``
+    triples.  ``specs`` declares every parameter the part reads, for a stage
+    input of ``in_ch`` channels.  ``part(x, params)`` maps the stage input to
+    tokens ``(t, h, w)``, tokens to tokens, and the last tokens to the
+    stage's map."""
     i, prefix = stage - 1, f"{p}.s{stage}"
+    c, sr, e = cfg.widths[i], cfg.sr_ratios[i], cfg.expansion
 
     def embed(x, params):
         return patch_embed(x, stage, params, p)
 
     def block(q):
+        specs = norm_specs(f"{q}.norm1", c)
+        for proj in ("q", "k", "v", "proj"):
+            specs += dense_specs(f"{q}.attn.{proj}", c, c)
+        specs += (norm_specs(f"{q}.norm2", c) + dense_specs(f"{q}.ffn.fc1", c, e * c)
+                  + conv_specs(f"{q}.ffn.dw", 1, e * c, 3) + dense_specs(f"{q}.ffn.fc2", e * c, c))
+        if sr > 1:
+            specs += conv_specs(f"{q}.attn.sr", c, c, sr) + norm_specs(f"{q}.attn.sr_norm", c)
+
         def run(thw, params):
             t, h, w = thw
-            t = sra_attention(t, h, w, cfg.heads[i], cfg.sr_ratios[i], params, q)
-            return mix_ffn(t, h, w, cfg.expansion, params, q), h, w
-        return run
+            t = sra_attention(t, h, w, cfg.heads[i], sr, params, q)
+            return mix_ffn(t, h, w, e, params, q), h, w
+        return q, specs, run
 
     def final(thw, params):
         t, h, w = thw
         return to_map(norm(t, params, f"{prefix}.norm"), h, w)
 
-    blocks = [(f"{prefix}.blk{j}", block(f"{prefix}.blk{j}")) for j in range(cfg.depths[i])]
-    return [(f"{prefix}.embed", embed), *blocks, (f"{prefix}.norm", final)]
+    embed_specs = (conv_specs(f"{prefix}.embed", in_ch, c, _embed_geometry(stage)[0])
+                   + norm_specs(f"{prefix}.embed.norm", c))
+    return [(f"{prefix}.embed", embed_specs, embed), *(block(f"{prefix}.blk{j}") for j in range(cfg.depths[i])),
+            (f"{prefix}.norm", norm_specs(f"{prefix}.norm", c), final)]
 
 
 def encode_stage(x, stage, cfg, params, p):
     """Run one stream through one stage: embed, blocks, final norm, to map."""
-    for _, part in stage_parts(stage, cfg, p):
+    for _, _, part in stage_parts(stage, cfg, p, x.shape[1]):
         x = part(x, params)
     return x
 

@@ -51,9 +51,11 @@ def write_npy(path, arr):
         npy_format.write_array(f, arr, version=(1, 0), allow_pickle=False)
 
 
-def read_npy(path):
-    """Read an NPY v1.x file (C-order, either endianness) to a native array,
-    checking the header's claimed data size against the file before allocating."""
+def read_npy(path, check_shape=None):
+    """Read an NPY v1.x file (C-order, either endianness) to a native array.
+    Before anything is allocated, the header's shape goes to
+    ``check_shape``, if given, and its claimed data size is checked against
+    the file."""
     with open(path, "rb") as f:
         try:
             major, _minor = npy_format.read_magic(f)
@@ -71,6 +73,8 @@ def read_npy(path):
             raise FormatError(f"{path}: unsupported dtype descr {dtype.str!r}")
         if any(isinstance(d, bool) or d < 0 for d in shape):
             raise FormatError(f"{path}: bad shape {shape}")
+        if check_shape is not None:
+            check_shape(shape)
         nbytes = math.prod(shape) * dtype.itemsize
         if nbytes > os.fstat(f.fileno()).st_size - f.tell():
             raise FormatError(f"{path}: truncated data section")
@@ -221,12 +225,18 @@ def _validate_box(box, where, tol=1e-6):
 
 
 def load_frame(array_path, label_path, meta=None):
-    """Load a five-channel NPY sample plus its YOLO labels."""
-    arr = read_npy(array_path)
-    if arr.ndim != 3:
-        raise FormatError(f"{array_path}: expected rank-3 H x W x 5 array, got rank {arr.ndim}")
-    if arr.shape[2] != 5:
-        raise FormatError(f"{array_path}: expected 5 channels, got {arr.shape[2]}")
+    """Load a five-channel NPY sample plus its YOLO labels.  The header's
+    shape is checked, the pixel bound included, before the data is read."""
+    def check(shape):
+        if len(shape) != 3:
+            raise FormatError(f"{array_path}: expected rank-3 H x W x 5 array, got rank {len(shape)}")
+        if shape[2] != 5:
+            raise FormatError(f"{array_path}: expected 5 channels, got {shape[2]}")
+        if shape[0] * shape[1] > MAX_FRAME_PIXELS:
+            raise ValidationError(f"{array_path}: frame {shape[0]}x{shape[1]} = {shape[0] * shape[1]} pixels, "
+                                  f"above the bound of {MAX_FRAME_PIXELS}")
+
+    arr = read_npy(array_path, check)
     pixels = np.ascontiguousarray(arr.transpose(2, 0, 1)[None], dtype=np.float32)
     boxes = parse_labels(label_path) if label_path is not None else []
     return TriModalFrame(pixels=pixels, boxes=boxes, meta=dict(meta or {}))

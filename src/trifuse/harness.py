@@ -7,14 +7,17 @@ run is deterministic given (config, seed) and its report embeds the config
 so it can be replayed.  One engine runs every cell, and ``run_single``
 (behind ``inspect``) is a grid of one.  Each cell's walk yields its nodes
 in order: the input, each stream's stage parts (the patch embed, each
-block and the final norm), each stage merge, and the FPN.  A node is keyed
-by what it reads, its input node and its arrays, so nested variants share
-their common parts and modality sets share a stream up to its first fused
-stage.  An array, keyed by (ParamSpec, seed) and bitwise equal to a fresh
-``init_params``, is drawn just before its first reader and dropped after
-its last.  One loop steps the cells by turn label (stage, stream, part),
-so the nodes that read one block's arrays run back to back, whatever the
-cells' depths, and only that block's arrays are live; last, one FPN runs
+block and the final norm), each stage merge, and the FPN.  A node reads the
+arrays its own declaration lists: a part's specs from
+``backbone.stage_parts``, a fused merge's ``fusion_param_specs`` and the
+FPN's ``fpn_param_specs``.  A node is keyed by what it reads, its input
+node and its arrays, so nested variants share their common parts and
+modality sets share a stream up to its first fused stage.  An array,
+keyed by (ParamSpec, seed) and bitwise equal to a fresh ``init_params``,
+is drawn just before its first reader and dropped after its last.  One
+loop steps the cells by turn label (stage, stream, part), so the nodes
+that read one block's arrays run back to back, whatever the cells'
+depths, and only that block's arrays are live; last, one FPN runs
 per input and widths.  A report equals what one whole ``forward_dual`` and
 ``fpn`` give, except that ``forward_ms`` is composed: the sum of the median
 times of the patch embed, block and final-norm nodes, the merges and the
@@ -48,7 +51,7 @@ from .backbone import (
 )
 from .data import MAX_FRAME_PIXELS, default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError, ValidationError
-from .fusion import FusionConfig
+from .fusion import FusionConfig, fusion_param_specs
 from .neck import fpn, fpn_param_specs
 from .tensors import ParamStore, init_params, param_count
 
@@ -281,15 +284,6 @@ def expand_sweep(base, sweep):
     return configs
 
 
-def _reader(name):
-    """The node that reads parameter ``name``, named by the prefix it shares
-    with it: ``fpn`` for the FPN, ``fuse.s<k>`` for stage k's merge, else
-    ``<a|b>.s<k>.<part>`` for that stream's stage part, the part being
-    ``embed``, ``blk<j>`` or ``norm`` as ``backbone.stage_parts`` names it."""
-    head = name.split(".")
-    return ".".join(head[:{"fpn": 1, "fuse": 2}.get(head[0], 3)])
-
-
 class _Step(NamedTuple):
     """One node on a cell's walk: it runs ``fn(params, *args)`` in turn
     ``turn``, ``params`` holding the ``arrays`` it reads, as (ParamSpec,
@@ -311,10 +305,11 @@ class _Memo:
     (ParamSpec, seed), each computed by the first to need it.  ``users``
     counts the turn's cells still to pass each node and the turn's nodes
     still to read each array, so a value is dropped after its last user.  A
-    node's key names its stage, stream and part, and so do the names of
-    the arrays it reads, so every cell that passes a node passes it in the
-    same turn, and every node that reads an array reads it in the same
-    turn: each is computed once per grid call.
+    node's key names its stage, stream and part, and only that part (or
+    that stage's fusion block, or the FPN) declares the arrays it reads, so
+    every cell that passes a node passes it in the same turn, and every
+    node that reads an array reads it in the same turn: each is computed
+    once per grid call.
     """
 
     def __init__(self, steps):
@@ -393,28 +388,31 @@ def _run_cell(cfg, parked):
     (1, j) and final norm (2,), then (stage, "merge", ()) for the stage
     merge, and (5, "fpn", ()) for the FPN.  A node's key says what it reads:
     the input by (input_size, batch, source, seed); a stage part by its
-    name, which names the arrays it reads, the stage geometry, and its
-    input node, for a stage-1 embed the stream's channel slice of the
-    input; a merge by the stage, the fusion settings its block reads (None
-    if unfused) and its two final norms; and the FPN by the input and the
-    widths, which fix the stage shapes.  A fused stage feeds its merge to
-    both next embeds, an unfused one each stream's norm to its own, so
-    variants share parts up to where their input or arrays differ, and
-    modality sets share a stream up to its first fused stage.  The FPN
-    node's value, the pyramid's shapes and the FPN's time, depends on the
-    input and widths alone: the first of its cells to reach each merge
-    parks its stage feature in ``parked`` for the node to pop, and every
-    other cell keeps the feature's shape alone.  ``forward_ms`` sums the
-    median times of the patch embeds, blocks and final norms, the merges
-    and the FPN.  An error in ``_CELL_ERRORS`` is returned, not raised."""
+    name, the stage geometry, and its input node, for a stage-1 embed the
+    stream's channel slice of the input; a merge by the stage, the fusion
+    settings its block reads (None if unfused) and its two final norms;
+    and the FPN by the input and the widths, which fix the stage shapes.
+    Each node reads the arrays its declaration lists, seeded by the cell's
+    seed: a part its ``specs`` from ``backbone.stage_parts``, a fused merge
+    ``fusion_param_specs`` and the FPN ``fpn_param_specs``.  A fused stage
+    feeds its merge to both next embeds, an unfused one each stream's norm
+    to its own, so variants share parts up to where their input or arrays
+    differ, and modality sets share a stream up to its first fused stage.
+    The FPN node's value, the pyramid's shapes and the FPN's time, depends
+    on the input and widths alone: the first of its cells to reach each
+    merge parks its stage feature in ``parked`` for the node to pop, and
+    every other cell keeps the feature's shape alone.  ``forward_ms`` sums
+    the median times of the patch embeds, blocks and final norms, the
+    merges and the FPN.  An error in ``_CELL_ERRORS`` is returned, not
+    raised."""
     try:
         cfg.validate()
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
-        specs = build_param_specs(cfg)
-        n_params, reads = param_count(specs), {}
-        for spec in specs:
-            reads.setdefault(_reader(spec.name), []).append((spec, cfg.seed))
-        del specs
+        n_params = param_count(build_param_specs(cfg))
+
+        def seeded(specs):
+            return [(spec, cfg.seed) for spec in specs]
+
         source = ("input", cfg.input_size, cfg.batch, cfg.source, cfg.seed)
         fpn_key = ("fpn", source, bcfg.widths, reps)
         x = yield _Step((0, "input", ()), source, [], _input, (cfg,))
@@ -428,16 +426,16 @@ def _run_cell(cfg, parked):
             encoded = []
             for p in "ab":
                 key, x = ups.pop(0)  # not held once its embed has run
-                for label, (name, part) in zip(labels, backbone.stage_parts(stage, bcfg, p)):
+                for label, (name, specs, part) in zip(labels, backbone.stage_parts(stage, bcfg, p, x.shape[1])):
                     key = (name, geometry, reps, key)
-                    x, ms = yield _Step((stage, p, label), key, reads.pop(name), _part, (reps, part, x))
+                    x, ms = yield _Step((stage, p, label), key, seeded(specs), _part, (reps, part, x))
                     forward_ms += ms
                 encoded.append((key, x))
             fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
             merge = ("merge", stage, fused, *(norm for norm, _ in encoded))
+            block = fusion_param_specs(fus, bcfg.widths[i], f"fuse.s{stage}") if fused else []
             (feat, streams, found), ms = yield _Step(
-                (stage, "merge", ()), merge, reads.pop(f"fuse.s{stage}", []), _merge,
-                (reps, [m for _, m in encoded], stage, bcfg, fus))
+                (stage, "merge", ()), merge, seeded(block), _merge, (reps, [m for _, m in encoded], stage, bcfg, fus))
             forward_ms += ms
             shapes.append(feat.map.shape)
             for name, values in found.items():
@@ -448,8 +446,8 @@ def _run_cell(cfg, parked):
             ups = [(merge, s) for s in streams] if fused else encoded
             del x, feat, streams, encoded  # held only through ``ups`` and ``parked``
         del ups
-        pyramid_shapes, fpn_ms = yield _Step((5, "fpn", ()), fpn_key, reads.pop("fpn"), _pyramid_shapes,
-                                             (reps, parked, fpn_key))
+        pyramid_shapes, fpn_ms = yield _Step((5, "fpn", ()), fpn_key, seeded(fpn_param_specs(bcfg.widths)),
+                                             _pyramid_shapes, (reps, parked, fpn_key))
         return RunReport(cfg.to_dict(), shapes, pyramid_shapes, n_params, forward_ms + fpn_ms, diag)
     except _CELL_ERRORS as e:
         return e

@@ -118,11 +118,10 @@ def _pairs(ranked, det_group, gt_group, dets, gts, thr):
         det = np.repeat(np.arange(c0, c1), w)
         gt = by_group[np.arange(end[c0] - w[0], end[c1 - 1]) - np.repeat(shift[c0:c1], w)]
         overlap = _pair_iou(np.take(dbox, det, axis=1), np.take(gbox, gt, axis=1))
-        passes = overlap >= thr
-        keep = passes.any(axis=0)
-        parts.append((det[keep], gt[keep], overlap[keep], passes[:, keep]))
-    det, gt, overlap, passes = zip(*parts)
-    return np.concatenate(det), np.concatenate(gt), np.concatenate(overlap), np.hstack(passes)
+        keep = overlap >= thr.min()
+        parts.append((det[keep], gt[keep], overlap[keep]))
+    det, gt, overlap = map(np.concatenate, zip(*parts))
+    return det, gt, overlap, overlap >= thr
 
 
 def _match(dets, gts, thresholds):

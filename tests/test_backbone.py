@@ -14,11 +14,13 @@ from trifuse.backbone import (
     encode_stage,
     forward_dual,
     forward_single,
+    merge_step,
     mix_ffn,
     normalize_modalities,
     patch_embed,
     split_streams,
     sra_attention,
+    stage_parts,
     stream_channels,
 )
 from trifuse.errors import ConfigError, ShapeError
@@ -275,17 +277,24 @@ class TestCounts:
         assert four - base > one - base  # wider stage, bigger block
 
 
+def _fusion_blocks():
+    """One FusionConfig per distinct fusion block, keyed by (mechanism,
+    block settings)."""
+    blocks = {}
+    for mech, tau, r, g, m in itertools.product(MECHANISMS, (0.3, 0.5), GAFF_SE_RATIOS, GAFF_GUIDANCE, GAFF_MERGES):
+        fus = FusionConfig(mechanism=mech, tau=tau, se_ratio=r, guidance=g, merge=m)
+        blocks.setdefault((mech, fus.block_settings()), fus)
+    return blocks
+
+
 def _layouts():
     """Every distinct parameter layout, labelled: the two streams per
     variant and modality set, one fusion block per mechanism, block
     settings and stage width, and the FPN per width set."""
     for variant, mods in itertools.product(sorted(VARIANTS), MODALITY_SETS):
         yield ("streams", variant, mods), backbone_param_specs(BackboneConfig.variant_config(variant), NONE, mods)
-    blocks = {}
-    for mech, tau, r, g, m in itertools.product(MECHANISMS, (0.3, 0.5), GAFF_SE_RATIOS, GAFF_GUIDANCE, GAFF_MERGES):
-        fus = FusionConfig(mechanism=mech, tau=tau, se_ratio=r, guidance=g, merge=m)
-        blocks.setdefault((mech, fus.block_settings()), fus)
-    for (key, fus), c in itertools.product(blocks.items(), sorted({c for w, _ in VARIANTS.values() for c in w})):
+    channels = sorted({c for w, _ in VARIANTS.values() for c in w})
+    for (key, fus), c in itertools.product(_fusion_blocks().items(), channels):
         yield ("fusion", *key, c), fusion_param_specs(fus, c, "fuse.s1")
     for widths in sorted({w for w, _ in VARIANTS.values()}):
         yield ("fpn", widths), fpn_param_specs(widths)
@@ -298,3 +307,43 @@ def test_parameter_layout_is_pinned():
     for label, specs in _layouts():
         digest.update(repr((label, [(s.name, s.shape, s.kind) for s in specs])).encode())
     assert digest.hexdigest() == "8a6b6eb1039656dbaa4569b838b07a54764fbaf508a138c41b7c7e46c59d3d33"
+
+
+class _Reads(ParamStore):
+    """Zero arrays for ``specs`` that record the names read from them."""
+
+    def __init__(self, specs):
+        super().__init__({spec.name: np.zeros(spec.shape, np.float32) for spec in specs})
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("mods", MODALITY_SETS)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_each_part_reads_exactly_its_declared_specs(rng, variant, mods):
+    # a grid node is given its part's declared arrays and no others; the
+    # modality set fixes the stage-1 embed's input channels
+    cfg = BackboneConfig.variant_config(variant)
+    split = split_streams(_input(rng), mods)
+    for p, x in zip("ab", (split.stream_a, split.stream_b)):
+        for stage in range(1, 5):
+            for name, specs, part in stage_parts(stage, cfg, p, x.shape[1]):
+                store = _Reads(specs)
+                x = part(x, store)
+                assert len(store) == len(specs), name  # no name declared twice
+                assert store.read == set(store.names()), name
+
+
+@pytest.mark.parametrize("fus", _fusion_blocks().values(),
+                         ids=lambda f: "-".join(map(str, (f.mechanism, *f.block_settings()))))
+def test_each_merge_reads_exactly_its_declared_specs(rng, fus):
+    cfg = BackboneConfig.variant_config("B0")
+    for stage in range(1, 5):
+        c, h = cfg.widths[stage - 1], 64 // STAGE_STRIDES[stage - 1]
+        encoded = [rng.standard_normal((1, c, h, h)).astype(np.float32) for _ in "ab"]
+        store = _Reads(fusion_param_specs(fus, c, f"fuse.s{stage}") if stage in fus.stages else [])
+        merge_step(encoded, stage, cfg, fus, store)
+        assert store.read == set(store.names()), stage

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.lib import format as npy_format
 
 from trifuse import backbone, harness
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
@@ -286,6 +287,25 @@ class TestInputErrors:
         err = self._fails(capsys, ["--out", str(out), *argv])
         assert err == f"error: {error}, above the bound of 4194304\n"
         assert not out.exists()
+
+    def test_oversized_manifest_frame_exits_one(self, tmp_path, capsys):
+        # refused from the NPY header: inspect exits 1, and in a grid the
+        # frame fails each cell
+        with open(tmp_path / "f.npy", "wb") as f:  # a header that claims the frame, and no data
+            npy_format.write_array_header_1_0(f, {"descr": "<f4", "fortran_order": False, "shape": (2049, 2049, 5)})
+        (tmp_path / "f.txt").write_text("")
+        manifest = tmp_path / "m.json"
+        manifest.write_text('[{"image": "f.npy", "labels": "f.txt", "day_night": "day"}]')
+        error = f"{tmp_path / 'f.npy'}: frame 2049x2049 = 4198401 pixels, above the bound of 4194304"
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--source", str(manifest)])
+        assert err == f"error: {error}\n"
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"mechanism": ["cssa", "gaff"]}')
+        out = tmp_path / "grid"
+        code = main(["--config", _fast_config(tmp_path), "--out", str(out),
+                     "grid", "--sweep", str(sweep), "--source", str(manifest)])
+        assert code == EXIT_PARTIAL_GRID
+        assert [r["error"] for r in json.loads((out / "grid.json").read_text())] == [f"ValidationError: {error}"] * 2
 
     def test_missing_detections_file(self, tmp_path, capsys):
         gts = tmp_path / "g.jsonl"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy_format
 
 from trifuse.data import (
     DatasetManifest,
@@ -72,6 +73,12 @@ class TestNpyFormat:
         assert np.array_equal(np.load(p), arr)
 
 
+def _write_npy_header(path, shape):
+    """An NPY file that claims ``shape`` in float32 and holds no data."""
+    with open(path, "wb") as f:
+        npy_format.write_array_header_1_0(f, {"descr": "<f4", "fortran_order": False, "shape": shape})
+
+
 def _write_sample(tmp_path, rng, h=301, w=391, labels="0 0.5 0.5 0.2 0.1\n"):
     arr = rng.random((h, w, 5)).astype(np.float32)
     img = tmp_path / "f.npy"
@@ -126,6 +133,18 @@ class TestLoadFrame:
         write_npy(p, rng.random((4, 4, 3)).astype(np.float32))
         with pytest.raises(FormatError, match="channels"):
             load_frame(p, None)
+
+    def test_pixel_bound_checked_from_the_header(self, tmp_path):
+        # header-only files: the bound is checked before the data size, so
+        # 2049 x 2049 is refused by it and 2048 x 2048 = 2**22 passes it
+        big, edge = tmp_path / "big.npy", tmp_path / "edge.npy"
+        _write_npy_header(big, (2049, 2049, 5))
+        _write_npy_header(edge, (2048, 2048, 5))
+        with pytest.raises(ValidationError) as e:
+            load_frame(big, None)
+        assert str(e.value) == f"{big}: frame 2049x2049 = 4198401 pixels, above the bound of 4194304"
+        with pytest.raises(FormatError, match="truncated data section"):
+            load_frame(edge, None)
 
     def test_malformed_label_line_number(self, tmp_path):
         p = tmp_path / "l.txt"

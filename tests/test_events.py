@@ -39,6 +39,18 @@ class TestEventStream:
         with pytest.raises(ValidationError, match="y coordinate"):
             EventStream([1], [0], [-1], [1], (4, 4))
 
+    @pytest.mark.parametrize("value", [-1, 0, 3, 4, 5, 6, -2**63, 2**63 - 1])
+    @pytest.mark.parametrize("axis, bound", [("x", 6), ("y", 4)])
+    def test_coordinate_bounds_at_the_edges(self, axis, bound, value):
+        # a 4 x 6 sensor: y in [0, 4), x in [0, 6)
+        xy = {"x": [0, 0, 0], "y": [0, 0, 0], axis: [0, value, 0]}
+        args = [1, 2, 3], xy["x"], xy["y"], [1, -1, 1], (4, 6)
+        if 0 <= value < bound:
+            assert getattr(EventStream(*args), axis).tolist() == [0, value, 0]
+        else:
+            with pytest.raises(ValidationError, match=rf"^{axis} coordinate outside \[0, {bound}\)$"):
+                EventStream(*args)
+
     @pytest.mark.parametrize("size", [(-3, 4), (2.5, 4), (4, 0), (4.0, 4), (True, 4), (4,), (4, 4, 1)])
     def test_sensor_size_not_two_positive_integers_rejected(self, size):
         with pytest.raises(ValidationError, match=r"^sensor_size must be two positive integers \(H, W\)"):
@@ -57,8 +69,9 @@ class TestEventStream:
 
     def test_bad_polarity(self):
         for bad in (0, 2, -2, 2**63 - 1, -2**63):
-            with pytest.raises(ValidationError, match="polarity"):
-                EventStream([1, 2, 3], [0, 0, 0], [0, 0, 0], [1, bad, -1], (4, 4))
+            for p in ([1, bad, -1], [bad, 1, 1], [-1, -1, bad], [bad]):
+                with pytest.raises(ValidationError, match="^polarity values must be"):
+                    EventStream([1, 2, 3][:len(p)], [0] * len(p), [0] * len(p), p, (4, 4))
 
     def test_unequal_lengths(self):
         with pytest.raises(ValidationError, match="unequal"):
