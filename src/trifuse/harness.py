@@ -7,21 +7,22 @@ run is deterministic given (config, seed) and its report embeds the config
 so it can be replayed.  One engine runs every cell, and ``run_single``
 (behind ``inspect``) is a grid of one.  Each cell's walk yields its nodes
 in order: the input, each stream's stage parts (the patch embed, each
-block and the final norm), each stage merge, and the FPN.  A node reads the
-arrays its own declaration lists: a part's specs from
-``backbone.stage_parts``, a fused merge's ``fusion_param_specs`` and the
-FPN's ``fpn_param_specs``.  A node is keyed by what it reads, its input
-node and its arrays, so nested variants share their common parts and
-modality sets share a stream up to its first fused stage.  An array,
+block and the final norm), each stage merge, and the FPN's parts (one per
+lateral).  A node reads the arrays its own declaration lists: a part's
+specs from ``backbone.stage_parts`` or ``neck.fpn_parts`` and a fused
+merge's ``fusion_param_specs``.  A node is keyed by what it reads, its
+input node and its arrays, so nested variants share their common parts
+and modality sets share a stream up to its first fused stage.  An array,
 keyed by (ParamSpec, seed) and bitwise equal to a fresh ``init_params``,
 is drawn just before its first reader and dropped after its last.  One
 loop steps the cells by turn label (stage, stream, part), so the nodes
 that read one block's arrays run back to back, whatever the cells'
-depths, and only that block's arrays are live; last, one FPN runs
-per input and widths.  A report equals what one whole ``forward_dual`` and
-``fpn`` give, except that ``forward_ms`` is composed: the sum of the median
-times of the patch embed, block and final-norm nodes, the merges and the
-FPN on the cell's walk.  A config listed more than once runs once and
+depths, and only that block's arrays are live; last, one FPN runs per
+input and widths, part by part, so only one part's arrays are live.  A
+report equals what one whole ``forward_dual`` and ``fpn`` give, except
+that ``forward_ms`` is composed: the sum of the median times of the patch
+embed, block and final-norm nodes, the merges and the FPN's parts on the
+cell's walk.  A config listed more than once runs once and
 every listing gets its report.  Within a turn the cells go in (seed,
 variant, modalities) order, on the calling thread: the benchmark pins BLAS
 to one thread, so a report times single-core work.
@@ -52,7 +53,7 @@ from .backbone import (
 from .data import MAX_FRAME_PIXELS, default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError, ValidationError
 from .fusion import FusionConfig, fusion_param_specs
-from .neck import fpn, fpn_param_specs
+from .neck import fpn_param_specs, fpn_parts
 from .tensors import ParamStore, init_params, param_count
 
 DEFAULT_INPUT_SIZE = (301, 391)
@@ -306,10 +307,10 @@ class _Memo:
     counts the turn's cells still to pass each node and the turn's nodes
     still to read each array, so a value is dropped after its last user.  A
     node's key names its stage, stream and part, and only that part (or
-    that stage's fusion block, or the FPN) declares the arrays it reads, so
-    every cell that passes a node passes it in the same turn, and every
-    node that reads an array reads it in the same turn: each is computed
-    once per grid call.
+    that stage's fusion block, or that FPN part) declares the arrays it
+    reads, so every cell that passes a node passes it in the same turn, and
+    every node that reads an array reads it in the same turn: each is
+    computed once per grid call.
     """
 
     def __init__(self, steps):
@@ -371,11 +372,10 @@ def _merge(params, reps, encoded, stage, cfg, fusion):
     return _timed(reps, merge)
 
 
-def _pyramid_shapes(params, reps, parked, key):
-    """The pyramid's shapes and the FPN's median ms, without the pyramid,
-    from the stage features parked under the FPN node's key."""
-    pyramid, ms = _timed(reps, fpn, parked.pop(key), params)
-    return pyramid.shapes(), ms
+def _parked(params, reps, part, parked, key):
+    """``_part`` on the stage features parked under ``key``: the FPN's
+    first part, which takes them out of ``parked``."""
+    return _part(params, reps, part, parked.pop(key))
 
 
 def _run_cell(cfg, parked):
@@ -386,25 +386,27 @@ def _run_cell(cfg, parked):
     The turns are labelled (stage, stream, part): (0, "input", ()) for the
     input, then for each stage each stream's patch embed (0,), block j
     (1, j) and final norm (2,), then (stage, "merge", ()) for the stage
-    merge, and (5, "fpn", ()) for the FPN.  A node's key says what it reads:
-    the input by (input_size, batch, source, seed); a stage part by its
-    name, the stage geometry, and its input node, for a stage-1 embed the
-    stream's channel slice of the input; a merge by the stage, the fusion
-    settings its block reads (None if unfused) and its two final norms;
-    and the FPN by the input and the widths, which fix the stage shapes.
-    Each node reads the arrays its declaration lists, seeded by the cell's
-    seed: a part its ``specs`` from ``backbone.stage_parts``, a fused merge
-    ``fusion_param_specs`` and the FPN ``fpn_param_specs``.  A fused stage
-    feeds its merge to both next embeds, an unfused one each stream's norm
-    to its own, so variants share parts up to where their input or arrays
-    differ, and modality sets share a stream up to its first fused stage.
-    The FPN node's value, the pyramid's shapes and the FPN's time, depends
-    on the input and widths alone: the first of its cells to reach each
-    merge parks its stage feature in ``parked`` for the node to pop, and
-    every other cell keeps the feature's shape alone.  ``forward_ms`` sums
-    the median times of the patch embeds, blocks and final norms, the
-    merges and the FPN.  An error in ``_CELL_ERRORS`` is returned, not
-    raised."""
+    merge, and (5, "fpn", (j,)) for the FPN's part j.  A node's key says
+    what it reads: the input by (input_size, batch, source, seed); a stage
+    part by its name, the stage geometry, and its input node, for a stage-1
+    embed the stream's channel slice of the input; a merge by the stage,
+    the fusion settings its block reads (None if unfused) and its two final
+    norms; and an FPN part by its name and the part before it, the first
+    by the input and the widths, which fix the stage shapes.  Each node
+    reads the arrays its declaration lists, seeded by the cell's seed: a
+    part its ``specs`` from ``backbone.stage_parts`` or ``neck.fpn_parts``
+    and a fused merge ``fusion_param_specs``.  A fused stage feeds its
+    merge to both next embeds, an unfused one each stream's norm to its
+    own, so variants share parts up to where their input or arrays differ,
+    and modality sets share a stream up to its first fused stage.  The
+    FPN's parts depend on the input and widths alone, since a report keeps
+    only the pyramid's shapes and the FPN's time: the first of its cells to
+    reach each merge parks its stage feature in ``parked`` for the first
+    part to pop, and every other cell keeps the feature's shape alone.
+    Each part's state holds only the stage features no part has read yet.
+    ``forward_ms`` sums the median times of the patch embeds, blocks and
+    final norms, the merges and the FPN's parts.  An error in
+    ``_CELL_ERRORS`` is returned, not raised."""
     try:
         cfg.validate()
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
@@ -444,11 +446,15 @@ def _run_cell(cfg, parked):
             if len(slot) < stage:  # the first of the FPN node's cells to reach this merge
                 slot.append(feat)
             ups = [(merge, s) for s in streams] if fused else encoded
-            del x, feat, streams, encoded  # held only through ``ups`` and ``parked``
+            del x, feat, streams, encoded, slot  # held only through ``ups`` and ``parked``
         del ups
-        pyramid_shapes, fpn_ms = yield _Step((5, "fpn", ()), fpn_key, seeded(fpn_param_specs(bcfg.widths)),
-                                             _pyramid_shapes, (reps, parked, fpn_key))
-        return RunReport(cfg.to_dict(), shapes, pyramid_shapes, n_params, forward_ms + fpn_ms, diag)
+        key = fpn_key
+        for j, (name, specs, part) in enumerate(fpn_parts(bcfg.widths)):
+            key = (name, key)
+            fn, args = (_part, (reps, part, x)) if j else (_parked, (reps, part, parked, fpn_key))
+            x, ms = yield _Step((5, "fpn", (j,)), key, seeded(specs), fn, args)
+            forward_ms += ms
+        return RunReport(cfg.to_dict(), shapes, x.shapes(), n_params, forward_ms, diag)
     except _CELL_ERRORS as e:
         return e
 
@@ -480,12 +486,14 @@ def _run_cells(configs):
     stage-3 block j, say) run back to back, and each array is drawn once,
     just before its first reader, and dropped after its last, before the
     next block's are drawn.  The FPNs run last, when every stage array is
-    gone.  Between turns a cell holds its current stage input or tokens,
-    its stream-A map until the merge, and the stage shapes; only the
-    first cell of each FPN node holds stage features.  ``forward_ms`` is
-    the sum of node medians over the patch embed, block and final-norm
-    nodes, the merges and the FPN.  Within a turn the cells go in (seed,
-    variant, modalities) order and otherwise in listing order.
+    gone, part by part, and the FPNs of all widths share each part's
+    width-free arrays.  Between turns a cell holds its current stage input
+    or tokens, its stream-A map until the merge, and the stage shapes; only
+    the first cell of each FPN holds stage features until the FPN reads
+    them.  ``forward_ms`` is the sum of node medians over the patch embed,
+    block and final-norm nodes, the merges and the FPN's parts.  Within a
+    turn the cells go in (seed, variant, modalities) order and otherwise in
+    listing order.
     """
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}

@@ -34,12 +34,16 @@ class Pyramid:
         return [lvl.shape for lvl in self.levels]
 
 
+def _lateral_specs(stage_widths, k, p):
+    return conv_specs(f"{p}.lat{k}", stage_widths[k - 1], PYRAMID_WIDTH, 1)
+
+
+def _smooth_specs(k, p):
+    return conv_specs(f"{p}.out{k}", PYRAMID_WIDTH, PYRAMID_WIDTH, 3)
+
+
 def fpn_param_specs(stage_widths, p="fpn"):
-    specs = []
-    for i, c in enumerate(stage_widths, start=1):
-        specs += conv_specs(f"{p}.lat{i}", c, PYRAMID_WIDTH, 1)
-        specs += conv_specs(f"{p}.out{i}", PYRAMID_WIDTH, PYRAMID_WIDTH, 3)
-    return specs
+    return [s for k in range(1, 5) for s in _lateral_specs(stage_widths, k, p) + _smooth_specs(k, p)]
 
 
 def _add_upsampled(lat, top):
@@ -59,8 +63,45 @@ def _add_upsampled(lat, top):
     return lat
 
 
+def fpn_parts(stage_widths, p="fpn"):
+    """The top-down FPN as its parts, in order, as ``(name, specs, part)``
+    triples, one per lateral: ``specs`` declares every parameter the part
+    reads.  Part 4 projects the stage-4 feature; part k (k = 3, 2, 1)
+    projects stage k's, merges the coarser merged map into it and smooths
+    level k + 1; the last part also smooths level 1 and pools level 5.
+    ``part(state, params)`` maps the four stage features, then each state,
+    ``(features not yet read, merged map, smoothed levels)``, to the next,
+    and the last state to the :class:`Pyramid`.  A part builds its state
+    anew and never writes to the one it is given."""
+    def lateral(feature, params):
+        return conv(feature.map, params, f"{p}.lat{feature.stage}")
+
+    def smooth(k, m, params):
+        return conv(m, params, f"{p}.out{k}", stride=1, pad=1)
+
+    def level4(features, params):
+        *rest, f4 = features
+        return rest, lateral(f4, params), []
+
+    def merge(k):
+        def run(state, params):
+            (*rest, f), top, levels = state
+            merged = _add_upsampled(lateral(f, params), top)
+            levels = [smooth(k + 1, top, params), *levels]
+            if k > 1:
+                return rest, merged, levels
+            levels = [smooth(1, merged, params), *levels]
+            return Pyramid(levels + [np.ascontiguousarray(levels[3][:, :, ::2, ::2])])
+
+        specs = _lateral_specs(stage_widths, k, p) + _smooth_specs(k + 1, p)
+        return f"{p}.level{k}", specs + (_smooth_specs(1, p) if k == 1 else []), run
+
+    return [(f"{p}.level4", _lateral_specs(stage_widths, 4, p), level4), *map(merge, (3, 2, 1))]
+
+
 def fpn(features, params, p="fpn"):
-    """Standard top-down FPN over the four stage features.
+    """Standard top-down FPN over the four stage features: the parts of
+    :func:`fpn_parts` in turn.
 
     Laterals are 1x1 projections to 256 channels, merged top-down with
     nearest-neighbor upsampling and a 3x3 smoothing conv per level; the
@@ -74,19 +115,7 @@ def fpn(features, params, p="fpn"):
     for f, stride in zip(features, (4, 8, 16, 32)):
         if f.stride != stride:
             raise ShapeError(f"stage {f.stage} has stride {f.stride}, expected {stride}")
-
-    def lateral(f):
-        return conv(f.map, params, f"{p}.lat{f.stage}")
-
-    def smooth(stage, m):
-        return conv(m, params, f"{p}.out{stage}", stride=1, pad=1)
-
-    outs = [None] * 4
-    top = lateral(features[3])
-    for i in (2, 1, 0):
-        merged = _add_upsampled(lateral(features[i]), top)
-        outs[i + 1] = smooth(i + 2, top)
-        top = merged
-    outs[0] = smooth(1, top)
-    outs.append(np.ascontiguousarray(outs[3][:, :, ::2, ::2]))
-    return Pyramid(levels=outs)
+    state = features
+    for _, _, part in fpn_parts([f.width for f in features], p):
+        state = part(state, params)
+    return state

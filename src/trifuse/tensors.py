@@ -17,17 +17,18 @@ into the float32 output.  :func:`linear` widens and multiplies its rows
 1,024 at a time into reused float64 buffers.  :func:`conv2d` computes two
 groupings, dense (groups 1) and depthwise (groups == Cin, with
 Cout == Cin or Cin == 1), and raises :class:`~trifuse.errors.ShapeError`
-for any other before it allocates.  Its dense path pads only the input
-rows a band reads, and builds its float64 im2col columns in bands of
-output rows whose columns and product take at most 8 MB each, rounding
-each band's product into its slice of the float32 output; the depthwise
-path works channels-last beside its padded input, in bands of output rows
-with a float64 accumulator of at most 512 KB unless one output row alone
-needs more.
+for any other before it allocates.  Both paths pad only the input rows a
+band of output rows reads, so neither copies its whole input.  The dense
+path builds its float64 im2col columns in bands whose columns and product
+take at most 4 MB each, rounding each band's product into its slice of
+the float32 output; the depthwise path works channels-last, in bands with
+a float64 accumulator of at most 512 KB unless one output row alone needs
+more.
 
 :func:`gelu` and :func:`sigmoid` take ``erf`` and ``expit`` from
 ``scipy.special``, imported on their first call, so a process that runs
 no forward (``synth``, ``eval``, ``bin-events``) never loads scipy.
+:func:`gelu` holds one buffer the size of its input and one band.
 
 One rule names every layer's parameters: a dense layer is ``<layer>.w``
 of shape (Cin, Cout) plus ``<layer>.b``, a conv ``<layer>.w`` of (Cout,
@@ -50,10 +51,11 @@ DTYPE = np.float32
 # size of one band of dense-conv im2col columns, and of its float64
 # product (a 1x1 conv widening 64 to 256 channels has a product 4x its
 # columns).  BLAS re-packs the weight matrix for every band; with the FPN's
-# 4.7 MB 3x3 weights, 8 MB bands ran the stride-4 smoothing conv 7% slower
-# than 16 MB bands (245 vs 228 ms) and 4 MB bands 10%, but 8 MB bands take
-# 8 MB off the FPN's peak, which was the default forward's
-_COL_BAND_BYTES = 8 << 20
+# 4.7 MB 3x3 weights, the stride-4 smoothing conv (80 x 104) took a median
+# 234 ms with 8 MB bands, 243-248 ms with 4 MB and 267-270 ms with 2 MB
+# (2-vCPU Xeon, one BLAS thread).  4 MB bands take 4 MB off the FPN's last
+# part, which sets the grid's peak
+_COL_BAND_BYTES = 4 << 20
 # size of one band of the depthwise conv's float64 accumulator.  With its
 # float32 products and input rows a band stays inside a 2 MB L2; on such a
 # core, bands from 64 KB to 4 MB timed the same, so the size mainly bounds
@@ -69,6 +71,9 @@ _KEY_TILE = 2048
 # below this is computed again, each row shifted by its max.  Above it a
 # row's largest weight is a normal float64 for any key count below 1e10
 _MIN_ROW_SUM = 1e-290
+# values per band of gelu's 0.5 * x factor: 256 KB of float32, in cache
+# while it multiplies into the output
+_GELU_BAND = 1 << 16
 # float64 draws per band of trunc_normal's first draw: 512 KB, in cache
 # while it is scaled, rounded into the float32 output and tested
 _DRAW_BAND = 1 << 16
@@ -179,28 +184,36 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
 def _depthwise(x, w, b, stride, pad, ho, wo):
     """Depthwise conv, channels-last, in row bands of one cache-sized float64
-    accumulator.  Each tap's product, in the input dtype, is added in
-    float64 in (dy, dx) order and the float64 bias last, as the tap loop
+    accumulator; each band copies the input rows it reads into one reused
+    zero-padded buffer.  Each tap's product, in the input dtype, is added
+    in float64 in (dy, dx) order and the float64 bias last, as the tap loop
     over (B, C, H, W) maps did, so the result is bitwise the same."""
     bsz = x.shape[0]
     # one input channel broadcasts against every output channel's taps
     cout, _, kh, kw = w.shape
+    h, wid = x.shape[2:]
     # a token matrix viewed as a map is contiguous in this order
     xl = x.transpose(0, 2, 3, 1)
-    xp = np.pad(xl, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else np.ascontiguousarray(xl)
     taps = w[:, 0].transpose(1, 2, 0)  # (kh, kw, Cout)
     out = np.empty((bsz, ho, wo, cout), DTYPE)
     rows = max(1, _DW_BAND_BYTES // (wo * cout * 8))
     acc = np.empty((min(rows, ho), wo, cout), np.float64)
     prod = np.empty(acc.shape, np.result_type(x, w))
+    # the padded input rows of one band; its pad columns stay zero
+    xp = np.zeros(((acc.shape[0] - 1) * stride + kh, wid + 2 * pad, x.shape[1]), x.dtype)
     for n in range(bsz):
         for r0 in range(0, ho, rows):
             r1 = min(r0 + rows, ho)
-            a, p = acc[: r1 - r0], prod[: r1 - r0]
+            lo, hi = r0 * stride - pad, (r1 - 1) * stride + kh - pad
+            top, bottom = max(-lo, 0), max(hi - h, 0)
+            xb, a, p = xp[: hi - lo], acc[: r1 - r0], prod[: r1 - r0]
+            xb[:top] = 0.0
+            xb[hi - lo - bottom :] = 0.0
+            xb[top : hi - lo - bottom, pad : pad + wid] = xl[n, lo + top : hi - bottom]
             a.fill(0.0)  # as the tap loop did: -0.0 products sum to +0.0
             for dy in range(kh):
                 for dx in range(kw):
-                    src = xp[n, dy + r0 * stride : dy + r1 * stride : stride, dx : dx + wo * stride : stride]
+                    src = xb[dy : dy + (r1 - r0) * stride : stride, dx : dx + wo * stride : stride]
                     np.multiply(src, taps[dy, dx], out=p)
                     a += p
             _round_into(out[n, r0:r1], a, b)
@@ -247,21 +260,27 @@ def sigmoid(x):
 
 
 def gelu(x):
-    """Exact (erf) GELU, ``0.5 * x * (1 + erf(x / sqrt(2)))``, in two
-    buffers the size of ``x``: erf in place on the scaled input, then the
-    1 added and the product with ``0.5 * x`` taken in place.  A float32
-    input stays 32-bit; any other is evaluated in float64 and rounded."""
+    """Exact (erf) GELU, ``0.5 * x * (1 + erf(x / sqrt(2)))``, in one
+    buffer the size of ``x`` and one band: erf in place on the scaled
+    input, the 1 added in place, then ``0.5 * x`` taken ``_GELU_BAND``
+    values at a time and multiplied in.  A contiguous input is read in
+    place.  A float32 input stays 32-bit; any other is evaluated in float64
+    and rounded."""
     from scipy.special import erf
 
     x = np.asarray(x)
     if x.dtype == DTYPE:  # elementwise, no accumulation: stay 32-bit
-        out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty_like(x))
+        out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty(x.shape, DTYPE))
     else:
         x = np.asarray(x, np.float64)
-        out = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
+        out = np.divide(x, np.sqrt(2.0), out=np.empty(x.shape))
     erf(out, out=out)
     out += 1.0
-    out *= np.multiply(x, 0.5)
+    flat, xs = out.reshape(-1), x.reshape(-1)
+    half = np.empty(min(_GELU_BAND, flat.size), out.dtype)
+    for r0 in range(0, flat.size, _GELU_BAND):
+        h = half[: min(_GELU_BAND, flat.size - r0)]
+        flat[r0 : r0 + h.size] *= np.multiply(xs[r0 : r0 + h.size], 0.5, out=h)
     return out if out.dtype == DTYPE else out.astype(DTYPE)
 
 

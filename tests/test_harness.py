@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from trifuse import backbone, harness
+from trifuse import backbone, harness, neck
 from trifuse.errors import ConfigError, ShapeError, TrifuseError
 from trifuse.harness import (
     RunConfig,
@@ -258,16 +258,16 @@ def tiled_params(specs, seed):
 def single_report(cfg):
     """The cell's report from one whole forward, without the grid engine:
     one ``init_params`` draw of every array, then ``forward_dual`` and
-    ``fpn``, or the error report a grid cell records.  ``init_params`` and
-    ``fpn`` are looked up on ``harness`` at call time, so a test's
-    monkeypatch applies here too."""
+    ``fpn``, or the error report a grid cell records.  ``init_params`` is
+    looked up on ``harness`` at call time, so a test's monkeypatch applies
+    here too."""
     try:
         specs = build_param_specs(cfg.validate())
         params = harness.init_params(specs, cfg.seed)
         diag = {}
         feats = backbone.forward_dual(make_input(cfg)[0], cfg.backbone_config(), cfg.fusion_config(),
                                       params, cfg.modalities, diag=diag)
-        pyramid = harness.fpn(feats, params)
+        pyramid = neck.fpn(feats, params)
     except TrifuseError as e:
         return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}").to_dict()
     return RunReport(config=cfg.to_dict(), stage_shapes=[f.map.shape for f in feats],
@@ -335,6 +335,14 @@ def parts(depth):
     return [(0,), *((1, j) for j in range(depth)), (2,)]
 
 
+def fpns(calls):
+    """The stage-feature shapes each FPN in ``calls`` ran on: the FPNs of a
+    grid call run their four parts in four turns, each part once."""
+    firsts = [shapes for j, shapes in calls if j == 0]
+    assert [j for j, _ in calls] == [j for j in range(4) for _ in firsts]
+    return firsts
+
+
 class TestGridEngine:
     """Grid cells share parameter arrays and nodes across one grid call."""
 
@@ -354,14 +362,21 @@ class TestGridEngine:
         assert_reports_equal_per_cell_runs(reports)
 
     def _count_fpns(self, monkeypatch):
+        """The index of each FPN part the engine runs, in order, and for a
+        first part the shapes of the stage features it is given."""
         calls = []
-        real = harness.fpn
+        real = harness.fpn_parts
 
-        def counting(feats, params):
-            calls.append([f.map.shape for f in feats])
-            return real(feats, params)
+        def counting(widths):
+            def counted(j, part):
+                def run(state, params):
+                    calls.append((j, [f.map.shape for f in state] if j == 0 else None))
+                    return part(state, params)
+                return run
 
-        monkeypatch.setattr(harness, "fpn", counting)
+            return [(name, specs, counted(j, part)) for j, (name, specs, part) in enumerate(real(widths))]
+
+        monkeypatch.setattr(harness, "fpn_parts", counting)
         return calls
 
     def _record_memos(self, monkeypatch):
@@ -376,14 +391,14 @@ class TestGridEngine:
         return memos
 
     def test_each_stage_encoded_once_per_prefix(self, monkeypatch, node_calls):
-        fpns = self._count_fpns(monkeypatch)
+        calls = self._count_fpns(monkeypatch)
         run_grid(FAST, self.PREFIXES)
         # each part of a stream's stage once per prefix: 56 part nodes, where
         # one cell at a time ran 192
         assert ran(node_calls) == {(s, p, part): 4 if s == 4 else 1
                                    for s in range(1, 5) for p in "ab" for part in parts(2)}
         # the pyramid's shapes depend on the input and widths; one FPN per cell made 6
-        assert len(fpns) == 1
+        assert len(fpns(calls)) == 1
 
     def test_fpn_runs_once_per_input_and_widths(self, monkeypatch):
         calls = self._count_fpns(monkeypatch)
@@ -392,7 +407,7 @@ class TestGridEngine:
         assert sum(r.ok for r in reports) == 4
         # one per set of widths: the modality sets share theirs, and no B9
         # cell reaches the neck
-        assert [[s[1] for s in shapes] for shapes in calls] == [[32, 64, 160, 256], [64, 128, 320, 512]]
+        assert [[s[1] for s in shapes] for shapes in fpns(calls)] == [[32, 64, 160, 256], [64, 128, 320, 512]]
         assert_reports_equal_per_cell_runs(reports)
 
     def test_fpn_keyed_by_input(self, monkeypatch):
@@ -400,7 +415,7 @@ class TestGridEngine:
         configs = [replace(FAST, input_size=size, mechanism=m)
                    for size in ((64, 64), (64, 96)) for m in ("cssa", "none")]
         reports = harness._run_cells(configs)
-        assert [shapes[0][2:] for shapes in calls] == [(16, 16), (16, 24)]
+        assert [shapes[0][2:] for shapes in fpns(calls)] == [(16, 16), (16, 24)]
         assert_reports_equal_per_cell_runs(reports)
 
     def test_fused_stages_keyed_by_the_settings_their_block_reads(self, node_calls):
@@ -419,32 +434,34 @@ class TestGridEngine:
     def test_nodes_dropped_after_their_last_user(self, node_calls):
         run_grid(FAST, self.PREFIXES)
         # the stage-part outputs (tokens or maps) alive as each stage-4 node
-        # and the FPN start.  Stream A's four embeds start from the stage-3
-        # norms the three [4] cells share (the [3, 4] cells start from their
-        # merges), and each part's four outputs replace its four inputs
-        # once the last cell to read an input has passed it.  Stream B's
-        # parts run while the four stream-A maps wait for the merges, and
-        # nothing is left when the FPN runs
+        # and each FPN part start.  Stream A's four embeds start from the
+        # stage-3 norms the three [4] cells share (the [3, 4] cells start
+        # from their merges), and each part's four outputs replace its four
+        # inputs once the last cell to read an input has passed it.  Stream
+        # B's parts run while the four stream-A maps wait for the merges, and
+        # nothing is left when the FPN's four parts run
         alive = [sum(t[1] in ("a", "b") for t in c.values) for c in node_calls if c.turn[0] >= 4]
-        assert alive == [2, 3, 4, 5] + [5, 6, 7, 8] * 3 + [5, 6, 7, 8] + [8, 9, 10, 11] * 3 + [8] * 6 + [0]
+        assert alive == [2, 3, 4, 5] + [5, 6, 7, 8] * 3 + [5, 6, 7, 8] + [8, 9, 10, 11] * 3 + [8] * 6 + [0] * 4
 
     def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch, node_calls):
         memos = self._record_memos(monkeypatch)
         run_grid(FAST, self.PREFIXES)
-        # the merge maps alive as each merge and the FPN start.  The first
-        # cell (cssa at [4]) keeps its stage features for the one FPN node
+        # the merge maps alive as each merge and each FPN part start.  The
+        # first cell (cssa at [4]) keeps its stage features for the one FPN
         # from each merge on: one at each of stages 1 and 2, the unfused
         # stage-3 merge the [4] cells share, and its own stage-4 merge.  The
         # three fused stage-3 maps live only until the [3, 4] cells' stage-4
         # embeds have read them, and every other cell keeps only the shapes
         # of its features, where keeping its stage-4 features until its FPN
-        # turn made 9 at the FPN, and keeping all of them to the end 12
+        # turn made 9 at the FPN, and keeping all of them to the end 12.
+        # Each FPN part drops the feature it read: its state holds only the
+        # features not yet read
         alive = [sum(t[1] == "merge" for t in c.values) for c in node_calls if c.turn[1] in ("merge", "fpn")]
-        assert alive == [0, 1, 2, 3, 4, 5, 3, 4, 4, 4, 4, 4, 4]
+        assert alive == [0, 1, 2, 3, 4, 5, 3, 4, 4, 4, 4, 4] + [4, 3, 2, 1]
         assert not any(m.values for m in memos)
 
     def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch, node_calls):
-        fpns = self._count_fpns(monkeypatch)
+        calls = self._count_fpns(monkeypatch)
         drawn = Counter()
 
         def counting(specs, seed):
@@ -466,7 +483,7 @@ class TestGridEngine:
             want.update({(3, p, (1, j)): 1 for j in range(18, 27)})
             want.update({(4, p, part): 3 for part in parts(3)})
         assert ran(node_calls) == want
-        assert len(fpns) == 1
+        assert len(fpns(calls)) == 1
         want = {(s, 0) for r in reports for s in build_param_specs(RunConfig.from_dict(r.config))}
         assert drawn == Counter(want)
         assert_reports_equal_per_cell_runs(reports)
@@ -484,21 +501,36 @@ class TestGridEngine:
 
     def test_arrays_live_from_first_reader_to_last(self, monkeypatch, node_calls):
         memos = self._record_memos(monkeypatch)
+        drawn = Counter()
+
+        def counting(specs, seed):
+            drawn.update(s.name for s in specs)
+            return init_params(specs, seed)
+
+        monkeypatch.setattr(harness, "init_params", counting)
         run_grid(FAST, {"variant": ["B0", "B1"], "mechanism": ["cssa"], "stages": [[4], [3, 4]]})
-        # every stage part and FPN runs with its own arrays alive and no
+        # every stage part and FPN part runs with its own arrays alive and no
         # other: the last part's are gone, and of two variants' arrays of one
-        # name only its own.  B1's FPN still reads the fpn.out arrays that
+        # name only its own.  B1's FPN parts read the fpn.out arrays that
         # B0's drew, and B1's cssa merge the width-free fuse.s3 arrays, which
         # wait for it through B1's unfused stage-3 merge
-        assert len(node_calls) == 95 and [c.turn[1] for c in node_calls].count("fpn") == 2
+        fpn = [c for c in node_calls if c.turn[1] == "fpn"]
+        assert len(node_calls) == 101 and [c.turn for c in fpn] == [(5, "fpn", (j,)) for j in range(4) for _ in "01"]
         merges = [c for c in node_calls if c.turn[1] == "merge"]
         assert all(c.live == c.reads for c in node_calls if c.turn[1] != "merge")
         assert all(set(c.reads) <= set(c.live) for c in merges)
         assert {n for c in merges for n in set(c.live) - set(c.reads)} == {
             "fuse.s3.cssa.a.score.b", "fuse.s3.cssa.a.score.w", "fuse.s3.cssa.b.score.b",
             "fuse.s3.cssa.b.score.w", "fuse.s3.cssa.sp.out.b"}
-        fpn = node_calls[-1]
-        assert {n for n in fpn.live if n.startswith("fpn.out")} == {f"fpn.out{i}.{w}" for i in range(1, 5) for w in "wb"}
+        # each FPN part reads its lateral and the smoothing conv of the level
+        # above, the last one level 1's too: never all 16 FPN arrays at once
+        names = [sorted(f"fpn.{layer}.{w}" for layer in layers for w in "bw")
+                 for layers in (["lat4"], ["lat3", "out4"], ["lat2", "out3"], ["lat1", "out1", "out2"])]
+        assert [c.live for c in fpn] == [n for n in names for _ in "01"]
+        # an FPN array is drawn once per grid call: the laterals' weights
+        # once per widths, the width-free smoothing convs and biases once
+        assert {n: k for n, k in drawn.items() if n.startswith("fpn.")} == {
+            f"fpn.{layer}{i}.{w}": 1 + (layer + w == "latw") for layer in ("lat", "out") for i in range(1, 5) for w in "wb"}
         assert len(memos) == len({c.turn for c in node_calls}) and not any(m.values for m in memos)
 
     @pytest.mark.parametrize("sweep, stage, calls", [
@@ -666,8 +698,10 @@ class TestAblationGridEngine:
         turns = [c.turn for c in node_calls]
         assert turns == sorted(turns)
         assert {t[2] for t in turns if t[:2] == (3, "a")} == set(parts(27))
-        # and the two FPNs (B0's widths and B1-B4's) after every stage node
-        assert turns[-2:] == [(5, "fpn", ())] * 2 and turns.count((5, "fpn", ())) == 2
+        # and the two FPNs (B0's widths and B1-B4's) after every stage node,
+        # part by part
+        assert turns[-8:] == [(5, "fpn", (j,)) for j in range(4) for _ in "01"]
+        assert sum(t[1] == "fpn" for t in turns) == 8
 
     def test_each_distinct_config_runs_once(self, monkeypatch):
         calls = self._watch_cells(monkeypatch)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,13 @@ from trifuse.neck import (
     PYRAMID_WIDTH,
     fpn,
     fpn_param_specs,
+    fpn_parts,
 )
 from trifuse import tensors
 from trifuse.tensors import ParamStore, conv2d, init_params, param_count
 
 from oracles import fpn_merge_float64
+from test_backbone import _Reads
 
 WIDTHS = (8, 16, 32, 64)
 
@@ -62,6 +65,15 @@ def _fpn_float64_merge(features, params, p="fpn"):
         for i, m in enumerate(merged)
     ]
     return outs + [outs[3][:, :, ::2, ::2]]
+
+
+def _bytes(state):
+    """Every array of an FPN part's state or pyramid, as bytes, in order."""
+    if isinstance(state, np.ndarray):
+        return [state.tobytes()]
+    if isinstance(state, (list, tuple)):
+        return [b for s in state for b in _bytes(s)]
+    return _bytes(getattr(state, "levels", None) or state.map)
 
 
 def _finite_float32_pairs(rng, n):
@@ -171,6 +183,29 @@ class TestFpn:
         feats[1].stride = 7
         with pytest.raises(ShapeError, match="stride"):
             fpn(feats, _params())
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_each_part_reads_exactly_its_declared_specs(self, rng, odd):
+        # a grid node is given its part's declared arrays and no others
+        state = _odd_features(rng, 19, 23) if odd else _features(rng, 16, 24)
+        parts = fpn_parts(WIDTHS)
+        for name, specs, part in parts:
+            store = _Reads(specs)
+            state = part(state, store)
+            assert len(store) == len(specs), name  # no name declared twice
+            assert store.read == set(store.names()), name
+        assert sorted(s.name for _, specs, _ in parts for s in specs) == sorted(s.name for s in fpn_param_specs(WIDTHS))
+
+    def test_parts_leave_their_input_unchanged(self, rng):
+        # a grid node times its part by calling it again on the same state
+        params = _params(seed=1)
+        state = _features(rng, 16, 24)
+        for _, _, part in fpn_parts(WIDTHS):
+            before = copy.deepcopy(state)
+            first, again = part(state, params), part(state, params)
+            assert _bytes(state) == _bytes(before)
+            assert _bytes(first) == _bytes(again)
+            state = first
 
     def test_param_count_closed_form(self):
         want = sum(256 * c + 256 + 256 * 256 * 9 + 256 for c in WIDTHS)

@@ -100,11 +100,14 @@ class TestConv2d:
             want = depthwise_nchw_taps(x, wt, b, stride=stride, pad=1)
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
-    def test_depthwise_memory_is_padded_input_plus_two_bands(self, rng):
+    @pytest.mark.parametrize("tokens", [False, True])
+    def test_depthwise_memory_is_output_plus_one_band(self, rng, tokens):
         # the B1 stage-1 Mix-FFN depthwise conv: 256 channels at 80 x 104,
-        # passed as a token view
+        # passed as a token view as mix_ffn passes it, or as a map
         c, h, w = 256, 80, 104
-        x = rng.standard_normal((1, h * w, c)).astype(np.float32).transpose(0, 2, 1).reshape(1, c, h, w)
+        x = rng.standard_normal((1, c, h, w)).astype(np.float32)
+        if tokens:
+            x = to_tokens(x).transpose(0, 2, 1).reshape(1, c, h, w)
         wt = rng.standard_normal((c, 1, 3, 3)).astype(np.float32)
         b = rng.standard_normal(c).astype(np.float32)
         tracemalloc.start()
@@ -113,9 +116,11 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        padded = (h + 2) * (w + 2) * c * 4
-        # a full-size float64 accumulator alone would be 2 * out.nbytes
-        assert peak <= out.nbytes + padded + 2 * tensors._DW_BAND_BYTES
+        # one band: its float64 accumulator, its float32 products and its
+        # padded input rows, each at most _DW_BAND_BYTES here.  A padded
+        # copy of the whole input (8.9 MB) or a full-size float64
+        # accumulator (2 * out.nbytes) would not fit
+        assert peak <= out.nbytes + 3 * tensors._DW_BAND_BYTES
 
     @pytest.mark.parametrize("stride,pad,groups", [(1, 0, 1), (2, 1, 1), (2, 3, 1)])
     def test_general_vs_loop_oracle(self, rng, stride, pad, groups):
@@ -252,8 +257,9 @@ class TestElementwiseAndPools:
         assert got.dtype == np.float32 and got.shape == x.shape
         assert got.tobytes() == gelu_expression(x).tobytes()
 
-    def test_gelu_holds_two_output_sized_buffers(self, rng):
-        # the B1 stage-1 Mix-FFN hidden tokens
+    def test_gelu_holds_one_output_sized_buffer_plus_one_band(self, rng):
+        # the B1 stage-1 Mix-FFN hidden tokens: the output and one band of
+        # 0.5 * x; a whole-size 0.5 * x (8.5 MB) would not fit
         x = rng.standard_normal((1, 8320, 256)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -261,7 +267,7 @@ class TestElementwiseAndPools:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * out.nbytes + (64 << 10)
+        assert peak <= out.nbytes + tensors._GELU_BAND * 4 + (64 << 10)
 
     def test_avg_pool_constant(self):
         x = np.full((2, 3, 4, 5), 2.5, np.float32)
