@@ -20,10 +20,8 @@ from .data import (
     GroundTruthBox,
     NormStats,
     TriModalFrame,
-    compute_stats,
     default_stats,
     denormalize,
-    filter_split,
     load_frame,
     load_manifest,
     normalize,

@@ -158,9 +158,10 @@ def cmd_bin_events(args):
             raise FormatError(f"{where}: {e}") from e
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
+    digits = max(4, len(str(len(stamps) - 1)))  # names sort in stamp order
     for i, ts in enumerate(stamps):
         frame = bin_events(stream, ts, args.dt)
-        write_npy(out_dir / f"frame_{i:04d}.npy", frame)
+        write_npy(out_dir / f"frame_{i:0{digits}d}.npy", frame)
     print(f"wrote {len(stamps)} frames -> {out_dir}")
     return EXIT_OK
 

@@ -9,7 +9,6 @@ JSON manifest carrying day/night flags.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import tokenize
@@ -19,11 +18,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import ConfigError, FormatError, ValidationError
-
-log = logging.getLogger(__name__)
-
-STD_EPS = 1e-6
+from .errors import FormatError, ValidationError
 
 # the most pixels one frame may hold, checked before anything is allocated:
 # 31x the default 320x416 padded frame, room for a 1280x720 event sensor,
@@ -261,12 +256,10 @@ class NormStats:
             raise ValidationError(f"channel {bad} std must be > 0, got {self.std[bad]}")
 
 
-def default_stats(pixel_range=1.0, thermal=(0.5, 0.25), event=(0.0, 0.5)):
-    """ImageNet RGB statistics scaled to the stored pixel range, plus
-    caller-supplied thermal/event statistics."""
-    mean = [m * pixel_range for m in IMAGENET_MEAN] + [thermal[0], event[0]]
-    std = [s * pixel_range for s in IMAGENET_STD] + [thermal[1], event[1]]
-    return NormStats(mean, std)
+def default_stats():
+    """ImageNet RGB statistics for inputs in [0, 1], plus fixed thermal and
+    event statistics."""
+    return NormStats([*IMAGENET_MEAN, 0.5, 0.0], [*IMAGENET_STD, 0.25, 0.5])
 
 
 def normalize(frame, stats):
@@ -286,34 +279,6 @@ def denormalize(tensor, stats):
     m = stats.mean.reshape(1, 5, 1, 1)
     s = stats.std.reshape(1, 5, 1, 1)
     return (tensor.astype(np.float64) * s + m).astype(np.float32)
-
-
-def compute_stats(manifest, channels=(3, 4), pixel_range=1.0):
-    """Streaming per-channel mean/std over a split's pixels.
-
-    Channels not listed keep the ImageNet defaults (scaled by pixel_range).
-    Constant channels get their std clamped to ``STD_EPS`` instead of failing.
-    """
-    if not manifest.entries:
-        raise ValidationError("cannot compute statistics over an empty manifest")
-    stats = default_stats(pixel_range=pixel_range)
-    mean, std = stats.mean.copy(), stats.std.copy()
-    n = 0
-    tot = np.zeros(len(channels))
-    tot2 = np.zeros(len(channels))
-    for entry in manifest.entries:
-        frame = load_frame(entry.image, None)
-        for j, c in enumerate(channels):
-            ch = frame.pixels[0, c].astype(np.float64)
-            tot[j] += ch.sum()
-            tot2[j] += (ch * ch).sum()
-        n += frame.height * frame.width
-    for j, c in enumerate(channels):
-        mu = tot[j] / n
-        var = max(tot2[j] / n - mu * mu, 0.0)
-        mean[c] = mu
-        std[c] = max(np.sqrt(var), STD_EPS)
-    return NormStats(mean, std)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +314,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list
-
-    def __len__(self):
-        return len(self.entries)
 
     def counts(self):
         day = sum(1 for e in self.entries if e.day_night == "day")
@@ -396,15 +358,3 @@ def save_manifest(path, manifest):
     ]
     with open(path, "w") as f:
         json.dump(records, f, indent=1)
-
-
-def filter_split(manifest, selector):
-    """Subset a manifest by illumination flag: all, day, or night."""
-    if selector not in ("all", "day", "night"):
-        raise ConfigError(f"selector must be all/day/night, got {selector!r}")
-    if selector == "all":
-        return DatasetManifest(list(manifest.entries))
-    kept = [e for e in manifest.entries if e.day_night == selector]
-    if not kept:
-        log.warning("filter_split(%s) produced an empty manifest", selector)
-    return DatasetManifest(kept)

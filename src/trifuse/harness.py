@@ -4,28 +4,49 @@ Assembles the full pipeline (data -> streams -> dual backbone -> FPN) for
 each configuration, and enumerates ablation grids over placement,
 mechanism hyperparameters, modality subsets and backbone capacity.  Every
 run is deterministic given (config, seed) and its report embeds the config
-so it can be replayed.  One engine runs every cell, and ``run_single``
-(behind ``inspect``) is a grid of one.  Each cell's walk yields its nodes
-in order: the input, each stream's stage parts (the patch embed, each
-block and the final norm), each stage merge, and the FPN's parts (one per
-lateral).  A node reads the arrays its own declaration lists: a part's
-specs from ``backbone.stage_parts`` or ``neck.fpn_parts`` and a fused
-merge's ``fusion_param_specs``.  A node is keyed by what it reads, its
-input node and its arrays, so nested variants share their common parts
-and modality sets share a stream up to its first fused stage.  An array,
-keyed by (ParamSpec, seed) and bitwise equal to a fresh ``init_params``,
-is drawn just before its first reader and dropped after its last.  One
-loop steps the cells by turn label (stage, stream, part), so the nodes
-that read one block's arrays run back to back, whatever the cells'
-depths, and only that block's arrays are live; last, one FPN runs per
-input and widths, part by part, so only one part's arrays are live.  A
-report equals what one whole ``forward_dual`` and ``fpn`` give, except
-that ``forward_ms`` is composed: the sum of the median times of the patch
-embed, block and final-norm nodes, the merges and the FPN's parts on the
-cell's walk.  A config listed more than once runs once and
-every listing gets its report.  Within a turn the cells go in (seed,
-variant, modalities) order, on the calling thread: the benchmark pins BLAS
-to one thread, so a report times single-core work.
+so it can be replayed.
+
+One grid engine runs every cell, and ``run_single`` (behind ``inspect``)
+is a grid of one.  This is its one description:
+
+- *Turns.* Each cell's walk yields its nodes in order, each in a turn
+  labelled (stage, stream, part): the input (0, "input", ()); per stage,
+  each stream's patch embed (0,), block j (1, j) and final norm (2,), then
+  the merge (stage, "merge", ()); last, the FPN's parts, one per lateral,
+  (5, "fpn", (j,)).  One loop steps the cells by turn: each pass runs the
+  lowest label any cell waits at, for every cell waiting there, so the
+  nodes that read one block's arrays run back to back, whatever the
+  cells' depths.  Within a turn the cells go in (seed, variant,
+  modalities) order, on the calling thread: the benchmark pins BLAS to one
+  thread, so a report times single-core work.
+- *Keys.* A node is keyed by what it reads, not by which cell asks: the
+  input by (input_size, batch, source, seed); a stage part by its name,
+  the stage geometry, ``timing_reps`` and its input node, for a stage-1
+  embed the stream's channel slice of the input; a merge by the stage, the
+  fusion settings its block reads (None if unfused) and its two final
+  norms; an FPN part by its name and the part before it, the first by the
+  input, the widths and ``timing_reps``.  A fused stage feeds its merge to
+  both next embeds, an unfused one each stream's norm to its own.  So
+  nested variants share their common parts, modality sets share a stream
+  up to its first fused stage, and a node runs once per grid call however
+  many cells pass it.  A config listed more than once runs once, and every
+  listing gets its report.
+- *Arrays.* A node reads the arrays its declaration lists, seeded by the
+  cell's seed: a part's specs from ``backbone.stage_parts`` or
+  ``neck.fpn_parts``, a fused merge's ``fusion_param_specs``.  An array is
+  keyed by (ParamSpec, seed), bitwise equal to a fresh ``init_params``
+  by per-name seeding, drawn just before its first reader and dropped
+  after its last.  So only one block's arrays are live, or one FPN part's,
+  which the FPNs of all widths share where they are width-free.
+- *Parking.* A report keeps only the pyramid's shapes and the FPN's time,
+  so one FPN runs per input and widths, after every stage turn, on the
+  stage features of its first cell.  The first of its cells to reach each
+  merge parks the stage feature for the FPN's first part to take; every
+  other cell keeps the feature's shape alone.
+- *Time.* A report equals what one whole ``forward_dual`` and ``fpn``
+  give, except that ``forward_ms`` is composed: the sum of the median
+  times, over ``timing_reps`` calls, of the patch embed, block and
+  final-norm nodes, the merges and the FPN's parts on the cell's walk.
 """
 
 from __future__ import annotations
@@ -299,19 +320,11 @@ class _Step(NamedTuple):
 
 class _Memo:
     """What the cells of one turn share: the nodes they pass and the arrays
-    those nodes read.
-
-    ``values`` is one table of outcomes, a value or the error that
-    computing it raised: a node keyed by its node key, a parameter array by
-    (ParamSpec, seed), each computed by the first to need it.  ``users``
-    counts the turn's cells still to pass each node and the turn's nodes
-    still to read each array, so a value is dropped after its last user.  A
-    node's key names its stage, stream and part, and only that part (or
-    that stage's fusion block, or that FPN part) declares the arrays it
-    reads, so every cell that passes a node passes it in the same turn, and
-    every node that reads an array reads it in the same turn: each is
-    computed once per grid call.
-    """
+    those nodes read.  ``values`` holds each one's outcome, a value or the
+    error that computing it raised, computed by the first to need it;
+    ``users`` counts the turn's cells still to pass each node and the
+    turn's nodes still to read each array, so each is dropped after its
+    last user."""
 
     def __init__(self, steps):
         reads = {step.key: step.arrays for step in steps}
@@ -379,34 +392,12 @@ def _parked(params, reps, part, parked, key):
 
 
 def _run_cell(cfg, parked):
-    """One grid cell's walk: a generator that yields each node the cell
-    passes, in order, as a ``_Step``, is sent the node's value or has the
-    error that computing it raised thrown in, and returns the cell's report.
-
-    The turns are labelled (stage, stream, part): (0, "input", ()) for the
-    input, then for each stage each stream's patch embed (0,), block j
-    (1, j) and final norm (2,), then (stage, "merge", ()) for the stage
-    merge, and (5, "fpn", (j,)) for the FPN's part j.  A node's key says
-    what it reads: the input by (input_size, batch, source, seed); a stage
-    part by its name, the stage geometry, and its input node, for a stage-1
-    embed the stream's channel slice of the input; a merge by the stage,
-    the fusion settings its block reads (None if unfused) and its two final
-    norms; and an FPN part by its name and the part before it, the first
-    by the input and the widths, which fix the stage shapes.  Each node
-    reads the arrays its declaration lists, seeded by the cell's seed: a
-    part its ``specs`` from ``backbone.stage_parts`` or ``neck.fpn_parts``
-    and a fused merge ``fusion_param_specs``.  A fused stage feeds its
-    merge to both next embeds, an unfused one each stream's norm to its
-    own, so variants share parts up to where their input or arrays differ,
-    and modality sets share a stream up to its first fused stage.  The
-    FPN's parts depend on the input and widths alone, since a report keeps
-    only the pyramid's shapes and the FPN's time: the first of its cells to
-    reach each merge parks its stage feature in ``parked`` for the first
-    part to pop, and every other cell keeps the feature's shape alone.
-    Each part's state holds only the stage features no part has read yet.
-    ``forward_ms`` sums the median times of the patch embeds, blocks and
-    final norms, the merges and the FPN's parts.  An error in
-    ``_CELL_ERRORS`` is returned, not raised."""
+    """One grid cell's walk, as the module docstring describes it: a
+    generator that yields each node the cell passes, in order, as a
+    ``_Step``, is sent the node's value or has the error that computing it
+    raised thrown in, and returns the cell's report.  The cell parks stage
+    features for its FPN in ``parked``.  An error in ``_CELL_ERRORS`` is
+    returned, not raised."""
     try:
         cfg.validate()
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
@@ -472,29 +463,9 @@ def _advance(cell, memo, step):
 
 
 def _run_cells(configs):
-    """The grid engine: run ``configs`` and return, in order, each one's
-    report or the error in ``_CELL_ERRORS`` that failed it.
-
-    Each distinct config runs once and its repeats get the same outcome.
-    Per-name seeding makes an array shared by (ParamSpec, seed) bitwise
-    equal to the cell's own ``init_params``, so a shared node computes what
-    the cell's own forward would.  One loop steps the cells by turn label,
-    (stage, stream, part): each pass takes the lowest label any pending
-    cell waits at and runs that turn's node for every cell waiting there,
-    sharing one ``_Memo``.  So cells of different depths stay aligned block
-    by block: the nodes that read one block's arrays (B2's, B3's and B4's
-    stage-3 block j, say) run back to back, and each array is drawn once,
-    just before its first reader, and dropped after its last, before the
-    next block's are drawn.  The FPNs run last, when every stage array is
-    gone, part by part, and the FPNs of all widths share each part's
-    width-free arrays.  Between turns a cell holds its current stage input
-    or tokens, its stream-A map until the merge, and the stage shapes; only
-    the first cell of each FPN holds stage features until the FPN reads
-    them.  ``forward_ms`` is the sum of node medians over the patch embed,
-    block and final-norm nodes, the merges and the FPN's parts.  Within a
-    turn the cells go in (seed, variant, modalities) order and otherwise in
-    listing order.
-    """
+    """The grid engine: run ``configs`` turn by turn and return, in order,
+    each one's report or the error in ``_CELL_ERRORS`` that failed it.
+    Within a turn, cells whose sort keys tie go in listing order."""
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
     ordered = sorted(distinct.values(), key=lambda c: tuple(map(str, (c.seed, c.variant, c.modalities))))
@@ -528,10 +499,9 @@ def _recorded(cfg, outcome):
 def run_grid(base, sweep, workers=1):
     """Run every cell of a sweep; individual failures are recorded, not fatal.
 
-    Returns reports sorted by config key.  Cells run on the calling thread,
-    stepped block by block.  ``workers`` is kept, and only 1 is accepted,
-    because the benchmark's grid-light workload still passes ``workers=1``;
-    any other value is a ConfigError.
+    Returns reports sorted by config key.  ``workers`` is kept, and only 1
+    is accepted, because the benchmark's grid-light workload still passes
+    ``workers=1``; any other value is a ConfigError.
     """
     if workers != 1:
         raise ConfigError(f"workers: grid cells run one at a time, got {workers!r}")

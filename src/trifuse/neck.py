@@ -18,32 +18,26 @@ from .tensors import conv, conv_specs
 PYRAMID_WIDTH = 256
 PYRAMID_STRIDES = (4, 8, 16, 32, 64)
 
-# detector-interface constants, attached as metadata only
-ANCHOR_SIZES = (32, 64, 128, 256, 512)
-ANCHOR_RATIOS = (0.5, 1.0, 2.0)
-
 
 @dataclass
 class Pyramid:
     levels: list  # five (B, 256, H_i, W_i) maps
     strides: tuple = PYRAMID_STRIDES
-    anchor_sizes: tuple = ANCHOR_SIZES
-    anchor_ratios: tuple = ANCHOR_RATIOS
 
     def shapes(self):
         return [lvl.shape for lvl in self.levels]
 
 
-def _lateral_specs(stage_widths, k, p):
-    return conv_specs(f"{p}.lat{k}", stage_widths[k - 1], PYRAMID_WIDTH, 1)
+def _lateral_specs(stage_widths, k):
+    return conv_specs(f"fpn.lat{k}", stage_widths[k - 1], PYRAMID_WIDTH, 1)
 
 
-def _smooth_specs(k, p):
-    return conv_specs(f"{p}.out{k}", PYRAMID_WIDTH, PYRAMID_WIDTH, 3)
+def _smooth_specs(k):
+    return conv_specs(f"fpn.out{k}", PYRAMID_WIDTH, PYRAMID_WIDTH, 3)
 
 
-def fpn_param_specs(stage_widths, p="fpn"):
-    return [s for k in range(1, 5) for s in _lateral_specs(stage_widths, k, p) + _smooth_specs(k, p)]
+def fpn_param_specs(stage_widths):
+    return [s for k in range(1, 5) for s in _lateral_specs(stage_widths, k) + _smooth_specs(k)]
 
 
 def _add_upsampled(lat, top):
@@ -63,7 +57,7 @@ def _add_upsampled(lat, top):
     return lat
 
 
-def fpn_parts(stage_widths, p="fpn"):
+def fpn_parts(stage_widths):
     """The top-down FPN as its parts, in order, as ``(name, specs, part)``
     triples, one per lateral: ``specs`` declares every parameter the part
     reads.  Part 4 projects the stage-4 feature; part k (k = 3, 2, 1)
@@ -74,10 +68,10 @@ def fpn_parts(stage_widths, p="fpn"):
     and the last state to the :class:`Pyramid`.  A part builds its state
     anew and never writes to the one it is given."""
     def lateral(feature, params):
-        return conv(feature.map, params, f"{p}.lat{feature.stage}")
+        return conv(feature.map, params, f"fpn.lat{feature.stage}")
 
     def smooth(k, m, params):
-        return conv(m, params, f"{p}.out{k}", stride=1, pad=1)
+        return conv(m, params, f"fpn.out{k}", stride=1, pad=1)
 
     def level4(features, params):
         *rest, f4 = features
@@ -93,13 +87,13 @@ def fpn_parts(stage_widths, p="fpn"):
             levels = [smooth(1, merged, params), *levels]
             return Pyramid(levels + [np.ascontiguousarray(levels[3][:, :, ::2, ::2])])
 
-        specs = _lateral_specs(stage_widths, k, p) + _smooth_specs(k + 1, p)
-        return f"{p}.level{k}", specs + (_smooth_specs(1, p) if k == 1 else []), run
+        specs = _lateral_specs(stage_widths, k) + _smooth_specs(k + 1)
+        return f"fpn.level{k}", specs + (_smooth_specs(1) if k == 1 else []), run
 
-    return [(f"{p}.level4", _lateral_specs(stage_widths, 4, p), level4), *map(merge, (3, 2, 1))]
+    return [("fpn.level4", _lateral_specs(stage_widths, 4), level4), *map(merge, (3, 2, 1))]
 
 
-def fpn(features, params, p="fpn"):
+def fpn(features, params):
     """Standard top-down FPN over the four stage features: the parts of
     :func:`fpn_parts` in turn.
 
@@ -116,6 +110,6 @@ def fpn(features, params, p="fpn"):
         if f.stride != stride:
             raise ShapeError(f"stage {f.stage} has stride {f.stride}, expected {stride}")
     state = features
-    for _, _, part in fpn_parts([f.width for f in features], p):
+    for _, _, part in fpn_parts([f.width for f in features]):
         state = part(state, params)
     return state

@@ -461,17 +461,11 @@ class ParamStore:
         except KeyError:
             raise KeyError(f"no parameter named {name!r}") from None
 
-    def __contains__(self, name):
-        return name in self._arrays
-
     def __len__(self):
         return len(self._arrays)
 
     def names(self):
         return sorted(self._arrays)
-
-    def total_size(self):
-        return sum(a.size for a in self._arrays.values())
 
 
 def trunc_normal(rng, shape, std=0.02, bound=2.0):

@@ -257,7 +257,7 @@ class TestCounts:
     def test_count_matches_materialized_store(self, tiny_cfg):
         fusion = FusionConfig(mechanism="mage_bite", stages=frozenset({1, 3}))
         store = _dual_params(tiny_cfg, fusion)
-        assert count_params(tiny_cfg, fusion) == store.total_size()
+        assert count_params(tiny_cfg, fusion) == sum(store[n].size for n in store.names())
 
     def test_modality_subsets_only_change_stage1_embeds(self):
         fusion = FusionConfig(mechanism="none")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from numpy.lib import format as npy_format
 
-from trifuse import backbone, harness
+from trifuse import backbone, cli, harness
 from trifuse.cli import EXIT_OK, EXIT_PARTIAL_GRID, EXIT_VALIDATION, build_parser, main
 from trifuse.data import read_npy
 
@@ -346,6 +346,18 @@ class TestBinEvents:
         assert f0[1, 2] == 1.0 and f0[2, 3] == -1.0
         f1 = read_npy(out / "frame_0001.npy")
         assert f1[0, 0] == 1.0
+
+    def test_frame_names_sort_in_stamp_order(self, tmp_path, monkeypatch):
+        # 10,001 stamps: the index takes the last index's five digits
+        (tmp_path / "events.txt").write_text("100000 0 0 1\n")
+        (tmp_path / "stamps.txt").write_text("".join(f"{i / 1000}\n" for i in range(10_001)))
+        names = []
+        monkeypatch.setattr(cli, "write_npy", lambda path, frame: names.append(Path(path).name))
+        code = main(["--out", str(tmp_path / "frames"), "bin-events", "--events", str(tmp_path / "events.txt"),
+                     "--timestamps", str(tmp_path / "stamps.txt"), "--sensor-size", "1", "1"])
+        assert code == EXIT_OK
+        assert names[:2] == ["frame_00000.npy", "frame_00001.npy"] and names[-1] == "frame_10000.npy"
+        assert names == sorted(names) and len(set(names)) == 10_001
 
     def test_bad_event_file_exits_one(self, tmp_path, capsys):
         events = tmp_path / "events.txt"

@@ -5,13 +5,8 @@ import pytest
 from numpy.lib import format as npy_format
 
 from trifuse.data import (
-    DatasetManifest,
-    ManifestEntry,
     NormStats,
-    STD_EPS,
-    compute_stats,
     default_stats,
-    filter_split,
     load_frame,
     load_manifest,
     normalize,
@@ -22,7 +17,7 @@ from trifuse.data import (
     text_lines,
     write_npy,
 )
-from trifuse.errors import ConfigError, FormatError, ValidationError
+from trifuse.errors import FormatError, ValidationError
 
 
 class TestNpyFormat:
@@ -173,7 +168,7 @@ class TestNormalize:
         assert np.array_equal(normalize(x, stats), x)
 
     def test_imagenet_channel0_hand_computed(self):
-        stats = default_stats(pixel_range=1.0)
+        stats = default_stats()
         x = np.zeros((1, 5, 1, 3), np.float32)
         x[0, 0] = [0.0, 0.485, 1.0]
         out = normalize(x, stats)
@@ -193,45 +188,6 @@ class TestNormalize:
     def test_bad_std_rejected(self):
         with pytest.raises(ValidationError, match="std"):
             NormStats(np.zeros(5), [1, 1, 0, 1, 1])
-
-
-class TestComputeStats:
-    def _manifest(self, tmp_path, arrays):
-        entries = []
-        for i, arr in enumerate(arrays):
-            img = tmp_path / f"s{i}.npy"
-            lbl = tmp_path / f"s{i}.txt"
-            write_npy(img, arr.astype(np.float32))
-            lbl.write_text("")
-            entries.append(ManifestEntry(str(img), str(lbl), "day"))
-        return DatasetManifest(entries)
-
-    def test_constant_frame_clamps_std(self, tmp_path):
-        m = self._manifest(tmp_path, [np.full((4, 4, 5), 0.5)])
-        stats = compute_stats(m, channels=(3,))
-        assert stats.mean[3] == pytest.approx(0.5)
-        assert stats.std[3] == STD_EPS
-
-    def test_two_binary_frames(self, tmp_path):
-        m = self._manifest(tmp_path, [np.zeros((4, 4, 5)), np.ones((4, 4, 5))])
-        stats = compute_stats(m, channels=(4,))
-        assert stats.mean[4] == pytest.approx(0.5)
-        assert stats.std[4] == pytest.approx(0.5)  # population std
-
-    def test_vs_two_pass_oracle(self, tmp_path, rng):
-        arrays = [rng.random((6, 7, 5)) for _ in range(5)]
-        m = self._manifest(tmp_path, arrays)
-        stats = compute_stats(m, channels=(3, 4))
-        for c in (3, 4):
-            vals = np.concatenate([a[:, :, c].ravel() for a in arrays]).astype(np.float32)
-            mu = np.float64(vals.astype(np.float64).mean())
-            sd = np.float64(vals.astype(np.float64).std())
-            assert abs(stats.mean[c] - mu) < 1e-5
-            assert abs(stats.std[c] - sd) < 1e-5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            compute_stats(DatasetManifest([]))
 
 
 class TestPadToStride:
@@ -260,27 +216,9 @@ class TestManifest:
         p.write_text(json.dumps(records))
         return p
 
-    def test_filter_all_identity(self, tmp_path, rng):
-        m = load_manifest(self._write(tmp_path, rng, ["day", "night", "day"]))
-        assert len(filter_split(m, "all")) == 3
-
-    def test_filter_counts(self, tmp_path, rng):
+    def test_counts(self, tmp_path, rng):
         m = load_manifest(self._write(tmp_path, rng, ["day", "day", "day", "night", "night"]))
-        assert len(filter_split(m, "night")) == 2
-        assert len(filter_split(m, "day")) == 3
         assert m.counts() == {"day": 3, "night": 2}
-
-    def test_empty_split_warns_not_fails(self, tmp_path, rng, caplog):
-        m = load_manifest(self._write(tmp_path, rng, ["day"]))
-        with caplog.at_level("WARNING"):
-            out = filter_split(m, "night")
-        assert len(out) == 0
-        assert any("empty" in r.message for r in caplog.records)
-
-    def test_bad_selector(self, tmp_path, rng):
-        m = load_manifest(self._write(tmp_path, rng, ["day"]))
-        with pytest.raises(ConfigError):
-            filter_split(m, "dusk")
 
     def test_missing_file_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"

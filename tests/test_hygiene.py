@@ -3,6 +3,7 @@ checks of the source, and what a fresh interpreter loads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -93,17 +94,23 @@ def test_unreferenced_definitions_finds_the_unused_name(tmp_path):
 
 
 def test_no_test_only_functions():
-    # perfbench names the functions it traces by string; __init__.py only re-exports
-    init = SRC / "__init__.py"
-    exported = {alias.name for node in ast.parse(init.read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # perfbench names the functions it traces by string; a re-export from
+    # __init__.py is not a use
     others = sorted(DEMOS.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
     found = [
         f"{path.name}: {name}"
-        for path, name in unreferenced_definitions(sorted(set(SRC.glob("*.py")) - {init}), others)
-        if name not in exported
+        for path, name in unreferenced_definitions(sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}), others)
     ]
     assert not found, "defined in src/ but used only by tests:\n" + "\n".join(found)
+
+
+def test_readme_layout_names_every_module():
+    # each bullet of README's Layout list that opens with a module's path
+    readme = (SRC.parents[1] / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^- `src/trifuse/(\w+\.py)`", layout, re.MULTILINE)
+    modules = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert sorted(named) == modules
 
 
 def _run_fresh(script, cwd):

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from trifuse.backbone import StageFeature
 from trifuse.errors import ShapeError
 from trifuse.neck import (
-    ANCHOR_RATIOS,
-    ANCHOR_SIZES,
     PYRAMID_STRIDES,
     PYRAMID_WIDTH,
     fpn,
@@ -54,14 +52,14 @@ def _odd_features(rng, h=75, w=91, widths=WIDTHS):
     ]
 
 
-def _fpn_float64_merge(features, params, p="fpn"):
+def _fpn_float64_merge(features, params):
     """The pyramid with every top-down merge taken by the float64 oracle."""
-    lats = [conv2d(f.map, params[f"{p}.lat{f.stage}.w"], params[f"{p}.lat{f.stage}.b"]) for f in features]
+    lats = [conv2d(f.map, params[f"fpn.lat{f.stage}.w"], params[f"fpn.lat{f.stage}.b"]) for f in features]
     merged = [None, None, None, lats[3]]
     for i in (2, 1, 0):
         merged[i] = fpn_merge_float64(lats[i], merged[i + 1])
     outs = [
-        conv2d(m, params[f"{p}.out{i + 1}.w"], params[f"{p}.out{i + 1}.b"], stride=1, pad=1)
+        conv2d(m, params[f"fpn.out{i + 1}.w"], params[f"fpn.out{i + 1}.b"], stride=1, pad=1)
         for i, m in enumerate(merged)
     ]
     return outs + [outs[3][:, :, ::2, ::2]]
@@ -209,12 +207,6 @@ class TestFpn:
     def test_param_count_closed_form(self):
         want = sum(256 * c + 256 + 256 * 256 * 9 + 256 for c in WIDTHS)
         assert param_count(fpn_param_specs(WIDTHS)) == want
-
-    def test_anchor_metadata(self, rng):
-        pyr = fpn(_features(rng), _params())
-        assert pyr.anchor_sizes == ANCHOR_SIZES == (32, 64, 128, 256, 512)
-        assert pyr.anchor_ratios == ANCHOR_RATIOS == (0.5, 1.0, 2.0)
-        assert len(pyr.anchor_sizes) == len(pyr.levels)
 
 
 F32_VALUES = st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)
