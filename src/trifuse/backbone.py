@@ -14,7 +14,7 @@ on; ``tensors`` names and reads each layer's parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,12 +76,13 @@ class BackboneConfig:
 
 @dataclass
 class StageFeature:
-    """One stage output map annotated with its stride and width."""
+    """One stage output map with its stride, width and fusion diagnostics."""
 
     map: np.ndarray
     stage: int
     stride: int
     width: int
+    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -132,8 +133,8 @@ def backbone_param_specs(cfg, fusion, modalities="RTE"):
         for stage in range(1, 5):
             specs += [s for _, part_specs, _ in stage_parts(stage, cfg, stream, in_ch) for s in part_specs]
             in_ch = cfg.widths[stage - 1]
-    for stage in sorted(fusion.stages):
-        specs += fusion_param_specs(fusion, cfg.widths[stage - 1], f"fuse.s{stage}")
+    for stage in range(1, 5):
+        specs += merge_part(stage, cfg, fusion)[1]
     return specs
 
 
@@ -269,32 +270,40 @@ def forward_single(x, cfg, params, p="a"):
     return feats
 
 
-def merge_step(encoded, stage, cfg, fusion, params, diag=None):
-    """One stage's emitted StageFeature and the next stage's two inputs.
+def merge_part(stage, cfg, fusion):
+    """One stage's merge as a ``(name, specs, part)`` triple, like
+    ``stage_parts``: ``part(encoded, params)`` maps the two streams' stage
+    maps to the stage's StageFeature and the next stage's two inputs.
 
-    At a fused stage the emitted map is the fusion output, which also feeds
-    both next-stage streams; at an unfused stage it is the element-wise mean
-    of the streams (parameter-free, keeping the neck interface fixed) while
-    the streams continue independently.
+    At a fused stage the feature is the fusion output, with the block's
+    diagnostics, and it feeds both next-stage streams.  At an unfused stage
+    ``specs`` is empty, the feature is the streams' element-wise mean
+    (parameter-free, keeping the neck interface fixed) and the streams
+    continue apart.  ``apply_fusion`` is looked up as the part runs, so
+    wrapping it takes effect here.
     """
-    fa, fb = encoded
-    if stage in fusion.stages:
-        out = apply_fusion(fusion, fa, fb, params, f"fuse.s{stage}", diag=diag)
-        streams = out, out
-    else:
+    name, c, stride = f"fuse.s{stage}", cfg.widths[stage - 1], STAGE_STRIDES[stage - 1]
+    fused = stage in fusion.stages
+
+    def part(encoded, params):
+        fa, fb = encoded
+        if fused:
+            out, diagnostics = apply_fusion(fusion, fa, fb, params, name)
+            return StageFeature(out, stage, stride, c, diagnostics), (out, out)
         out = ((fa.astype(np.float64) + fb.astype(np.float64)) / 2.0).astype(np.float32)
-        streams = encoded
-    return StageFeature(out, stage, STAGE_STRIDES[stage - 1], cfg.widths[stage - 1]), streams
+        return StageFeature(out, stage, stride, c), encoded
+
+    return name, fusion_param_specs(fusion, c, name) if fused else [], part
 
 
-def forward_dual(x, cfg, fusion, params, modalities="RTE", diag=None):
-    """Dual-stream pass with fusion hooks: stage by stage, each stream
-    through ``encode_stage``, then ``merge_step``; the four StageFeatures."""
+def forward_dual(x, cfg, fusion, params, modalities="RTE"):
+    """Dual-stream pass: stage by stage, each stream through
+    ``encode_stage``, then the stage's ``merge_part``; the four StageFeatures."""
     split = split_streams(x, modalities)
     streams = split.stream_a, split.stream_b
     feats = []
     for stage in range(1, 5):
         encoded = [encode_stage(s, stage, cfg, params, p) for s, p in zip(streams, "ab")]
-        feat, streams = merge_step(encoded, stage, cfg, fusion, params, diag)
+        feat, streams = merge_part(stage, cfg, fusion)[2](encoded, params)
         feats.append(feat)
     return feats

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,8 @@ from .errors import FormatError, ValidationError
 # and 168 MB as a five-channel float64 frame
 MAX_FRAME_PIXELS = 2**22
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# how far a normalized box may reach past the image edge: rounding slack
+_BOX_TOL = 1e-6
 
 # ImageNet RGB statistics for inputs in [0, 1]
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -175,7 +177,6 @@ class TriModalFrame:
 
     pixels: np.ndarray  # (1, 5, H, W) float32
     boxes: list
-    meta: dict = field(default_factory=dict)
 
     @property
     def height(self):
@@ -204,10 +205,10 @@ def parse_labels(path):
     return boxes
 
 
-def _validate_box(box, where, tol=1e-6):
-    if not (0.0 < box.w <= 1.0 + tol and 0.0 < box.h <= 1.0 + tol):
+def _validate_box(box, where):
+    if not (0.0 < box.w <= 1.0 + _BOX_TOL and 0.0 < box.h <= 1.0 + _BOX_TOL):
         raise ValidationError(f"{where}: box size ({box.w}, {box.h}) outside (0, 1]")
-    if not (0.0 - tol <= box.cx <= 1.0 + tol and 0.0 - tol <= box.cy <= 1.0 + tol):
+    if not (0.0 - _BOX_TOL <= box.cx <= 1.0 + _BOX_TOL and 0.0 - _BOX_TOL <= box.cy <= 1.0 + _BOX_TOL):
         raise ValidationError(f"{where}: box center ({box.cx}, {box.cy}) outside [0, 1]")
     for edge, v in (
         ("left", box.cx - box.w / 2),
@@ -215,11 +216,11 @@ def _validate_box(box, where, tol=1e-6):
         ("top", box.cy - box.h / 2),
         ("bottom", box.cy + box.h / 2),
     ):
-        if v < -tol or v > 1.0 + tol:
+        if v < -_BOX_TOL or v > 1.0 + _BOX_TOL:
             raise ValidationError(f"{where}: box {edge} edge at {v:.4f} leaves the image")
 
 
-def load_frame(array_path, label_path, meta=None):
+def load_frame(array_path, label_path):
     """Load a five-channel NPY sample plus its YOLO labels.  The header's
     shape is checked, the pixel bound included, before the data is read."""
     def check(shape):
@@ -234,7 +235,7 @@ def load_frame(array_path, label_path, meta=None):
     arr = read_npy(array_path, check)
     pixels = np.ascontiguousarray(arr.transpose(2, 0, 1)[None], dtype=np.float32)
     boxes = parse_labels(label_path) if label_path is not None else []
-    return TriModalFrame(pixels=pixels, boxes=boxes, meta=dict(meta or {}))
+    return TriModalFrame(pixels=pixels, boxes=boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every mechanism maps two (B, C, H, W) streams to one fused (B, C, H, W)
 map, so any of them can be plugged at any backbone stage without touching
-the neck or head:
+the neck or head.  A block returns that map and its diagnostics, a
+``{name: float}`` dict of its gate, mask or swap statistics (empty for
+``bite_only``):
 
 * ``mage_bite`` - gated cross-residual exchange followed by bidirectional
   token cross-attention and a depthwise/pointwise merge (the baseline).
@@ -100,44 +102,27 @@ def mage_specs(c, p):
             + dense_specs(f"{p}.mage.sp.out", h, 2))
 
 
-def mage(xa, xb, params, p, force_spatial=None, force_channel=None):
+def mage(xa, xb, params, p):
     """Cross-modal channel + spatial gating on the joint descriptor.
 
     Returns the rectified pair plus the gates.  Gates scale only the
-    cross-stream residual, so the identity path is untouched; forcing the
-    gates to 0 therefore returns the inputs unchanged.
-
-    ``force_spatial`` / ``force_channel`` clamp the respective gates to a
-    constant, used by diagnostics and the identity checks.
+    cross-stream residual, so the identity path is untouched; zero gates
+    therefore return the inputs unchanged.
     """
     _check_pair(xa, xb)
     b, c, h, w = xa.shape
     z = np.concatenate([xa, xb], axis=1)
 
-    if force_channel is None:
-        trunk_avg = gelu(dense(global_avg_pool(z), params, f"{p}.mage.ch.fc1"))
-        trunk_max = gelu(dense(global_max_pool(z), params, f"{p}.mage.ch.fc1"))
-        summary = trunk_avg.astype(np.float64) + trunk_max.astype(np.float64)
-        ch_b_to_a = sigmoid(dense(summary, params, f"{p}.mage.ch.to_a")).reshape(b, c, 1, 1)
-        ch_a_to_b = sigmoid(dense(summary, params, f"{p}.mage.ch.to_b")).reshape(b, c, 1, 1)
-    else:
-        ch_b_to_a = np.full((b, c, 1, 1), force_channel, np.float32)
-        ch_a_to_b = ch_b_to_a.copy()
+    trunk_avg = gelu(dense(global_avg_pool(z), params, f"{p}.mage.ch.fc1"))
+    trunk_max = gelu(dense(global_max_pool(z), params, f"{p}.mage.ch.fc1"))
+    summary = trunk_avg.astype(np.float64) + trunk_max.astype(np.float64)
+    ch_b_to_a = sigmoid(dense(summary, params, f"{p}.mage.ch.to_a")).reshape(b, c, 1, 1)
+    ch_a_to_b = sigmoid(dense(summary, params, f"{p}.mage.ch.to_b")).reshape(b, c, 1, 1)
 
-    if force_spatial is None:
-        tz = to_tokens(z)
-        hid = gelu(dense(tz, params, f"{p}.mage.sp.fc1"))
-        masks = sigmoid(dense(hid, params, f"{p}.mage.sp.out"))
-        sp_b_to_a = masks[:, :, 0].reshape(b, 1, h, w)
-        sp_a_to_b = masks[:, :, 1].reshape(b, 1, h, w)
-    else:
-        sp_b_to_a = np.full((b, 1, h, w), force_spatial, np.float32)
-        sp_a_to_b = sp_b_to_a.copy()
-
-    gates = GatePack(ch_b_to_a, ch_a_to_b, sp_b_to_a, sp_a_to_b)
-    if force_spatial == 0.0 or force_channel == 0.0:
-        # zero gates kill the cross residual; skip the add for bitwise identity
-        return xa.copy(), xb.copy(), gates
+    hid = gelu(dense(to_tokens(z), params, f"{p}.mage.sp.fc1"))
+    masks = sigmoid(dense(hid, params, f"{p}.mage.sp.out"))
+    sp_b_to_a = masks[:, :, 0].reshape(b, 1, h, w)
+    sp_a_to_b = masks[:, :, 1].reshape(b, 1, h, w)
 
     xa_hat = (
         xa.astype(np.float64)
@@ -147,7 +132,7 @@ def mage(xa, xb, params, p, force_spatial=None, force_channel=None):
         xb.astype(np.float64)
         + sp_a_to_b.astype(np.float64) * (ch_a_to_b.astype(np.float64) * xa.astype(np.float64))
     ).astype(np.float32)
-    return xa_hat, xb_hat, gates
+    return xa_hat, xb_hat, GatePack(ch_b_to_a, ch_a_to_b, sp_b_to_a, sp_a_to_b)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +176,20 @@ def bite(xa, xb, params, p):
 # composed baseline variants
 
 
-def mage_bite(xa, xb, params, p, diag=None):
+def mage_bite(xa, xb, params, p):
     ra, rb, gates = mage(xa, xb, params, p)
-    if diag is not None:
-        _gate_diag(diag, gates)
-    return bite(ra, rb, params, p)
+    return bite(ra, rb, params, p), _gate_means(gates)
 
 
 def mage_only_specs(c, p):
     return mage_specs(c, p) + dense_specs(f"{p}.monly.merge", 2 * c, c)
 
 
-def mage_only(xa, xb, params, p, diag=None):
+def mage_only(xa, xb, params, p):
     ra, rb, gates = mage(xa, xb, params, p)
-    if diag is not None:
-        _gate_diag(diag, gates)
     _, _, h, w = xa.shape
     z = to_tokens(np.concatenate([ra, rb], axis=1))
-    return to_map(dense(z, params, f"{p}.monly.merge"), h, w)
+    return to_map(dense(z, params, f"{p}.monly.merge"), h, w), _gate_means(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +223,7 @@ def cssa_switch(xa, xb, score_a, score_b, tau):
     return np.where(swap_a, xb, xa), np.where(swap_b, xa, xb), swap_a, swap_b
 
 
-def cssa(xa, xb, params, p, tau=0.5, diag=None):
+def cssa(xa, xb, params, p, tau=0.5):
     _check_pair(xa, xb)
     _, _, h, w = xa.shape
     score_a = channel_scores(xa, params, p, "a")
@@ -254,12 +235,9 @@ def cssa(xa, xb, params, p, tau=0.5, diag=None):
     m = sigmoid(dense(hid, params, f"{p}.cssa.sp.out"))
     m = m.reshape(xa.shape[0], 1, h, w).astype(np.float64)
 
-    if diag is not None:
-        diag.setdefault("swap_fraction", []).append(
-            float((swap_a.mean() + swap_b.mean()) / 2.0)
-        )
-        diag.setdefault("spatial_mask_mean", []).append(float(m.mean()))
-    return (m * sw_a.astype(np.float64) + (1.0 - m) * sw_b.astype(np.float64)).astype(np.float32)
+    diagnostics = {"swap_fraction": float((swap_a.mean() + swap_b.mean()) / 2.0),
+                   "spatial_mask_mean": float(m.mean())}
+    return (m * sw_a.astype(np.float64) + (1.0 - m) * sw_b.astype(np.float64)).astype(np.float32), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +275,7 @@ def _guide(x, params, p, source, guidance):
     return g.reshape(b, 1, h, w)
 
 
-def gaff(xa, xb, params, p, se_ratio=4, guidance="separate", merge="direct", diag=None):
+def gaff(xa, xb, params, p, se_ratio=4, guidance="separate", merge="direct"):
     _check_pair(xa, xb)
     _, c, h, w = xa.shape
     if c % se_ratio != 0:
@@ -309,48 +287,40 @@ def gaff(xa, xb, params, p, se_ratio=4, guidance="separate", merge="direct", dia
     ua = (ra.astype(np.float64) + g_b_to_a.astype(np.float64) * rb.astype(np.float64)).astype(np.float32)
     ub = (rb.astype(np.float64) + g_a_to_b.astype(np.float64) * ra.astype(np.float64)).astype(np.float32)
 
-    if diag is not None:
-        diag.setdefault("se_mean", []).append(float((exc_a.mean() + exc_b.mean()) / 2.0))
-        diag.setdefault("guidance_mean", []).append(float((g_b_to_a.mean() + g_a_to_b.mean()) / 2.0))
+    diagnostics = {"se_mean": float((exc_a.mean() + exc_b.mean()) / 2.0),
+                   "guidance_mean": float((g_b_to_a.mean() + g_a_to_b.mean()) / 2.0)}
 
     z = to_tokens(np.concatenate([ua, ub], axis=1))
     if merge == "direct":
         out = dense(z, params, f"{p}.gaff.merge")
     else:
         out = dense(relu(dense(z, params, f"{p}.gaff.merge.fc1")), params, f"{p}.gaff.merge.fc2")
-    return to_map(out, h, w)
+    return to_map(out, h, w), diagnostics
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _gate_diag(diag, gates):
-    diag.setdefault("channel_gate_mean", []).append(
-        float((gates.ch_b_to_a.mean() + gates.ch_a_to_b.mean()) / 2.0)
-    )
-    diag.setdefault("spatial_gate_mean", []).append(
-        float((gates.sp_b_to_a.mean() + gates.sp_a_to_b.mean()) / 2.0)
-    )
+def _gate_means(gates):
+    """MAGE's diagnostics: the mean channel and spatial gate, each over both directions."""
+    return {"channel_gate_mean": float((gates.ch_b_to_a.mean() + gates.ch_a_to_b.mean()) / 2.0),
+            "spatial_gate_mean": float((gates.sp_b_to_a.mean() + gates.sp_a_to_b.mean()) / 2.0)}
 
 
 # mechanism -> (the FusionConfig fields its block reads, specs(c, p, *fields),
-# apply(xa, xb, params, p, diag, *fields)); apply is None for a mechanism
-# without a fusion block.  A block sees only the fields listed, so two
+# apply(xa, xb, params, p, *fields)); apply is None for a mechanism without
+# a fusion block.  A block sees only the fields listed, so two
 # configs that agree on them and the mechanism compute the same block.
 # Every name is looked up when called, so wrapping a module function takes
 # effect here.
 FUSIONS = {
-    "mage_bite": ((), lambda c, p: mage_specs(c, p) + bite_specs(c, p),
-                  lambda xa, xb, params, p, diag: mage_bite(xa, xb, params, p, diag)),
-    "mage_only": ((), lambda c, p: mage_only_specs(c, p),
-                  lambda xa, xb, params, p, diag: mage_only(xa, xb, params, p, diag)),
-    "bite_only": ((), lambda c, p: bite_specs(c, p),
-                  lambda xa, xb, params, p, diag: bite(xa, xb, params, p)),
-    "cssa": (("tau",), lambda c, p, tau: cssa_specs(c, p),
-             lambda xa, xb, params, p, diag, tau: cssa(xa, xb, params, p, tau, diag)),
+    "mage_bite": ((), lambda c, p: mage_specs(c, p) + bite_specs(c, p), lambda *args: mage_bite(*args)),
+    "mage_only": ((), lambda c, p: mage_only_specs(c, p), lambda *args: mage_only(*args)),
+    "bite_only": ((), lambda c, p: bite_specs(c, p), lambda *args: (bite(*args), {})),
+    "cssa": (("tau",), lambda c, p, tau: cssa_specs(c, p), lambda *args: cssa(*args)),
     "gaff": (("se_ratio", "guidance", "merge"), lambda c, p, *fields: gaff_specs(c, p, *fields),
-             lambda xa, xb, params, p, diag, *fields: gaff(xa, xb, params, p, *fields, diag)),
+             lambda *args: gaff(*args)),
     "none": ((), lambda c, p: [], None),
 }
 MECHANISMS = tuple(FUSIONS)
@@ -361,9 +331,10 @@ def fusion_param_specs(cfg, c, p):
     return FUSIONS[cfg.mechanism][1](c, p, *cfg.block_settings())
 
 
-def apply_fusion(cfg, xa, xb, params, p, diag=None):
-    """Run the configured mechanism on one stage's stream pair."""
+def apply_fusion(cfg, xa, xb, params, p):
+    """Run the configured mechanism on one stage's stream pair: the fused
+    map and the block's diagnostics, ``{name: float}``."""
     apply = FUSIONS[cfg.mechanism][2]
     if apply is None:
         raise ConfigError(f"mechanism {cfg.mechanism!r} has no fusion block")
-    return apply(xa, xb, params, p, diag, *cfg.block_settings())
+    return apply(xa, xb, params, p, *cfg.block_settings())

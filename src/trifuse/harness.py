@@ -22,7 +22,7 @@ is a grid of one.  This is its one description:
 - *Keys.* A node is keyed by what it reads, not by which cell asks: the
   input by (input_size, batch, source, seed); a stage part by its name,
   the stage geometry, ``timing_reps`` and its input node, for a stage-1
-  embed the stream's channel slice of the input; a merge by the stage, the
+  embed the stream's channel slice of the input; a merge by its name, the
   fusion settings its block reads (None if unfused) and its two final
   norms; an FPN part by its name and the part before it, the first by the
   input, the widths and ``timing_reps``.  A fused stage feeds its merge to
@@ -31,13 +31,14 @@ is a grid of one.  This is its one description:
   up to its first fused stage, and a node runs once per grid call however
   many cells pass it.  A config listed more than once runs once, and every
   listing gets its report.
-- *Arrays.* A node reads the arrays its declaration lists, seeded by the
-  cell's seed: a part's specs from ``backbone.stage_parts`` or
-  ``neck.fpn_parts``, a fused merge's ``fusion_param_specs``.  An array is
-  keyed by (ParamSpec, seed), bitwise equal to a fresh ``init_params``
-  by per-name seeding, drawn just before its first reader and dropped
-  after its last.  So only one block's arrays are live, or one FPN part's,
-  which the FPNs of all widths share where they are width-free.
+- *Arrays.* A node reads the arrays its part declares, seeded by the
+  cell's seed: the specs from ``backbone.stage_parts``,
+  ``backbone.merge_part`` (none at an unfused stage) or
+  ``neck.fpn_parts``.  An array is keyed by (ParamSpec, seed), bitwise
+  equal to a fresh ``init_params`` by per-name seeding, drawn just before
+  its first reader and dropped after its last.  So only one block's arrays
+  are live, or one FPN part's, which the FPNs of all widths share where
+  they are width-free.
 - *Parking.* A report keeps only the pyramid's shapes and the FPN's time,
   so one FPN runs per input and widths, after every stage turn, on the
   stage features of its first cell.  The first of its cells to reach each
@@ -64,16 +65,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import backbone
-from .backbone import (
-    STREAM_SLICES,
-    BackboneConfig,
-    backbone_param_specs,
-    merge_step,
-    normalize_modalities,
-)
+from .backbone import STREAM_SLICES, BackboneConfig, backbone_param_specs, normalize_modalities
 from .data import MAX_FRAME_PIXELS, default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError, ValidationError
-from .fusion import FusionConfig, fusion_param_specs
+from .fusion import FusionConfig
 from .neck import fpn_param_specs, fpn_parts
 from .tensors import ParamStore, init_params, param_count
 
@@ -137,24 +132,17 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         try:
-            cfg = self.backbone_config()
+            self.backbone_config()
         except ConfigError as e:
             raise ConfigError(f"variant: {e}") from e
         try:
-            fus = self.fusion_config()
+            self.fusion_config()
         except ConfigError as e:
             raise ConfigError(f"fusion: {e}") from e
         try:
             normalize_modalities(self.modalities)
         except ConfigError as e:
             raise ConfigError(f"modalities: {e}") from e
-        if fus.mechanism == "gaff":
-            for s in fus.stages:
-                if cfg.widths[s - 1] % fus.se_ratio:
-                    raise ConfigError(
-                        f"se_ratio: stage {s} width {cfg.widths[s - 1]} "
-                        f"not divisible by {fus.se_ratio}"
-                    )
         if len(self.input_size) != 2:
             raise ConfigError(f"input_size: expected [H, W], got {list(self.input_size)}")
         h, w = self.input_size
@@ -377,14 +365,6 @@ def _part(params, reps, part, x):
     return _timed(reps, part, x, params)
 
 
-def _merge(params, reps, encoded, stage, cfg, fusion):
-    def merge():
-        diag = {}
-        return (*merge_step(encoded, stage, cfg, fusion, params, diag), diag)
-
-    return _timed(reps, merge)
-
-
 def _parked(params, reps, part, parked, key):
     """``_part`` on the stage features parked under ``key``: the FPN's
     first part, which takes them out of ``parked``."""
@@ -411,7 +391,7 @@ def _run_cell(cfg, parked):
         x = yield _Step((0, "input", ()), source, [], _input, (cfg,))
         ups = [(("stream", source, sl.start, sl.stop), x[:, sl])
                for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
-        shapes, diag, forward_ms = [], {}, 0.0
+        shapes, diagnostics, forward_ms = [], {}, 0.0
         for stage in range(1, 5):
             i = stage - 1
             geometry = (bcfg.widths[i], bcfg.heads[i], bcfg.sr_ratios[i], bcfg.expansion)
@@ -424,15 +404,15 @@ def _run_cell(cfg, parked):
                     x, ms = yield _Step((stage, p, label), key, seeded(specs), _part, (reps, part, x))
                     forward_ms += ms
                 encoded.append((key, x))
+            name, specs, part = backbone.merge_part(stage, bcfg, fus)
             fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
-            merge = ("merge", stage, fused, *(norm for norm, _ in encoded))
-            block = fusion_param_specs(fus, bcfg.widths[i], f"fuse.s{stage}") if fused else []
-            (feat, streams, found), ms = yield _Step(
-                (stage, "merge", ()), merge, seeded(block), _merge, (reps, [m for _, m in encoded], stage, bcfg, fus))
+            merge = (name, fused, *(norm for norm, _ in encoded))
+            (feat, streams), ms = yield _Step(
+                (stage, "merge", ()), merge, seeded(specs), _part, (reps, part, [m for _, m in encoded]))
             forward_ms += ms
             shapes.append(feat.map.shape)
-            for name, values in found.items():
-                diag.setdefault(name, []).extend(values)
+            for stat, value in feat.diagnostics.items():
+                diagnostics.setdefault(stat, []).append(value)
             slot = parked.setdefault(fpn_key, [])
             if len(slot) < stage:  # the first of the FPN node's cells to reach this merge
                 slot.append(feat)
@@ -445,7 +425,7 @@ def _run_cell(cfg, parked):
             fn, args = (_part, (reps, part, x)) if j else (_parked, (reps, part, parked, fpn_key))
             x, ms = yield _Step((5, "fpn", (j,)), key, seeded(specs), fn, args)
             forward_ms += ms
-        return RunReport(cfg.to_dict(), shapes, x.shapes(), n_params, forward_ms, diag)
+        return RunReport(cfg.to_dict(), shapes, x.shapes(), n_params, forward_ms, diagnostics)
     except _CELL_ERRORS as e:
         return e
 

@@ -221,23 +221,14 @@ def average_precision(dets, gts, iou_thresh):
     return _class_mean_ap(dets, gts, *_match(dets, gts, (iou_thresh,)))[0]
 
 
-def evaluate(dets, gts, image_ids=None):
+def evaluate(dets, gts):
     """COCO-style report: per-threshold AP, mAP, mAP50 and counts at 0.5.
 
-    ``image_ids``, when given, pins the evaluated image universe: records
-    referencing an unknown image are a validation error.  Without it the
-    universe is the union of both sets, and zero-gt images contribute FPs.
-    One matching pass serves all ten thresholds.  A detection of a class
-    with no ground truth counts as an FP at 0.5.
+    The evaluated images are those of both sets, so the detections on an
+    image without ground truth are FPs.  One matching pass serves all ten
+    thresholds.  A detection of a class with no ground truth counts as an
+    FP at 0.5.
     """
-    if image_ids is not None:
-        universe = set(image_ids)
-        for d in dets:
-            if d.image_id not in universe:
-                raise ValidationError(f"detection references unknown image {d.image_id!r}")
-        for g in gts:
-            if g.image_id not in universe:
-                raise ValidationError(f"ground truth references unknown image {g.image_id!r}")
     order, tp = _match(dets, gts, COCO_THRESHOLDS)
     per = dict(zip(COCO_THRESHOLDS, _class_mean_ap(dets, gts, order, tp)))
     n_tp = int(tp[0].sum())

@@ -32,8 +32,7 @@ def _edge_pixels(x1, y1, x2, y2):
     return np.concatenate([top, bot, left, right], axis=0)
 
 
-def make_frame(rng, height=DEFAULT_HEIGHT, width=DEFAULT_WIDTH, n_boxes=None,
-               frame_t=1.0, window=DEFAULT_WINDOW_S):
+def make_frame(rng, height=DEFAULT_HEIGHT, width=DEFAULT_WIDTH, n_boxes=None, frame_t=1.0):
     """One synthetic (H, W, 5) array plus its normalized boxes."""
     if n_boxes is None:
         n_boxes = int(rng.integers(1, 5))
@@ -67,13 +66,13 @@ def make_frame(rng, height=DEFAULT_HEIGHT, width=DEFAULT_WIDTH, n_boxes=None,
     edges = np.concatenate(all_edges, axis=0)
     n_ev = min(len(edges) * 2, 4000)
     idx = rng.integers(0, len(edges), n_ev)
-    t_lo = (frame_t - window / 2) * 1e6
-    t = np.sort(rng.integers(int(t_lo), int(t_lo + window * 1e6), n_ev))
+    t_lo = (frame_t - DEFAULT_WINDOW_S / 2) * 1e6
+    t = np.sort(rng.integers(int(t_lo), int(t_lo + DEFAULT_WINDOW_S * 1e6), n_ev))
     pol = rng.choice([-1, 1], n_ev)
     stream = EventStream(
         t=t, x=edges[idx, 1], y=edges[idx, 0], p=pol, sensor_size=(height, width)
     )
-    arr[:, :, 4] = bin_events(stream, frame_t, window)
+    arr[:, :, 4] = bin_events(stream, frame_t, DEFAULT_WINDOW_S)
     return arr, boxes
 
 

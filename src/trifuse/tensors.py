@@ -77,6 +77,8 @@ _GELU_BAND = 1 << 16
 # float64 draws per band of trunc_normal's first draw: 512 KB, in cache
 # while it is scaled, rounded into the float32 output and tested
 _DRAW_BAND = 1 << 16
+# the standard deviation of every initial weight
+_INIT_STD = 0.02
 
 
 def _as_f32(x):
@@ -468,14 +470,15 @@ class ParamStore:
         return sorted(self._arrays)
 
 
-def trunc_normal(rng, shape, std=0.02, bound=2.0):
-    """Normal(0, std) resampled until all draws fall inside +-bound*std.
+def trunc_normal(rng, shape, bound=2.0):
+    """Normal(0, ``_INIT_STD``) resampled until all draws fall inside
+    +-bound standard deviations.
 
     The first draw fills one reused float64 band of ``_DRAW_BAND`` values
-    at a time, rounded times ``std`` into the float32 output, and notes the
-    entries out of bound.  Each round then redraws the entries still out of
-    bound, in C order, and re-tests only those: an entry in bound never
-    changes.  The draws are the same, in the same order, as one
+    at a time, rounded times ``_INIT_STD`` into the float32 output, and
+    notes the entries out of bound.  Each round then redraws the entries
+    still out of bound, in C order, and re-tests only those: an entry in
+    bound never changes.  The draws are the same, in the same order, as one
     ``standard_normal(shape)`` followed by the rounds.
     """
     out = np.empty(shape, DTYPE)
@@ -485,7 +488,7 @@ def trunc_normal(rng, shape, std=0.02, bound=2.0):
     for r0 in range(0, flat.size, _DRAW_BAND):
         x = band[: min(_DRAW_BAND, flat.size - r0)]
         rng.standard_normal(out=x)
-        np.multiply(x, std, out=flat[r0 : r0 + x.size], casting="unsafe")
+        np.multiply(x, _INIT_STD, out=flat[r0 : r0 + x.size], casting="unsafe")
         bad.append(np.flatnonzero(np.abs(x) > bound) + r0)
     bad = np.concatenate(bad)
     vals = np.empty(bad.size)
@@ -495,7 +498,7 @@ def trunc_normal(rng, shape, std=0.02, bound=2.0):
             break
         vals[left] = rng.standard_normal(left.size)
         left = left[np.abs(vals[left]) > bound]
-    flat[bad] = vals * std
+    flat[bad] = vals * _INIT_STD
     return out
 
 

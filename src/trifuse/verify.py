@@ -69,13 +69,29 @@ def prop_param_determinism(seed):
     assert any(not np.array_equal(p1[n], p3[n]) for n in p1.names())
 
 
+def gated_mage(xa, xb, params, p, spatial, channel):
+    """``fusion.mage``'s rectified pair with every spatial gate set to
+    ``spatial`` and every channel gate to ``channel``, each 0.0 or 1.0, or
+    left as learned where None.  A gate head with zero weights and a bias
+    of -1e4 or 1e4 gives exactly 0.0 or 1.0 in float32, as asserted."""
+    arrays = {n: params[n] for n in params.names()}
+    for head, gate in (("sp.out", spatial), ("ch.to_a", channel), ("ch.to_b", channel)):
+        if gate is not None:
+            arrays[f"{p}.mage.{head}.w"] = np.zeros_like(arrays[f"{p}.mage.{head}.w"])
+            arrays[f"{p}.mage.{head}.b"] = np.full_like(arrays[f"{p}.mage.{head}.b"], 1e4 if gate else -1e4)
+    ra, rb, g = fusion.mage(xa, xb, ParamStore(arrays), p)
+    for gate, pair in ((spatial, (g.sp_b_to_a, g.sp_a_to_b)), (channel, (g.ch_b_to_a, g.ch_a_to_b))):
+        assert gate is None or all(np.all(half == gate) for half in pair), "gates not exact"
+    return ra, rb
+
+
 def prop_mage_zero_gate_identity(seed):
     rng = _rng(seed)
     c = 8
     params = init_params(fusion.mage_specs(c, "f"), seed)
     xa = rng.standard_normal((2, c, 5, 7)).astype(np.float32)
     xb = rng.standard_normal((2, c, 5, 7)).astype(np.float32)
-    ra, rb, _ = fusion.mage(xa, xb, params, "f", force_spatial=0.0)
+    ra, rb = gated_mage(xa, xb, params, "f", 0.0, None)
     assert np.array_equal(ra, xa) and np.array_equal(rb, xb)
 
 
@@ -153,9 +169,9 @@ def prop_gaff_swap_symmetry(seed):
     params = init_params(fusion.gaff_specs(c, "f", 4, "shared", "direct"), seed)
     xa = rng.standard_normal((1, c, 5, 5)).astype(np.float32)
     xb = rng.standard_normal((1, c, 5, 5)).astype(np.float32)
-    out = fusion.gaff(xa, xb, params, "f", 4, "shared", "direct")
+    out, _ = fusion.gaff(xa, xb, params, "f", 4, "shared", "direct")
     swapped = _swapped_gaff_params(params, c, "f")
-    out2 = fusion.gaff(xb, xa, swapped, "f", 4, "shared", "direct")
+    out2, _ = fusion.gaff(xb, xa, swapped, "f", 4, "shared", "direct")
     assert np.abs(out - out2).max() < 1e-5
 
 
@@ -193,13 +209,17 @@ def prop_normalize_roundtrip(seed):
     assert np.abs(back - x).max() < 1e-6
 
 
-def _random_eval_fixture(rng, n_img=3, n_gt=6, n_det=10):
+# images, ground truths and detections of one random evaluation fixture
+_EVAL_IMAGES, _EVAL_GTS, _EVAL_DETS = 3, 6, 10
+
+
+def _random_eval_fixture(rng):
     gts, dets = [], []
-    for _ in range(n_gt):
-        img = f"im{rng.integers(0, n_img)}"
+    for _ in range(_EVAL_GTS):
+        img = f"im{rng.integers(0, _EVAL_IMAGES)}"
         x1, y1 = rng.uniform(0, 50, 2)
         gts.append(GroundTruth(img, (x1, y1, x1 + rng.uniform(5, 30), y1 + rng.uniform(5, 30))))
-    for _ in range(n_det):
+    for _ in range(_EVAL_DETS):
         if rng.random() < 0.6 and gts:
             g = gts[rng.integers(0, len(gts))]
             jit = rng.uniform(-4, 4, 4)
@@ -208,7 +228,7 @@ def _random_eval_fixture(rng, n_img=3, n_gt=6, n_det=10):
                 continue
             dets.append(Detection(g.image_id, box, float(rng.random())))
         else:
-            img = f"im{rng.integers(0, n_img)}"
+            img = f"im{rng.integers(0, _EVAL_IMAGES)}"
             x1, y1 = rng.uniform(0, 50, 2)
             dets.append(
                 Detection(img, (x1, y1, x1 + rng.uniform(5, 30), y1 + rng.uniform(5, 30)),

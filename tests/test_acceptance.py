@@ -23,13 +23,13 @@ from trifuse.fusion import (
     cssa_switch,
     gaff,
     gaff_specs,
-    mage,
     mage_specs,
 )
 from trifuse.harness import RunConfig, run_grid
 from trifuse.metrics import Detection, GroundTruth, average_precision
 from trifuse.synth import generate_corpus
 from trifuse.tensors import init_params, param_count
+from trifuse.verify import gated_mage
 from trifuse.backbone import sra_attention, backbone_param_specs
 
 from oracles import (
@@ -71,8 +71,9 @@ def test_01_shape_contract_80_configs():
 
 
 def test_02_gated_exchange_identities():
-    """Zero spatial gates pass inputs through bitwise; unit gates make the
-    rectified stream exactly input + other-stream (64-bit sum, one cast)."""
+    """Zero spatial or channel gates pass inputs through bitwise; unit gates
+    make the rectified stream exactly input + other-stream (64-bit sum, one
+    cast).  The gates come from gate heads saturated to exactly 0 or 1."""
     c = 64
     params = init_params(mage_specs(c, "f"), 0)
     for seed in range(20):
@@ -80,12 +81,12 @@ def test_02_gated_exchange_identities():
         xa = rng.standard_normal((2, c, 16, 16)).astype(np.float32)
         xb = rng.standard_normal((2, c, 16, 16)).astype(np.float32)
 
-        ra, rb, _ = mage(xa, xb, params, "f", force_spatial=0.0)
+        ra, rb = gated_mage(xa, xb, params, "f", 0.0, None)
         assert np.array_equal(ra, xa) and np.array_equal(rb, xb)
-        ra, rb, _ = mage(xa, xb, params, "f", force_channel=0.0)
+        ra, rb = gated_mage(xa, xb, params, "f", None, 0.0)
         assert np.array_equal(ra, xa) and np.array_equal(rb, xb)
 
-        ra, rb, _ = mage(xa, xb, params, "f", force_spatial=1.0, force_channel=1.0)
+        ra, rb = gated_mage(xa, xb, params, "f", 1.0, 1.0)
         s = xa.astype(np.float64) + xb.astype(np.float64)
         assert np.abs(ra.astype(np.float64) - s.astype(np.float32)).max() == 0.0
         assert np.abs(rb.astype(np.float64) - s.astype(np.float32)).max() == 0.0
@@ -203,7 +204,7 @@ def test_05_guided_fusion_variants():
             for merge in ("direct", "bottleneck"):
                 specs = gaff_specs(c, "f", se_ratio=r, guidance=guidance, merge=merge)
                 params = init_params(specs, 0)
-                out = gaff(xa, xb, params, "f", se_ratio=r, guidance=guidance, merge=merge)
+                out, _ = gaff(xa, xb, params, "f", se_ratio=r, guidance=guidance, merge=merge)
                 assert out.shape == xa.shape
                 got = param_count(specs)
                 assert got == sum(params[n].size for n in params.names())

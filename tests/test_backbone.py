@@ -14,7 +14,7 @@ from trifuse.backbone import (
     encode_stage,
     forward_dual,
     forward_single,
-    merge_step,
+    merge_part,
     mix_ffn,
     normalize_modalities,
     patch_embed,
@@ -301,6 +301,8 @@ def _layouts():
 
 
 def test_parameter_layout_is_pinned():
+    # every width takes every se_ratio, so no config's gaff block is refused
+    assert all(c % r == 0 for widths, _ in VARIANTS.values() for c in widths for r in GAFF_SE_RATIOS)
     # names, shapes and kinds in declaration order, which is also the order
     # build_param_specs lists them in
     digest = hashlib.sha256()
@@ -344,6 +346,9 @@ def test_each_merge_reads_exactly_its_declared_specs(rng, fus):
     for stage in range(1, 5):
         c, h = cfg.widths[stage - 1], 64 // STAGE_STRIDES[stage - 1]
         encoded = [rng.standard_normal((1, c, h, h)).astype(np.float32) for _ in "ab"]
-        store = _Reads(fusion_param_specs(fus, c, f"fuse.s{stage}") if stage in fus.stages else [])
-        merge_step(encoded, stage, cfg, fus, store)
+        name, specs, part = merge_part(stage, cfg, fus)
+        assert name == f"fuse.s{stage}"
+        assert specs == (fusion_param_specs(fus, c, name) if stage in fus.stages else [])
+        store = _Reads(specs)
+        part(encoded, store)
         assert store.read == set(store.names()), stage

@@ -22,6 +22,7 @@ from trifuse.fusion import (
     mage_specs,
 )
 from trifuse.tensors import ParamStore, attention, init_params, linear, param_count, to_map, to_tokens
+from trifuse.verify import gated_mage
 
 from oracles import depthwise_nchw_taps
 
@@ -70,8 +71,8 @@ class TestMage:
     def test_zero_gates_bitwise_identity(self, rng):
         xa, xb = _pair(rng)
         params = init_params(mage_specs(C, "f"), 3)
-        for kw in ({"force_spatial": 0.0}, {"force_channel": 0.0}):
-            ra, rb, _ = mage(xa, xb, params, "f", **kw)
+        for spatial, channel in ((0.0, None), (None, 0.0)):
+            ra, rb = gated_mage(xa, xb, params, "f", spatial, channel)
             assert np.array_equal(ra, xa) and ra is not xa
             assert np.array_equal(rb, xb) and rb is not xb
 
@@ -181,7 +182,7 @@ class TestCssa:
     def test_output_is_convex_blend(self, rng):
         xa, xb = _pair(rng)
         params = init_params(cssa_specs(C, "f"), 7)
-        out = cssa(xa, xb, params, "f", tau=0.5)
+        out, _ = cssa(xa, xb, params, "f", tau=0.5)
         sa = channel_scores(xa, params, "f", "a")
         sb = channel_scores(xb, params, "f", "b")
         sw_a, sw_b, _, _ = cssa_switch(xa, xb, sa, sb, 0.5)
@@ -192,10 +193,10 @@ class TestCssa:
     def test_diagnostics(self, rng):
         xa, xb = _pair(rng)
         params = init_params(cssa_specs(C, "f"), 7)
-        diag = {}
-        cssa(xa, xb, params, "f", tau=0.5, diag=diag)
-        assert 0.0 <= diag["swap_fraction"][0] <= 1.0
-        assert 0.0 < diag["spatial_mask_mean"][0] < 1.0
+        _, diagnostics = cssa(xa, xb, params, "f", tau=0.5)
+        assert list(diagnostics) == ["swap_fraction", "spatial_mask_mean"]
+        assert 0.0 <= diagnostics["swap_fraction"] <= 1.0
+        assert 0.0 < diagnostics["spatial_mask_mean"] < 1.0
 
     def test_param_count_closed_form(self):
         assert param_count(cssa_specs(C, "f")) == C * C + C + 9 == 81
@@ -221,7 +222,7 @@ class TestGaff:
         merge[:C] = np.eye(C, dtype=np.float32)
         arrays["f.gaff.merge.w"] = merge
         arrays["f.gaff.merge.b"] = np.zeros(C, np.float32)
-        out = gaff(xa, xb, ParamStore(arrays), "f")
+        out, _ = gaff(xa, xb, ParamStore(arrays), "f")
         assert np.array_equal(out, xa)
 
     def test_param_counts_closed_form(self):
@@ -236,10 +237,10 @@ class TestGaff:
     def test_diagnostics(self, rng):
         xa, xb = _pair(rng)
         params = init_params(self._specs(), 2)
-        diag = {}
-        gaff(xa, xb, params, "f", diag=diag)
-        assert 0.0 < diag["se_mean"][0] < 1.0
-        assert 0.0 < diag["guidance_mean"][0] < 1.0
+        _, diagnostics = gaff(xa, xb, params, "f")
+        assert list(diagnostics) == ["se_mean", "guidance_mean"]
+        assert 0.0 < diagnostics["se_mean"] < 1.0
+        assert 0.0 < diagnostics["guidance_mean"] < 1.0
 
 
 class TestDispatch:
@@ -248,9 +249,10 @@ class TestDispatch:
         cfg = FusionConfig(mechanism=mechanism)
         xa, xb = _pair(rng)
         params = _params(cfg)
-        out = apply_fusion(cfg, xa, xb, params, "f")
+        out, diagnostics = apply_fusion(cfg, xa, xb, params, "f")
         assert out.shape == xa.shape
         assert out.dtype == np.float32
+        assert all(type(v) is float for v in diagnostics.values())
 
     def test_none_has_no_block(self, rng):
         cfg = FusionConfig(mechanism="none")
@@ -267,7 +269,7 @@ class TestDispatch:
     def test_diag_collects_gate_means(self, rng):
         cfg = FusionConfig(mechanism="mage_bite")
         xa, xb = _pair(rng)
-        diag = {}
-        apply_fusion(cfg, xa, xb, _params(cfg), "f", diag=diag)
-        assert 0.0 < diag["channel_gate_mean"][0] < 1.0
-        assert 0.0 < diag["spatial_gate_mean"][0] < 1.0
+        _, diagnostics = apply_fusion(cfg, xa, xb, _params(cfg), "f")
+        assert list(diagnostics) == ["channel_gate_mean", "spatial_gate_mean"]
+        assert 0.0 < diagnostics["channel_gate_mean"] < 1.0
+        assert 0.0 < diagnostics["spatial_gate_mean"] < 1.0

@@ -264,12 +264,15 @@ def single_report(cfg):
     try:
         specs = build_param_specs(cfg.validate())
         params = harness.init_params(specs, cfg.seed)
-        diag = {}
         feats = backbone.forward_dual(make_input(cfg)[0], cfg.backbone_config(), cfg.fusion_config(),
-                                      params, cfg.modalities, diag=diag)
+                                      params, cfg.modalities)
         pyramid = neck.fpn(feats, params)
     except TrifuseError as e:
         return RunReport(config=cfg.to_dict(), error=f"{type(e).__name__}: {e}").to_dict()
+    diag = {}  # each statistic's values, in stage order
+    for f in feats:
+        for name, value in f.diagnostics.items():
+            diag.setdefault(name, []).append(value)
     return RunReport(config=cfg.to_dict(), stage_shapes=[f.map.shape for f in feats],
                      pyramid_shapes=pyramid.shapes(), param_count=param_count(specs),
                      diagnostics=diag).to_dict()
@@ -588,11 +591,11 @@ class TestGridEngine:
         raised = []
         real = backbone.apply_fusion
 
-        def failing(cfg, xa, xb, params, p, diag=None):
+        def failing(cfg, xa, xb, params, p):
             if cfg.mechanism == "cssa" and p == "fuse.s3":
                 raised.append(p)
                 raise ShapeError("cssa at stage 3 refused")
-            return real(cfg, xa, xb, params, p, diag)
+            return real(cfg, xa, xb, params, p)
 
         monkeypatch.setattr(backbone, "apply_fusion", failing)
         memos = self._record_memos(monkeypatch)

@@ -104,6 +104,69 @@ def test_no_test_only_functions():
     assert not found, "defined in src/ but used only by tests:\n" + "\n".join(found)
 
 
+def _passes(call, index, name):
+    """Whether ``call`` passes the parameter ``name`` at positional
+    ``index``: by keyword, by position, or through ``*`` or ``**``."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def keywords_only_tests_pass(sources, callers):
+    """(path, function, parameter) for each defaulted parameter of a
+    function in ``sources`` that no call in ``sources`` or ``callers``
+    passes.  A call is matched by the function's name, called bare or as
+    an attribute; a method's positions start after ``self``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in [*sources, *callers]}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, []).append(node)
+    methods = {id(f) for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, ast.FunctionDef)}
+    found = []
+    for path in sources:
+        for fn in ast.walk(trees[path]):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a, skip = fn.args, id(fn) in methods
+            positional = a.posonlyargs + a.args
+            defaulted = [(i - skip, arg.arg) for i, arg in enumerate(positional)][len(positional) - len(a.defaults):]
+            defaulted += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [(path, fn.name, name) for index, name in defaulted
+                      if not any(_passes(call, index, name) for call in calls.get(fn.name, []))]
+    return found
+
+
+def test_keywords_only_tests_pass_finds_the_unpassed_one(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def f(x, y=1, z=2, *, k=3):\n    return x\n\n\n"
+                 "class C:\n    def m(self, n=0, o=1):\n        return n\n\n\n"
+                 "def g(p=0, q=1):\n    return f(p, q)\n")
+    b.write_text("import a\na.f(0, k=1)\na.C().m(1)\nargs = [0, 1]\na.g(*args)\n")
+    assert keywords_only_tests_pass([a], [b]) == [(a, "f", "z"), (a, "m", "o")]
+
+
+# defaulted parameters that only tests pass, each kept for a reason
+KEPT_KEYWORDS = {
+    ("attention", "chunk"): "the query block size; tests shrink it to exercise block edges",
+    ("layer_norm", "eps"): "the standard layer-norm argument; tests check it is refused at <= 0",
+    ("trunc_normal", "bound"): "the truncation width; tests pin the resampling rounds at narrow bounds",
+    ("load_manifest", "check_files"): "tests read a manifest whose files they have not written",
+    ("make_frame", "n_boxes"): "tests ask for a fixed box count",
+    ("main", "argv"): "the console entry point reads sys.argv; tests pass their own",
+    ("run_grid", "workers"): "the benchmark's grid-light workload passes workers=1 through its clock",
+}
+
+
+def test_no_test_only_keywords():
+    callers = sorted(DEMOS.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    found = [f"{path.name}: {fn}({name}=...)"
+             for path, fn, name in keywords_only_tests_pass(sorted(SRC.glob("*.py")), callers)
+             if (fn, name) not in KEPT_KEYWORDS]
+    assert not found, "keywords that only tests pass:\n" + "\n".join(found)
+
+
 def test_readme_layout_names_every_module():
     # each bullet of README's Layout list that opens with a module's path
     readme = (SRC.parents[1] / "README.md").read_text()
