@@ -91,7 +91,6 @@ class StreamSplit:
 
     stream_a: np.ndarray
     stream_b: np.ndarray
-    modalities: str
 
 
 def normalize_modalities(modalities):
@@ -112,9 +111,8 @@ def split_streams(x, modalities="RTE"):
     """Partition a (B, 5, H, W) input into the two modality streams."""
     if x.ndim != 4 or x.shape[1] != 5:
         raise ShapeError(f"expected (B, 5, H, W) input, got shape {x.shape}")
-    mods = normalize_modalities(modalities)
-    a, b = (np.ascontiguousarray(x[:, sl]) for sl in STREAM_SLICES[mods])
-    return StreamSplit(a, b, mods)
+    a, b = (np.ascontiguousarray(x[:, sl]) for sl in STREAM_SLICES[normalize_modalities(modalities)])
+    return StreamSplit(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PROPERTY = 2
 EXIT_PARTIAL_GRID = 3
+# the most bytes one bin-events call may write: 4 GiB, 11,935 frames of 260x346
+MAX_OUTPUT_BYTES = 1 << 32
 
 
 def _load_run_config(args):
@@ -134,7 +136,7 @@ def cmd_eval(args):
 
 
 def cmd_bin_events(args):
-    # --dt and every stamp are checked before --out is made
+    # --dt, every stamp and the output's size are checked before --out is made
     if not 0 < args.dt < math.inf:
         raise ConfigError(f"--dt must be positive and finite, got {args.dt}")
     t, x, y, p = read_event_file(args.events)
@@ -156,6 +158,10 @@ def cmd_bin_events(args):
             window_us(stamps[-1], args.dt)
         except ConfigError as e:
             raise FormatError(f"{where}: {e}") from e
+    nbytes = len(stamps) * size[0] * size[1] * 4  # float32 frames
+    if nbytes > MAX_OUTPUT_BYTES:
+        raise ConfigError(f"{len(stamps)} frames of {size[0]}x{size[1]} float32 = {nbytes} bytes, "
+                          f"above the bound of {MAX_OUTPUT_BYTES}")
     out_dir = Path(args.out or "event_frames")
     out_dir.mkdir(parents=True, exist_ok=True)
     digits = max(4, len(str(len(stamps) - 1)))  # names sort in stamp order

@@ -13,12 +13,14 @@ is a grid of one.  This is its one description:
   labelled (stage, stream, part): the input (0, "input", ()); per stage,
   each stream's patch embed (0,), block j (1, j) and final norm (2,), then
   the merge (stage, "merge", ()); last, the FPN's parts, one per lateral,
-  (5, "fpn", (j,)).  One loop steps the cells by turn: each pass runs the
-  lowest label any cell waits at, for every cell waiting there, so the
-  nodes that read one block's arrays run back to back, whatever the
-  cells' depths.  Within a turn the cells go in (seed, variant,
-  modalities) order, on the calling thread: the benchmark pins BLAS to one
-  thread, so a report times single-core work.
+  (5, "fpn", (j,)).  One loop steps the cells by turn: each pass takes
+  the lowest label any cell waits at and runs each node waiting there
+  once, then resumes every cell waiting at it before the next node runs,
+  so the nodes that read one block's arrays run back to back, whatever
+  the cells' depths, and a node's value is held only until its cells have
+  taken it.  Within a turn the nodes go in the order of their first cells
+  in (seed, variant, modalities) order, on the calling thread: the
+  benchmark pins BLAS to one thread, so a report times single-core work.
 - *Keys.* A node is keyed by what it reads, not by which cell asks: the
   input by (input_size, batch, source, seed); a stage part by its name,
   the stage geometry, ``timing_reps`` and its input node, for a stage-1
@@ -55,6 +57,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import statistics
 import time
 from collections import Counter
@@ -79,6 +82,8 @@ _CELL_ERRORS = (TrifuseError, OSError, MemoryError)
 
 # the RunConfig fields a sweep may vary
 SWEEP_AXES = ("variant", "mechanism", "stages", "tau", "se_ratio", "guidance", "merge", "modalities")
+# the most cells one sweep may ask for, about 80 times the 52-run inventory
+MAX_SWEEP_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -271,19 +276,25 @@ def run_single(run_cfg):
 def expand_sweep(base, sweep):
     """Cartesian product of sweep axes applied over a base config.
 
-    ``sweep`` maps axis name -> non-empty list of values; an empty spec
-    yields the base config alone.  Axis order is fixed (sorted) so
-    enumeration is deterministic.
+    ``sweep`` maps axis name -> non-empty list of distinct values; an
+    empty spec yields the base config alone.  The product of the axis
+    lengths is checked against ``MAX_SWEEP_CELLS`` before any config is
+    built.  Axis order is fixed (sorted) so enumeration is deterministic.
     """
     if not isinstance(sweep, dict) or not all(isinstance(v, (list, tuple)) for v in sweep.values()):
         raise ConfigError(f"sweep must map each axis to a list of values, got {sweep!r}")
     if not sweep:
         return [base]
+    cells = math.prod(map(len, sweep.values()))
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(f"sweep of {cells} cells, above the bound of {MAX_SWEEP_CELLS}")
     for axis, values in sweep.items():
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; valid: {sorted(SWEEP_AXES)}")
         if not values:
             raise ConfigError(f"sweep axis {axis!r} has no values")
+        if any(values.index(v) < i for i, v in enumerate(values)):
+            raise ConfigError(f"sweep axis {axis!r} lists a value more than once: {list(values)!r}")
     axes = sorted(sweep)
     configs = []
     for combo in itertools.product(*(sweep[a] for a in axes)):
@@ -306,55 +317,34 @@ class _Step(NamedTuple):
     args: tuple
 
 
-class _Memo:
-    """What the cells of one turn share: the nodes they pass and the arrays
-    those nodes read.  ``values`` holds each one's outcome, a value or the
-    error that computing it raised, computed by the first to need it;
-    ``users`` counts the turn's cells still to pass each node and the
-    turn's nodes still to read each array, so each is dropped after its
-    last user."""
+class _Arrays:
+    """One turn's table of the parameter arrays its nodes read, keyed by
+    (ParamSpec, seed): each drawn by ``init_params`` for its first reader,
+    a draw error kept for every later one, and dropped after its last."""
 
     def __init__(self, steps):
-        reads = {step.key: step.arrays for step in steps}
-        self.users = Counter(step.key for step in steps)
-        self.users.update(a for arrays in reads.values() for a in arrays)
-        self.values = {}
+        self.readers = Counter(a for step in steps for a in step.arrays)
+        self.drawn = {}
 
     def node(self, step):
-        """The node's value: its call run with the arrays it reads, each
-        drawn by ``init_params`` if no node of the turn has drawn it."""
-        def run():
-            try:
-                arrays = {s.name: self._get((s, seed), init_params, [s], seed)[s.name] for s, seed in step.arrays}
-                return step.fn(ParamStore(arrays), *step.args)
-            finally:
-                self._leave(step.arrays)
-
+        """The node's value: its call run with the arrays it reads."""
         try:
-            return self._get(step.key, run)
+            return step.fn(ParamStore({s.name: self._draw(s, seed) for s, seed in step.arrays}), *step.args)
         finally:
-            self._leave([step.key])
+            for a in step.arrays:
+                self.readers[a] -= 1
+                if not self.readers[a]:
+                    self.drawn.pop(a, None)
 
-    def _get(self, key, fn, *args):
-        """Value ``key``: ``fn(*args)`` run by the first caller, its outcome,
-        a raised error included, shared with every later one."""
-        if key not in self.values:
+    def _draw(self, spec, seed):
+        if (spec, seed) not in self.drawn:
             try:
-                self.values[key] = (fn(*args), None)
-            except BaseException as e:  # raised again below, and to every later caller
-                self.values[key] = (None, e)
-        value, error = self.values[key]
-        if error is not None:
-            raise error
-        return value
-
-    def _leave(self, keys):
-        """One user is done with each of ``keys``: a value left by its last
-        user is dropped."""
-        for key in keys:
-            self.users[key] -= 1
-            if not self.users[key]:
-                self.values.pop(key, None)
+                self.drawn[spec, seed] = init_params([spec], seed)[spec.name]
+            except _CELL_ERRORS as e:  # raised again to every reader
+                self.drawn[spec, seed] = e
+        if isinstance(array := self.drawn[spec, seed], _CELL_ERRORS):
+            raise array
+        return array
 
 
 def _input(params, cfg):
@@ -430,22 +420,13 @@ def _run_cell(cfg, parked):
         return e
 
 
-def _advance(cell, memo, step):
-    """``cell``'s next step, once ``step`` has run through ``memo``: the
-    cell is sent the node's value, or has the error in ``_CELL_ERRORS``
-    that computing it raised thrown in.  StopIteration carries the cell's
-    outcome once it returns."""
-    try:
-        value = memo.node(step)
-    except _CELL_ERRORS as e:
-        return cell.throw(e)
-    return cell.send(value)
-
-
 def _run_cells(configs):
     """The grid engine: run ``configs`` turn by turn and return, in order,
-    each one's report or the error in ``_CELL_ERRORS`` that failed it.
-    Within a turn, cells whose sort keys tie go in listing order."""
+    each one's report or the error in ``_CELL_ERRORS`` that failed it.  A
+    turn runs once each node its cells wait at, in the order of the first
+    cell waiting there, and resumes every cell waiting at it, sent the
+    node's value or thrown its error, before the next node runs.  Within a
+    turn, cells whose sort keys tie go in listing order."""
     # repr compares every field and, unlike hash, accepts list-valued ones
     distinct = {repr(cfg): cfg for cfg in configs}
     ordered = sorted(distinct.values(), key=lambda c: tuple(map(str, (c.seed, c.variant, c.modalities))))
@@ -458,14 +439,25 @@ def _run_cells(configs):
             outcomes[repr(cfg)] = done.value
     while pending:
         turn = min(step.turn for _, step in pending.values())
-        now = {k: waiting for k, waiting in pending.items() if waiting[1].turn == turn}
-        memo = _Memo([step for _, step in now.values()])
-        for k, (cell, step) in now.items():
+        waiting = {}  # each of the turn's nodes -> its step and the cells waiting at it
+        for k, (_, step) in pending.items():
+            if step.turn == turn:
+                waiting.setdefault(step.key, (step, []))[1].append(k)
+        arrays = _Arrays([step for step, _ in waiting.values()])
+        for node in list(waiting):
+            step, cells = waiting.pop(node)
             try:
-                pending[k] = cell, _advance(cell, memo, step)
-            except StopIteration as done:
-                outcomes[k] = done.value
-                del pending[k]
+                value, error = arrays.node(step), None
+            except _CELL_ERRORS as e:
+                value, error = None, e
+            for k in cells:
+                cell = pending[k][0]
+                try:
+                    pending[k] = cell, cell.send(value) if error is None else cell.throw(error)
+                except StopIteration as done:
+                    outcomes[k] = done.value
+                    del pending[k]
+            del step, value, error  # the node's input and value, once its cells have moved on
     return [outcomes[repr(cfg)] for cfg in configs]
 
 

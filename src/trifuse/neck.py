@@ -16,13 +16,11 @@ from .errors import ShapeError
 from .tensors import conv, conv_specs
 
 PYRAMID_WIDTH = 256
-PYRAMID_STRIDES = (4, 8, 16, 32, 64)
 
 
 @dataclass
 class Pyramid:
-    levels: list  # five (B, 256, H_i, W_i) maps
-    strides: tuple = PYRAMID_STRIDES
+    levels: list  # five (B, 256, H_i, W_i) maps, at strides 4-64
 
     def shapes(self):
         return [lvl.shape for lvl in self.levels]

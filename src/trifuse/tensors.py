@@ -262,28 +262,23 @@ def sigmoid(x):
 
 
 def gelu(x):
-    """Exact (erf) GELU, ``0.5 * x * (1 + erf(x / sqrt(2)))``, in one
-    buffer the size of ``x`` and one band: erf in place on the scaled
-    input, the 1 added in place, then ``0.5 * x`` taken ``_GELU_BAND``
-    values at a time and multiplied in.  A contiguous input is read in
-    place.  A float32 input stays 32-bit; any other is evaluated in float64
-    and rounded."""
+    """Exact (erf) GELU, ``0.5 * x * (1 + erf(x / sqrt(2)))``, in float32,
+    in one buffer the size of ``x`` and one band: erf in place on the
+    scaled input, the 1 added in place, then ``0.5 * x`` taken
+    ``_GELU_BAND`` values at a time and multiplied in.  A contiguous
+    float32 input is read in place; any other is first rounded to float32."""
     from scipy.special import erf
 
-    x = np.asarray(x)
-    if x.dtype == DTYPE:  # elementwise, no accumulation: stay 32-bit
-        out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty(x.shape, DTYPE))
-    else:
-        x = np.asarray(x, np.float64)
-        out = np.divide(x, np.sqrt(2.0), out=np.empty(x.shape))
+    x = _as_f32(x)
+    out = np.multiply(x, DTYPE(0.7071067811865476), out=np.empty(x.shape, DTYPE))
     erf(out, out=out)
     out += 1.0
     flat, xs = out.reshape(-1), x.reshape(-1)
-    half = np.empty(min(_GELU_BAND, flat.size), out.dtype)
+    half = np.empty(min(_GELU_BAND, flat.size), DTYPE)
     for r0 in range(0, flat.size, _GELU_BAND):
         h = half[: min(_GELU_BAND, flat.size - r0)]
         flat[r0 : r0 + h.size] *= np.multiply(xs[r0 : r0 + h.size], 0.5, out=h)
-    return out if out.dtype == DTYPE else out.astype(DTYPE)
+    return out
 
 
 def relu(x):

@@ -235,13 +235,9 @@ def ap_running_sum(tp_flags, n_gt, recall_points):
 
 
 def gelu_expression(x):
-    """GELU as one numpy expression: float32 input evaluated in float32,
-    any other in float64, then rounded to float32."""
-    x = np.asarray(x)
-    if x.dtype == np.float32:
-        return (np.float32(0.5) * x * (np.float32(1.0) + erf(x * np.float32(0.7071067811865476)))).astype(np.float32)
-    x64 = x.astype(np.float64)
-    return (0.5 * x64 * (1.0 + erf(x64 / np.sqrt(2.0)))).astype(np.float32)
+    """GELU as one numpy expression, evaluated in float32."""
+    x = np.asarray(x, np.float32)
+    return np.float32(0.5) * x * (np.float32(1.0) + erf(x * np.float32(0.7071067811865476)))
 
 
 def fpn_merge_float64(lat, top):

@@ -4,6 +4,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,20 @@ from trifuse.data import read_npy
 
 
 FAST_FLAGS = ["--variant", "B0"]
+
+
+def _refused_at_once(capsys, argv):
+    """The stderr of ``argv``, which must exit 1 within 1 s, with a traced
+    peak under 4 MB: what it was asked for is sized before it is built."""
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+        secs, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_VALIDATION and secs < 1.0 and peak < 4 << 20
+    return capsys.readouterr().err
 
 
 def _fast_config(tmp_path):
@@ -264,6 +280,17 @@ class TestInputErrors:
         assert err == "error: sweep axis 'mechanism' has no values\n"
         assert not out.exists()
 
+    def test_sweep_of_10_to_the_12_cells_exits_one(self, tmp_path, capsys):
+        # four axes of 1,000 values: refused from the axis lengths
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"tau": [i / 1000 for i in range(1000)], "se_ratio": list(range(1000)),
+                                     "variant": [f"B{i}" for i in range(1000)], "merge": list(map(str, range(1000)))}))
+        out = tmp_path / "g"
+        err = _refused_at_once(capsys, ["--config", _fast_config(tmp_path), "--out", str(out),
+                                        "grid", "--sweep", str(sweep)])
+        assert err == "error: sweep of 1000000000000 cells, above the bound of 4096\n"
+        assert not out.exists()
+
     def test_repeated_stage_exits_one(self, tmp_path, capsys):
         err = self._fails(capsys, ["--config", _fast_config(tmp_path), "inspect", "--stages", "1", "1"])
         assert err == "error: stages: a stage is listed more than once in [1, 1]\n"
@@ -358,6 +385,17 @@ class TestBinEvents:
         assert code == EXIT_OK
         assert names[:2] == ["frame_00000.npy", "frame_00001.npy"] and names[-1] == "frame_10000.npy"
         assert names == sorted(names) and len(set(names)) == 10_001
+
+    def test_frames_above_the_output_bound_exit_one(self, tmp_path, capsys):
+        # 1,166 frames of 1280x720 float32 are 4.3 GB, refused before
+        # anything is binned or written
+        (tmp_path / "events.txt").write_text("100000 0 0 1\n")
+        (tmp_path / "stamps.txt").write_text("".join(f"{i / 30}\n" for i in range(1166)))
+        out = tmp_path / "frames"
+        err = _refused_at_once(capsys, ["--out", str(out), "bin-events", "--events", str(tmp_path / "events.txt"),
+                                        "--timestamps", str(tmp_path / "stamps.txt"), "--sensor-size", "1280", "720"])
+        assert err == "error: 1166 frames of 1280x720 float32 = 4298342400 bytes, above the bound of 4294967296\n"
+        assert not out.exists()
 
     def test_bad_event_file_exits_one(self, tmp_path, capsys):
         events = tmp_path / "events.txt"

@@ -23,7 +23,7 @@ from trifuse.harness import (
     write_grid_outputs,
 )
 from trifuse.synth import generate_corpus
-from trifuse.tensors import ParamSpec, ParamStore, init_params, param_count
+from trifuse.tensors import ParamStore, init_params, param_count
 
 # small-but-real probe config used throughout; keeps each forward cheap
 FAST = RunConfig(variant="B0", input_size=(64, 64), timing_reps=1)
@@ -207,6 +207,19 @@ class TestSweeps:
         with pytest.raises(ConfigError, match="sweep axis"):
             expand_sweep(FAST, {"depth": [1, 2]})
 
+    def test_cells_bounded_by_the_product_of_the_axis_lengths(self):
+        sweep = {"tau": [t / 64 for t in range(64)], "se_ratio": list(range(1, 65))}
+        assert len(expand_sweep(FAST, sweep)) == harness.MAX_SWEEP_CELLS == 4096
+        sweep["tau"].append(1.0)
+        with pytest.raises(ConfigError, match="^sweep of 4160 cells, above the bound of 4096$"):
+            expand_sweep(FAST, sweep)
+
+    def test_repeated_value_is_a_config_error(self):
+        # it would run one cell twice under one config key
+        with pytest.raises(ConfigError, match=r"^sweep axis 'stages' lists a value more than once: "
+                                              r"\[\[4\], \[3, 4\], \[4\]\]$"):
+            expand_sweep(FAST, {"stages": [[4], [3, 4], [4]]})
+
     @pytest.mark.parametrize("sweep", [{"stages": [4, 3]}, {"tau": 0.5}, 5])
     def test_malformed_sweep_is_a_config_error(self, sweep):
         with pytest.raises(ConfigError):
@@ -293,7 +306,7 @@ class NodeCall(NamedTuple):
     reads: list  # the names of the arrays the node reads
     live: list  # the names of the parameter arrays alive in the process
     live_bytes: int  # their nbytes
-    in_memo: list  # the names of the parameter arrays in the turn's memo
+    in_table: list  # the names of the parameter arrays in the turn's table
     values: list  # the turns of the earlier nodes whose output map is alive
 
 
@@ -302,16 +315,16 @@ def node_calls(monkeypatch):
     """Every node the grid engine runs, in order, as a ``NodeCall``: its
     turn label and what is alive as it starts."""
     calls, arrays, outputs = [], {}, []
-    real = harness._Memo.node
+    real = harness._Arrays.node
 
-    def node(memo, step):
+    def node(table, step):
         def fn(params, *args):
             for name in params.names():
                 arrays[id(params[name])] = name, weakref.ref(params[name])
             live = [(name, a) for name, ref in arrays.values() if (a := ref()) is not None]
-            in_memo = [k[0].name for k, (v, _) in memo.values.items() if isinstance(k[0], ParamSpec) and v]
+            in_table = [spec.name for (spec, _), a in table.drawn.items() if isinstance(a, np.ndarray)]
             calls.append(NodeCall(step.turn, params.names(), sorted(n for n, _ in live),
-                                  sum(a.nbytes for _, a in live), sorted(in_memo),
+                                  sum(a.nbytes for _, a in live), sorted(in_table),
                                   [turn for turn, ref in outputs if ref() is not None]))
             del live
             out = step.fn(params, *args)
@@ -322,9 +335,9 @@ def node_calls(monkeypatch):
                 outputs.append((step.turn, weakref.ref(value)))
             return out
 
-        return real(memo, step._replace(fn=fn))
+        return real(table, step._replace(fn=fn))
 
-    monkeypatch.setattr(harness._Memo, "node", node)
+    monkeypatch.setattr(harness._Arrays, "node", node)
     return calls
 
 
@@ -382,16 +395,16 @@ class TestGridEngine:
         monkeypatch.setattr(harness, "fpn_parts", counting)
         return calls
 
-    def _record_memos(self, monkeypatch):
-        memos = []
-        real = harness._Memo
+    def _record_tables(self, monkeypatch):
+        tables = []
+        real = harness._Arrays
 
         def recording(steps):
-            memos.append(real(steps))
-            return memos[-1]
+            tables.append(real(steps))
+            return tables[-1]
 
-        monkeypatch.setattr(harness, "_Memo", recording)
-        return memos
+        monkeypatch.setattr(harness, "_Arrays", recording)
+        return tables
 
     def test_each_stage_encoded_once_per_prefix(self, monkeypatch, node_calls):
         calls = self._count_fpns(monkeypatch)
@@ -439,15 +452,17 @@ class TestGridEngine:
         # the stage-part outputs (tokens or maps) alive as each stage-4 node
         # and each FPN part start.  Stream A's four embeds start from the
         # stage-3 norms the three [4] cells share (the [3, 4] cells start
-        # from their merges), and each part's four outputs replace its four
-        # inputs once the last cell to read an input has passed it.  Stream
-        # B's parts run while the four stream-A maps wait for the merges, and
-        # nothing is left when the FPN's four parts run
+        # from their merges).  A node's input goes once its cells have taken
+        # its output, so each embed adds one map and each later part
+        # replaces its input.  Stream B's parts run while the four stream-A
+        # maps wait for the merges; a merge's two maps go after the last
+        # cell to merge them, the [4] cells' pair after the third.  Nothing
+        # is left when the FPN's four parts run
         alive = [sum(t[1] in ("a", "b") for t in c.values) for c in node_calls if c.turn[0] >= 4]
-        assert alive == [2, 3, 4, 5] + [5, 6, 7, 8] * 3 + [5, 6, 7, 8] + [8, 9, 10, 11] * 3 + [8] * 6 + [0] * 4
+        assert alive == [2, 2, 3, 4] + [5] * 12 + [5, 5, 6, 7] + [8] * 12 + [8, 8, 6, 6, 4, 2] + [0] * 4
 
     def test_only_the_fpn_nodes_first_user_waits_with_its_features(self, monkeypatch, node_calls):
-        memos = self._record_memos(monkeypatch)
+        tables = self._record_tables(monkeypatch)
         run_grid(FAST, self.PREFIXES)
         # the merge maps alive as each merge and each FPN part start.  The
         # first cell (cssa at [4]) keeps its stage features for the one FPN
@@ -461,7 +476,7 @@ class TestGridEngine:
         # features not yet read
         alive = [sum(t[1] == "merge" for t in c.values) for c in node_calls if c.turn[1] in ("merge", "fpn")]
         assert alive == [0, 1, 2, 3, 4, 5, 3, 4, 4, 4, 4, 4] + [4, 3, 2, 1]
-        assert not any(m.values for m in memos)
+        assert not any(t.drawn for t in tables)
 
     def test_nested_variants_share_stages_fpn_and_arrays(self, monkeypatch, node_calls):
         calls = self._count_fpns(monkeypatch)
@@ -503,7 +518,7 @@ class TestGridEngine:
         assert_reports_equal_per_cell_runs(reports)
 
     def test_arrays_live_from_first_reader_to_last(self, monkeypatch, node_calls):
-        memos = self._record_memos(monkeypatch)
+        tables = self._record_tables(monkeypatch)
         drawn = Counter()
 
         def counting(specs, seed):
@@ -534,7 +549,7 @@ class TestGridEngine:
         # once per widths, the width-free smoothing convs and biases once
         assert {n: k for n, k in drawn.items() if n.startswith("fpn.")} == {
             f"fpn.{layer}{i}.{w}": 1 + (layer + w == "latw") for layer in ("lat", "out") for i in range(1, 5) for w in "wb"}
-        assert len(memos) == len({c.turn for c in node_calls}) and not any(m.values for m in memos)
+        assert len(tables) == len({c.turn for c in node_calls}) and not any(t.drawn for t in tables)
 
     @pytest.mark.parametrize("sweep, stage, calls", [
         ({"variant": ["B2", "B3", "B4"]}, 3, 100),
@@ -576,12 +591,12 @@ class TestGridEngine:
             for block in {m[0] for n in names if (m := re.match(r"[ab]\.s3\.blk\d+\.", n))}:
                 assert all(n.startswith(block) for n in live if re.match(r"[ab]\.s3\.blk", n))
         # at each part node, its own arrays and no other are in the turn's
-        # memo and alive: at a stage-3 block, one block's 6.6 MB of B4's
+        # table and alive: at a stage-3 block, one block's 6.6 MB of B4's
         # 180.4 MB stage
         nbytes = {s.name: 4 * s.size for cfg in cells for s in build_param_specs(cfg)}
         for c in node_calls:
             if c.turn[1] in ("a", "b"):
-                assert c.in_memo == c.live == c.reads
+                assert c.in_table == c.live == c.reads
                 assert c.live_bytes == sum(nbytes[n] for n in c.reads)
         block = max(c.live_bytes for c in node_calls if c.turn[0] == 3)
         assert block == sum(b for n, b in nbytes.items() if n.startswith("a.s3.blk0."))
@@ -598,12 +613,12 @@ class TestGridEngine:
             return real(cfg, xa, xb, params, p)
 
         monkeypatch.setattr(backbone, "apply_fusion", failing)
-        memos = self._record_memos(monkeypatch)
+        tables = self._record_tables(monkeypatch)
         reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]})
         assert len(raised) == 1  # one node, two cells
-        # the turns' memos kept nothing, and the FPN still ran on the first
+        # the turns' tables kept nothing, and the FPN still ran on the first
         # cell's stage-1 and stage-2 features and cssa at [4]'s others
-        assert not any(m.values for m in memos)
+        assert not any(t.drawn for t in tables)
         failed = [r for r in reports if not r.ok]
         assert [(r.config["stages"], r.error) for r in failed] == [
             ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
@@ -617,13 +632,13 @@ class TestGridEngine:
             return init_params(specs, seed)
 
         monkeypatch.setattr(harness, "init_params", refusing)
-        memos = self._record_memos(monkeypatch)
+        tables = self._record_tables(monkeypatch)
         reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [3, 4], [4]]})
         assert [(r.config["mechanism"], r.config["stages"]) for r in reports if not r.ok] == [
             ("cssa", [3, 4]), ("cssa", [4]), ("gaff", [3, 4]), ("gaff", [4]),
         ]
         assert {r.error for r in reports if not r.ok} == {"ConfigError: fuse.s4 draw refused"}
-        assert not any(m.values for m in memos)
+        assert not any(t.drawn for t in tables)
         assert_reports_equal_per_cell_runs(reports)
 
     def test_failing_shared_input_fails_every_cell(self, tmp_path):
@@ -643,13 +658,13 @@ class TestGridEngine:
             return init_params(specs, seed)
 
         monkeypatch.setattr(harness, "init_params", counting)
-        memos = self._record_memos(monkeypatch)
+        tables = self._record_tables(monkeypatch)
         sweep = {"mechanism": ["gaff", "cssa"], "se_ratio": [4, 8], "stages": [[4]],
                  "modalities": ["RT", "RTE"]}
         run_grid(FAST, sweep)
         # once per grid call, across both modality sets
         assert built == Counter({s for cfg in expand_sweep(FAST, sweep) for s in build_param_specs(cfg)})
-        assert not any(m.values for m in memos)
+        assert not any(t.drawn for t in tables)
 
     def test_ablation_reports_keep_inventory_order(self, monkeypatch):
         ran = []

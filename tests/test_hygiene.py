@@ -167,6 +167,55 @@ def test_no_test_only_keywords():
     assert not found, "keywords that only tests pass:\n" + "\n".join(found)
 
 
+def unread_fields(sources, readers):
+    """(path, class, field) for each dataclass field in ``sources`` that no
+    attribute read in ``sources`` or ``readers`` uses.  A name only one
+    dataclass declares is read by any read of it.  A name several declare
+    is read, for each, only in its own module or in a module that names
+    the class or a function whose body builds one."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in dict.fromkeys([*sources, *readers])}
+    reads = {path: {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+             for path, tree in trees.items()}
+    classes = [(path, c, [s.target.id for s in c.body if isinstance(s, ast.AnnAssign)])
+               for path in sources for c in trees[path].body
+               if isinstance(c, ast.ClassDef) and any("dataclass" in _mentions(d) for d in c.decorator_list)]
+    declared = Counter(name for _, _, names in classes for name in names)
+    found = []
+    for path, c, names in classes:
+        builders = {c.name} | {f.name for tree in trees.values() for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                               and any(isinstance(n, ast.Call) and c.name in _mentions(n.func) for n in ast.walk(f))}
+        near = [q for q in trees if q == path or builders & _mentions(trees[q])]
+        found += [(path, c.name, name) for name in names
+                  if not any(name in reads[q] for q in (trees if declared[name] == 1 else near))]
+    return found
+
+
+def test_unread_fields_finds_the_unread_ones(tmp_path):
+    a, b, c = tmp_path / "a.py", tmp_path / "b.py", tmp_path / "c.py"
+    a.write_text("from dataclasses import dataclass\n\n\n@dataclass\nclass Split:\n    left: int\n    mode: str\n\n\n"
+                 "def split(x):\n    return Split(x, 'ab')\n\n\n@dataclass(frozen=True)\nclass Config:\n"
+                 "    mode: str\n    spare: int = 0\n")
+    b.write_text("from a import split\nprint(split(1).left)\n")
+    c.write_text("def run(cfg):\n    return cfg.mode\n")
+    assert unread_fields([a], [b, c]) == [(a, "Split", "mode"), (a, "Config", "mode"), (a, "Config", "spare")]
+
+
+# dataclass fields that no attribute read in the program uses, each kept for a reason
+KEPT_FIELDS = {
+    ("GroundTruthBox", "class_id"): "read as frame.boxes[i].class_id by the demos and perfbench, "
+                                    "which reach the boxes through load_frame",
+}
+
+
+def test_no_unread_dataclass_fields():
+    # perfbench and the demos read the package's results; the tests do not count
+    readers = sorted(DEMOS.glob("*.py")) + sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    found = [f"{path.name}: {cls}.{name}"
+             for path, cls, name in unread_fields(sorted(SRC.glob("*.py")), readers)
+             if (cls, name) not in KEPT_FIELDS]
+    assert not found, "dataclass fields that nothing reads:\n" + "\n".join(found)
+
+
 def test_readme_layout_names_every_module():
     # each bullet of README's Layout list that opens with a module's path
     readme = (SRC.parents[1] / "README.md").read_text()
@@ -209,11 +258,11 @@ assert not loaded, loaded
 rng = np.random.default_rng(7)
 x32 = (rng.standard_normal(4096) * 8).astype(np.float32)
 x64 = rng.standard_normal(4096) * 8
-got = [gelu(x32), gelu(x64), sigmoid(x32), sigmoid(x64)]
+got = [gelu(x32), sigmoid(x32), sigmoid(x64)]
 assert "scipy.special" in sys.modules
 from scipy.special import expit
 from oracles import gelu_expression
-want = [gelu_expression(x32), gelu_expression(x64), expit(x32), expit(x64).astype(np.float32)]
+want = [gelu_expression(x32), expit(x32), expit(x64).astype(np.float32)]
 for g, w in zip(got, want):
     assert g.dtype == w.dtype == np.float32 and g.tobytes() == w.tobytes()
 """

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from trifuse.backbone import StageFeature
 from trifuse.errors import ShapeError
 from trifuse.neck import (
-    PYRAMID_STRIDES,
     PYRAMID_WIDTH,
     fpn,
     fpn_param_specs,
@@ -97,7 +96,6 @@ class TestFpn:
         pyr = fpn(_features(rng), _params())
         assert len(pyr.levels) == 5
         assert all(lvl.shape[1] == PYRAMID_WIDTH for lvl in pyr.levels)
-        assert pyr.strides == PYRAMID_STRIDES
 
     def test_extra_level_is_strided_subsample(self, rng):
         pyr = fpn(_features(rng), _params())
