@@ -9,7 +9,6 @@ config-driven ablation harness.
 from .backbone import (
     BackboneConfig,
     StageFeature,
-    StreamSplit,
     count_params,
     forward_dual,
     forward_single,

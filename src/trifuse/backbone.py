@@ -76,21 +76,12 @@ class BackboneConfig:
 
 @dataclass
 class StageFeature:
-    """One stage output map with its stride, width and fusion diagnostics."""
+    """One stage's (B, C, H, W) output map and its fusion diagnostics.  Its
+    stride is ``STAGE_STRIDES[stage - 1]`` and its width ``map.shape[1]``."""
 
     map: np.ndarray
     stage: int
-    stride: int
-    width: int
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
-class StreamSplit:
-    """Channel split of a five-channel input into the two encoder streams."""
-
-    stream_a: np.ndarray
-    stream_b: np.ndarray
 
 
 def normalize_modalities(modalities):
@@ -108,11 +99,11 @@ def stream_channels(modalities):
 
 
 def split_streams(x, modalities="RTE"):
-    """Partition a (B, 5, H, W) input into the two modality streams."""
+    """The (stream A, stream B) inputs of a (B, 5, H, W) input: the views
+    ``x[:, sl]`` over the modality subset's ``STREAM_SLICES``, not copies."""
     if x.ndim != 4 or x.shape[1] != 5:
         raise ShapeError(f"expected (B, 5, H, W) input, got shape {x.shape}")
-    a, b = (np.ascontiguousarray(x[:, sl]) for sl in STREAM_SLICES[normalize_modalities(modalities)])
-    return StreamSplit(a, b)
+    return tuple(x[:, sl] for sl in STREAM_SLICES[normalize_modalities(modalities)])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +255,7 @@ def forward_single(x, cfg, params, p="a"):
     cur = x
     for stage in range(1, 5):
         cur = encode_stage(cur, stage, cfg, params, p)
-        feats.append(StageFeature(cur, stage, STAGE_STRIDES[stage - 1], cfg.widths[stage - 1]))
+        feats.append(StageFeature(cur, stage))
     return feats
 
 
@@ -280,16 +271,16 @@ def merge_part(stage, cfg, fusion):
     continue apart.  ``apply_fusion`` is looked up as the part runs, so
     wrapping it takes effect here.
     """
-    name, c, stride = f"fuse.s{stage}", cfg.widths[stage - 1], STAGE_STRIDES[stage - 1]
+    name, c = f"fuse.s{stage}", cfg.widths[stage - 1]
     fused = stage in fusion.stages
 
     def part(encoded, params):
         fa, fb = encoded
         if fused:
             out, diagnostics = apply_fusion(fusion, fa, fb, params, name)
-            return StageFeature(out, stage, stride, c, diagnostics), (out, out)
+            return StageFeature(out, stage, diagnostics), (out, out)
         out = ((fa.astype(np.float64) + fb.astype(np.float64)) / 2.0).astype(np.float32)
-        return StageFeature(out, stage, stride, c), encoded
+        return StageFeature(out, stage), encoded
 
     return name, fusion_param_specs(fusion, c, name) if fused else [], part
 
@@ -297,9 +288,7 @@ def merge_part(stage, cfg, fusion):
 def forward_dual(x, cfg, fusion, params, modalities="RTE"):
     """Dual-stream pass: stage by stage, each stream through
     ``encode_stage``, then the stage's ``merge_part``; the four StageFeatures."""
-    split = split_streams(x, modalities)
-    streams = split.stream_a, split.stream_b
-    feats = []
+    streams, feats = split_streams(x, modalities), []
     for stage in range(1, 5):
         encoded = [encode_stage(s, stage, cfg, params, p) for s, p in zip(streams, "ab")]
         feat, streams = merge_part(stage, cfg, fusion)[2](encoded, params)

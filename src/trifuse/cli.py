@@ -30,7 +30,7 @@ from .harness import (
     write_grid_outputs,
 )
 from .metrics import evaluate, read_detections_jsonl, read_ground_truth_jsonl
-from .synth import generate_corpus
+from .synth import DEFAULT_HEIGHT, DEFAULT_WIDTH, generate_corpus
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -213,8 +213,8 @@ def build_parser():
 
     p = sub.add_parser("synth", parents=[shared], help="generate a synthetic corpus")
     p.add_argument("--n", type=int, default=4, help="number of frames")
-    p.add_argument("--height", type=int, default=301)
-    p.add_argument("--width", type=int, default=391)
+    p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
+    p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("eval", parents=[shared], help="score detections against ground truth")

@@ -62,20 +62,22 @@ import statistics
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import backbone
-from .backbone import STREAM_SLICES, BackboneConfig, backbone_param_specs, normalize_modalities
+from .backbone import STREAM_SLICES, BackboneConfig, backbone_param_specs, normalize_modalities, split_streams
 from .data import MAX_FRAME_PIXELS, default_stats, load_frame, load_manifest, normalize, pad_to_stride
 from .errors import ConfigError, TrifuseError, ValidationError
 from .fusion import FusionConfig
 from .neck import fpn_param_specs, fpn_parts
+from .synth import DEFAULT_HEIGHT, DEFAULT_WIDTH
 from .tensors import ParamStore, init_params, param_count
 
-DEFAULT_INPUT_SIZE = (301, 391)
+DEFAULT_INPUT_SIZE = (DEFAULT_HEIGHT, DEFAULT_WIDTH)
 # what fails one grid cell and not the grid: a package error, a source file
 # the cell cannot open, or an allocation the host cannot make
 _CELL_ERRORS = (TrifuseError, OSError, MemoryError)
@@ -288,33 +290,32 @@ def expand_sweep(base, sweep):
     cells = math.prod(map(len, sweep.values()))
     if cells > MAX_SWEEP_CELLS:
         raise ConfigError(f"sweep of {cells} cells, above the bound of {MAX_SWEEP_CELLS}")
+    axes = {}  # each axis' values, a stage list as a tuple of integers
     for axis, values in sweep.items():
         if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; valid: {sorted(SWEEP_AXES)}")
         if not values:
             raise ConfigError(f"sweep axis {axis!r} has no values")
-        if any(values.index(v) < i for i, v in enumerate(values)):
+        axes[axis] = same = list(values)
+        if axis == "stages":  # a stage list names a set: [3, 4] and [4, 3] are one cell
+            axes[axis] = [_int_tuple(axis, v) for v in values]
+            same = [tuple(sorted(v)) for v in axes[axis]]
+        if any(same.index(v) < i for i, v in enumerate(same)):
             raise ConfigError(f"sweep axis {axis!r} lists a value more than once: {list(values)!r}")
-    axes = sorted(sweep)
-    configs = []
-    for combo in itertools.product(*(sweep[a] for a in axes)):
-        upd = dict(zip(axes, combo))
-        if "stages" in upd:
-            upd["stages"] = _int_tuple("stages", upd["stages"])
-        configs.append(replace(base, **upd))
-    return configs
+    names = sorted(axes)
+    return [replace(base, **dict(zip(names, combo))) for combo in itertools.product(*(axes[a] for a in names))]
 
 
 class _Step(NamedTuple):
-    """One node on a cell's walk: it runs ``fn(params, *args)`` in turn
+    """One node on a cell's walk: ``call(params)`` gives its value in turn
     ``turn``, ``params`` holding the ``arrays`` it reads, as (ParamSpec,
-    seed) pairs.  ``key`` says what the node reads, not which cell asks."""
+    seed) pairs.  A part's call is ``_timed`` bound to the part and its
+    input.  ``key`` says what the node reads, not which cell asks."""
 
     turn: tuple
     key: tuple
     arrays: list
-    fn: object
-    args: tuple
+    call: object
 
 
 class _Arrays:
@@ -329,7 +330,7 @@ class _Arrays:
     def node(self, step):
         """The node's value: its call run with the arrays it reads."""
         try:
-            return step.fn(ParamStore({s.name: self._draw(s, seed) for s, seed in step.arrays}), *step.args)
+            return step.call(ParamStore({s.name: self._draw(s, seed) for s, seed in step.arrays}))
         finally:
             for a in step.arrays:
                 self.readers[a] -= 1
@@ -347,27 +348,14 @@ class _Arrays:
         return array
 
 
-def _input(params, cfg):
-    return make_input(cfg)[0]
-
-
-def _part(params, reps, part, x):
-    return _timed(reps, part, x, params)
-
-
-def _parked(params, reps, part, parked, key):
-    """``_part`` on the stage features parked under ``key``: the FPN's
-    first part, which takes them out of ``parked``."""
-    return _part(params, reps, part, parked.pop(key))
-
-
 def _run_cell(cfg, parked):
     """One grid cell's walk, as the module docstring describes it: a
     generator that yields each node the cell passes, in order, as a
     ``_Step``, is sent the node's value or has the error that computing it
     raised thrown in, and returns the cell's report.  The cell parks stage
     features for its FPN in ``parked``.  An error in ``_CELL_ERRORS`` is
-    returned, not raised."""
+    returned, not raised, without its traceback, whose frames would hold the
+    failing node's arrays until the grid call returns."""
     try:
         cfg.validate()
         bcfg, fus, reps = cfg.backbone_config(), cfg.fusion_config(), cfg.timing_reps
@@ -378,9 +366,10 @@ def _run_cell(cfg, parked):
 
         source = ("input", cfg.input_size, cfg.batch, cfg.source, cfg.seed)
         fpn_key = ("fpn", source, bcfg.widths, reps)
-        x = yield _Step((0, "input", ()), source, [], _input, (cfg,))
-        ups = [(("stream", source, sl.start, sl.stop), x[:, sl])
-               for sl in STREAM_SLICES[normalize_modalities(cfg.modalities)]]
+        x = yield _Step((0, "input", ()), source, [], lambda params: make_input(cfg)[0])
+        mods = normalize_modalities(cfg.modalities)
+        ups = [(("stream", source, sl.start, sl.stop), s)
+               for sl, s in zip(STREAM_SLICES[mods], split_streams(x, mods))]
         shapes, diagnostics, forward_ms = [], {}, 0.0
         for stage in range(1, 5):
             i = stage - 1
@@ -391,14 +380,14 @@ def _run_cell(cfg, parked):
                 key, x = ups.pop(0)  # not held once its embed has run
                 for label, (name, specs, part) in zip(labels, backbone.stage_parts(stage, bcfg, p, x.shape[1])):
                     key = (name, geometry, reps, key)
-                    x, ms = yield _Step((stage, p, label), key, seeded(specs), _part, (reps, part, x))
+                    x, ms = yield _Step((stage, p, label), key, seeded(specs), partial(_timed, reps, part, x))
                     forward_ms += ms
                 encoded.append((key, x))
             name, specs, part = backbone.merge_part(stage, bcfg, fus)
             fused = (fus.mechanism, *fus.block_settings()) if stage in fus.stages else None
             merge = (name, fused, *(norm for norm, _ in encoded))
             (feat, streams), ms = yield _Step(
-                (stage, "merge", ()), merge, seeded(specs), _part, (reps, part, [m for _, m in encoded]))
+                (stage, "merge", ()), merge, seeded(specs), partial(_timed, reps, part, [m for _, m in encoded]))
             forward_ms += ms
             shapes.append(feat.map.shape)
             for stat, value in feat.diagnostics.items():
@@ -412,12 +401,14 @@ def _run_cell(cfg, parked):
         key = fpn_key
         for j, (name, specs, part) in enumerate(fpn_parts(bcfg.widths)):
             key = (name, key)
-            fn, args = (_part, (reps, part, x)) if j else (_parked, (reps, part, parked, fpn_key))
-            x, ms = yield _Step((5, "fpn", (j,)), key, seeded(specs), fn, args)
+            # the first part takes the stage features parked for it
+            call = (partial(_timed, reps, part, x) if j
+                    else lambda params: _timed(reps, part, parked.pop(fpn_key), params))
+            x, ms = yield _Step((5, "fpn", (j,)), key, seeded(specs), call)
             forward_ms += ms
         return RunReport(cfg.to_dict(), shapes, x.shapes(), n_params, forward_ms, diagnostics)
     except _CELL_ERRORS as e:
-        return e
+        return e.with_traceback(None)
 
 
 def _run_cells(configs):

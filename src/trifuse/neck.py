@@ -92,8 +92,9 @@ def fpn_parts(stage_widths):
 
 
 def fpn(features, params):
-    """Standard top-down FPN over the four stage features: the parts of
-    :func:`fpn_parts` in turn.
+    """Standard top-down FPN over the four stage features, of stages 1-4 in
+    order: the parts of :func:`fpn_parts` in turn, for the widths of the
+    features' maps.
 
     Laterals are 1x1 projections to 256 channels, merged top-down with
     nearest-neighbor upsampling and a 3x3 smoothing conv per level; the
@@ -102,12 +103,9 @@ def fpn(features, params):
     a merged map is dropped once its smoothing conv and the next merge
     have read it.
     """
-    if len(features) != 4:
-        raise ShapeError(f"fpn expects 4 stage features, got {len(features)}")
-    for f, stride in zip(features, (4, 8, 16, 32)):
-        if f.stride != stride:
-            raise ShapeError(f"stage {f.stage} has stride {f.stride}, expected {stride}")
+    if (stages := [f.stage for f in features]) != [1, 2, 3, 4]:
+        raise ShapeError(f"fpn expects the 4 stage features of stages 1-4 in order, got stages {stages}")
     state = features
-    for _, _, part in fpn_parts([f.width for f in features]):
+    for _, _, part in fpn_parts([f.map.shape[1] for f in features]):
         state = part(state, params)
     return state

@@ -283,12 +283,12 @@ def prop_unfused_rgb_stream_matches_single(seed):
     specs = backbone_param_specs(TINY, fus, "RTE")
     params = init_params(specs, seed)
     x = rng.standard_normal((1, 5, 64, 64)).astype(np.float32)
-    split = split_streams(x, "RTE")
-    single = forward_single(split.stream_a, TINY, params, "a")
+    stream_a, stream_b = split_streams(x, "RTE")
+    single = forward_single(stream_a, TINY, params, "a")
     dual = forward_dual(x, TINY, fus, params, "RTE")
     # dual emits the stream mean; reconstruct the rgb stream by symmetry:
     # run stream b alone and check mean consistency
-    other = forward_single(split.stream_b, TINY, params, "b")
+    other = forward_single(stream_b, TINY, params, "b")
     for d, s, o in zip(dual, single, other):
         mean = ((s.map.astype(np.float64) + o.map.astype(np.float64)) / 2).astype(np.float32)
         assert np.abs(d.map - mean).max() == 0.0

@@ -84,15 +84,14 @@ class TestModalities:
         assert stream_channels("TE") == (1, 1)
 
     def test_split_slices(self, rng):
+        # views of the input, not copies
         x = _input(rng, 8, 8)
-        s = split_streams(x, "RTE")
-        assert np.array_equal(s.stream_a, x[:, 0:3])
-        assert np.array_equal(s.stream_b, x[:, 3:5])
-        s = split_streams(x, "RE")
-        assert np.array_equal(s.stream_b, x[:, 4:5])
-        s = split_streams(x, "TE")
-        assert np.array_equal(s.stream_a, x[:, 3:4])
-        assert np.array_equal(s.stream_b, x[:, 4:5])
+        a, b = split_streams(x, "RTE")
+        assert np.array_equal(a, x[:, 0:3]) and np.array_equal(b, x[:, 3:5])
+        assert np.shares_memory(a, x) and np.shares_memory(b, x)
+        assert np.array_equal(split_streams(x, "RE")[1], x[:, 4:5])
+        a, b = split_streams(x, "TE")
+        assert np.array_equal(a, x[:, 3:4]) and np.array_equal(b, x[:, 4:5])
 
     def test_split_needs_five_channels(self, rng):
         with pytest.raises(ShapeError, match="5"):
@@ -201,7 +200,7 @@ class TestForward:
         params = init_params(backbone_param_specs(tiny_cfg, NONE), 0)
         x = rng.standard_normal((1, 3, 64, 64)).astype(np.float32)
         feats = forward_single(x, tiny_cfg, params, "a")
-        assert [f.stride for f in feats] == list(STAGE_STRIDES)
+        assert [(f.stage, 64 // f.map.shape[3]) for f in feats] == list(zip(range(1, 5), STAGE_STRIDES))
         assert [f.map.shape for f in feats] == [
             (1, 8, 16, 16), (1, 16, 8, 8), (1, 32, 4, 4), (1, 64, 2, 2),
         ]
@@ -329,8 +328,7 @@ def test_each_part_reads_exactly_its_declared_specs(rng, variant, mods):
     # a grid node is given its part's declared arrays and no others; the
     # modality set fixes the stage-1 embed's input channels
     cfg = BackboneConfig.variant_config(variant)
-    split = split_streams(_input(rng), mods)
-    for p, x in zip("ab", (split.stream_a, split.stream_b)):
+    for p, x in zip("ab", split_streams(_input(rng), mods)):
         for stage in range(1, 5):
             for name, specs, part in stage_parts(stage, cfg, p, x.shape[1]):
                 store = _Reads(specs)

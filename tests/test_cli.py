@@ -280,6 +280,15 @@ class TestInputErrors:
         assert err == "error: sweep axis 'mechanism' has no values\n"
         assert not out.exists()
 
+    def test_one_stage_set_listed_twice_exits_one(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text('{"stages": [[3, 4], [4, 3]]}')
+        out = tmp_path / "g"
+        err = self._fails(capsys, ["--config", _fast_config(tmp_path), "--out", str(out),
+                                   "grid", "--sweep", str(sweep)])
+        assert err == "error: sweep axis 'stages' lists a value more than once: [[3, 4], [4, 3]]\n"
+        assert not out.exists()
+
     def test_sweep_of_10_to_the_12_cells_exits_one(self, tmp_path, capsys):
         # four axes of 1,000 values: refused from the axis lengths
         sweep = tmp_path / "sweep.json"

@@ -219,6 +219,10 @@ class TestSweeps:
         with pytest.raises(ConfigError, match=r"^sweep axis 'stages' lists a value more than once: "
                                               r"\[\[4\], \[3, 4\], \[4\]\]$"):
             expand_sweep(FAST, {"stages": [[4], [3, 4], [4]]})
+        # a stage list is a set: [3, 4] and [4, 3] would give one key two cells
+        with pytest.raises(ConfigError, match=r"^sweep axis 'stages' lists a value more than once: "
+                                              r"\[\[3, 4\], \[4, 3\]\]$"):
+            expand_sweep(FAST, {"stages": [[3, 4], [4, 3]]})
 
     @pytest.mark.parametrize("sweep", [{"stages": [4, 3]}, {"tau": 0.5}, 5])
     def test_malformed_sweep_is_a_config_error(self, sweep):
@@ -318,7 +322,7 @@ def node_calls(monkeypatch):
     real = harness._Arrays.node
 
     def node(table, step):
-        def fn(params, *args):
+        def call(params):
             for name in params.names():
                 arrays[id(params[name])] = name, weakref.ref(params[name])
             live = [(name, a) for name, ref in arrays.values() if (a := ref()) is not None]
@@ -327,7 +331,7 @@ def node_calls(monkeypatch):
                                   sum(a.nbytes for _, a in live), sorted(in_table),
                                   [turn for turn, ref in outputs if ref() is not None]))
             del live
-            out = step.fn(params, *args)
+            out = step.call(params)
             value = out[0] if isinstance(out, tuple) else out  # a timed node's value, or the input
             value = value[0] if isinstance(value, tuple) else value
             value = getattr(value, "map", value)
@@ -335,7 +339,7 @@ def node_calls(monkeypatch):
                 outputs.append((step.turn, weakref.ref(value)))
             return out
 
-        return real(table, step._replace(fn=fn))
+        return real(table, step._replace(call=call))
 
     monkeypatch.setattr(harness._Arrays, "node", node)
     return calls
@@ -624,6 +628,55 @@ class TestGridEngine:
             ([3], "ShapeError: cssa at stage 3 refused"), ([3, 4], "ShapeError: cssa at stage 3 refused"),
         ]
         assert_reports_equal_per_cell_runs(reports)
+
+    def test_failed_cell_keeps_no_frames(self, monkeypatch):
+        # the failed merge's stream-A input is held by no traceback once its
+        # cell has failed
+        inputs, real = [], backbone.apply_fusion
+
+        def failing(cfg, xa, xb, params, p):
+            if cfg.mechanism == "cssa" and p == "fuse.s3":
+                inputs.append(weakref.ref(xa))
+                raise ShapeError("cssa at stage 3 refused")
+            return real(cfg, xa, xb, params, p)
+
+        alive, node = {}, harness._Arrays.node
+
+        def recording(table, step):
+            if step.turn == (5, "fpn", (3,)):
+                alive[step.turn] = [ref() is not None for ref in inputs]
+            return node(table, step)
+
+        monkeypatch.setattr(backbone, "apply_fusion", failing)
+        monkeypatch.setattr(harness._Arrays, "node", recording)
+        reports = run_grid(FAST, {"mechanism": ["cssa", "gaff"], "stages": [[3], [4]]})
+        assert [r.error for r in reports] == ["ShapeError: cssa at stage 3 refused", None, None, None]
+        assert alive == {(5, "fpn", (3,)): [False]}
+
+    @pytest.mark.parametrize("mods", ["RTE", "TE"])
+    def test_stage_one_embeds_take_the_split_streams_views(self, monkeypatch, mods):
+        # a grid cell and forward_dual split the input one way, into views
+        inputs, embedded = [], []
+        make, embed = harness.make_input, backbone.patch_embed
+
+        def recording(x, stage, params, p):
+            if stage == 1:
+                embedded.append(x)
+            return embed(x, stage, params, p)
+
+        monkeypatch.setattr(harness, "make_input", lambda cfg: inputs.append(make(cfg)) or inputs[-1])
+        monkeypatch.setattr(backbone, "patch_embed", recording)
+        cfg = replace(FAST, modalities=mods)
+        run_single(cfg)
+        x = inputs[0][0]
+        backbone.forward_dual(x, cfg.backbone_config(), cfg.fusion_config(),
+                              init_params(build_param_specs(cfg), 0), mods)
+
+        def view(a):
+            return a.__array_interface__["data"][0], a.shape, a.strides
+
+        assert all(np.shares_memory(a, x) for a in embedded)
+        assert [view(a) for a in embedded] == [view(a) for a in backbone.split_streams(x, mods)] * 2
 
     def test_failing_draw_fails_each_cell_that_reads_the_array(self, monkeypatch):
         def refusing(specs, seed):

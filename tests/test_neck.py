@@ -25,14 +25,7 @@ WIDTHS = (8, 16, 32, 64)
 def _features(rng, h=80, w=104, widths=WIDTHS):
     feats = []
     for i, c in enumerate(widths):
-        feats.append(
-            StageFeature(
-                rng.standard_normal((1, c, h >> i, w >> i)).astype(np.float32),
-                stage=i + 1,
-                stride=4 << i,
-                width=c,
-            )
-        )
+        feats.append(StageFeature(rng.standard_normal((1, c, h >> i, w >> i)).astype(np.float32), i + 1))
     return feats
 
 
@@ -43,10 +36,7 @@ def _params(widths=WIDTHS, seed=0):
 def _odd_features(rng, h=75, w=91, widths=WIDTHS):
     # each stage map ceil-halves the one before it
     return [
-        StageFeature(
-            rng.standard_normal((1, c, -(-h >> i), -(-w >> i))).astype(np.float32),
-            i + 1, 4 << i, c,
-        )
+        StageFeature(rng.standard_normal((1, c, -(-h >> i), -(-w >> i))).astype(np.float32), i + 1)
         for i, c in enumerate(widths)
     ]
 
@@ -161,8 +151,7 @@ class TestFpn:
             arrays[f"fpn.out{i}.w"] = eye3.copy()
             arrays[f"fpn.out{i}.b"] = np.zeros(256, np.float32)
         feats = [
-            StageFeature(np.full((1, 256, 8 >> i, 8 >> i), float(i + 1), np.float32),
-                         i + 1, 4 << i, 256)
+            StageFeature(np.full((1, 256, 8 >> i, 8 >> i), float(i + 1), np.float32), i + 1)
             for i in range(4)
         ]
         pyr = fpn(feats, ParamStore(arrays))
@@ -174,10 +163,10 @@ class TestFpn:
         with pytest.raises(ShapeError, match="4 stage"):
             fpn(_features(rng)[:3], _params())
 
-    def test_wrong_stride_rejected(self, rng):
+    def test_out_of_order_stages_rejected(self, rng):
         feats = _features(rng)
-        feats[1].stride = 7
-        with pytest.raises(ShapeError, match="stride"):
+        feats[1:3] = feats[2], feats[1]
+        with pytest.raises(ShapeError, match=r"stages 1-4 in order, got stages \[1, 3, 2, 4\]$"):
             fpn(feats, _params())
 
     def test_each_part_reads_exactly_its_declared_specs(self, rng):
